@@ -4,11 +4,11 @@ Not part of tier-1 (``pytest.ini`` pins ``testpaths = tests``): run them
 explicitly with ``PYTHONPATH=src python -m pytest benchmarks/ -q``.
 
 Decision-identity is asserted unconditionally — every bench cell runs both
-flavours and compares mappings/makespans before its timing counts
+kernels and compares mappings before its timing counts
 (:mod:`repro.experiments.bench` refuses to report unchecked speedups). The
 *speed* floors are additionally gated behind ``REPRO_PERF_ASSERT=1``
 because wall-clock ratios are only meaningful on a quiet machine; without
-the variable the tests still run both flavours and print the measured
+the variable the tests still run both kernels and print the measured
 ratio, they just don't fail on it. The CI ``perf-smoke`` job enforces the
 2x MinMin floor separately via ``repro bench --min-speedup``.
 
@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.experiments.bench import bench_end_to_end_cell, bench_mapping_cell
+from repro.experiments.bench import bench_mapping_cell
 
 PERF_ASSERT = os.environ.get("REPRO_PERF_ASSERT") == "1"
 
@@ -52,14 +52,3 @@ def test_mapping_speed_fig6b_headline():
     # Measured 3.1x; the checked-in benchmarks/BENCH_*.json records the
     # >=3x run, the floor here leaves margin for noisier machines.
     _check(bench_mapping_cell("minmin", 1000, 32, repeats=7), 2.5)
-
-def test_end_to_end_not_regressed():
-    # Parity guard, not a speedup claim: at this size mapping is a sliver
-    # of the wall clock, the Timeline rewrite benefits both flavours by
-    # design, and the runtime caches (source memoisation, missing-bytes
-    # index, cached eviction order) roughly break even against their
-    # bookkeeping. Catch the optimized flavour *regressing* end to end.
-    _check(
-        bench_end_to_end_cell("minmin", 120, 8, repeats=3, candidate_limit=25),
-        0.85,
-    )

@@ -36,8 +36,8 @@ Commands
     Gantt trace against the execution invariants E1–E7
     (:mod:`repro.analysis.audit`, ``docs/invariants.md``).
 ``bench``
-    Time the incremental scheduling kernels against their retained
-    reference implementations on fixed Fig. 6b-shaped cells, asserting
+    Time the incremental MCT mapping kernel against its retained
+    reference implementation on fixed Fig. 6b-shaped cells, asserting
     decision identity before reporting any speedup
     (``docs/performance.md``). The CI perf-smoke job runs this with
     ``--min-speedup`` as a regression gate.
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser(
         "bench",
-        help="time the incremental kernels against their reference oracles "
+        help="time the incremental MCT kernel against its reference oracle "
         "(decision-checked; see docs/performance.md)",
     )
     pb.add_argument(
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument(
         "--repeats", type=int, default=5,
-        help="timing repeats per flavour; min is reported (default 5)",
+        help="timing repeats per kernel; min is reported (default 5)",
     )
     pb.add_argument(
         "--out", metavar="FILE",
@@ -1128,10 +1128,7 @@ def _cmd_bench(args) -> int:
             tpath = append_trajectory(results, traj)
             print(f"trajectory appended to {tpath} ({len(results)} record(s))")
     if args.min_speedup is not None:
-        slow = [
-            r for r in results
-            if r.kind == "mapping" and r.speedup < args.min_speedup
-        ]
+        slow = [r for r in results if r.speedup < args.min_speedup]
         if slow:
             for r in slow:
                 print(

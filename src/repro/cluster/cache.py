@@ -46,11 +46,6 @@ class DiskCache:
         self._used: MB = 0.0
         self.evictions: Count = 0
         self.evicted_volume: MB = 0.0
-        #: Membership-change counter (bumped on every insert/remove, never on
-        #: pin/touch). Lets callers cache derived views of the resident set —
-        #: e.g. the runtime's size-sorted eviction order — and revalidate in
-        #: O(1) instead of resorting per eviction query.
-        self.mutations: Count = 0
 
     # -- queries ---------------------------------------------------------------
     def __contains__(self, file_id: str) -> bool:
@@ -91,13 +86,11 @@ class DiskCache:
             )
         self._entries[file_id] = _Entry(size_mb=size_mb, last_use=now)
         self._used += size_mb
-        self.mutations += 1
 
     def remove(self, file_id: str) -> MB:
         """Drop a file (eviction bookkeeping is the caller's job)."""
         e = self._entries.pop(file_id)
         self._used -= e.size_mb
-        self.mutations += 1
         return e.size_mb
 
     def drop_unconditionally(self, file_id: str) -> MB:

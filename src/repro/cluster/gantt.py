@@ -195,8 +195,11 @@ class Overlay:
         t = max(0.0, not_before)
         base_slot = self.base.earliest_slot
         # Alternate between the base timeline and virtual intervals until
-        # a common gap is found; terminates because t only increases.
-        for _ in range(10 * (len(virtual) + len(self.base) + 2)):
+        # a common gap is found. A round that bumps moves t to the end of a
+        # virtual interval lying more than _EPS past the previous t, so the
+        # bumped-to ends strictly increase and at most len(virtual) rounds
+        # bump before one returns.
+        while True:
             t2 = base_slot(duration, t)
             bumped = False
             for iv in virtual:
@@ -206,7 +209,6 @@ class Overlay:
             if not bumped:
                 return t2
             t = t2
-        raise RuntimeError("earliest_slot failed to converge")  # pragma: no cover
 
     def reserve(self, start: Seconds, duration: Seconds, tag: str = "") -> Interval:
         iv = Interval(start, start + duration, tag)
@@ -231,17 +233,17 @@ def earliest_common_slot(
 
     Fixpoint iteration over per-resource ``earliest_slot``: each round pushes
     the candidate start to the latest per-resource feasible start; stable
-    point = common slot. Terminates because the candidate is non-decreasing
-    and each timeline has finitely many reservations.
+    point = common slot. Terminates because a round that does not return
+    moves the candidate more than ``_EPS`` later, onto the end of a
+    reservation, and the resources hold finitely many reservations.
     """
     if not resources:
         return max(0.0, not_before)
     t = max(0.0, not_before)
-    for _ in range(100_000):
+    while True:
         t_new = t
         for res in resources:
             t_new = max(t_new, res.earliest_slot(duration, t_new))
         if t_new <= t + _EPS:
             return t_new
         t = t_new
-    raise RuntimeError("earliest_common_slot failed to converge")  # pragma: no cover

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -42,7 +43,7 @@ from .cache import CacheFullError
 from .events import AuditTrail
 from .gantt import Overlay, Timeline, earliest_common_slot
 from .platform import Platform
-from .state import ClusterState, TransferStats
+from .state import ClusterState
 from .stats import ExecutionResult, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +83,16 @@ class StagingPlan:
     pushes: list[tuple[str, int]] = field(default_factory=list)
 
 
+#: One costed transfer attempt: (tct, kind, source_node, start, duration,
+#: overlays it occupies).
+_Attempt = tuple[float, str, int | None, float, float, list[Overlay]]
+#: A staged input: (file_id, kind, source_node, start, duration).
+_Transfer = tuple[str, str, int | None, float, float]
+#: An injected transfer failure: (file_id, size, kind, source_node, start,
+#: end, attempt).
+_FailedAttempt = tuple[str, float, str, int | None, float, float, int]
+
+
 @dataclass
 class _Tentative:
     """A tentatively scheduled task: its transfers and execution slot."""
@@ -89,100 +100,13 @@ class _Tentative:
     task: Task
     node: int
     overlays: dict[str, Overlay]
-    transfers: list[tuple[str, str, int | None, float, float]]
-    # (file_id, kind, source_node, start, duration)
+    transfers: list[_Transfer]
     transfers_done: Seconds
     exec_start: Seconds
     ect: Seconds
     # Injected transfer failures preceding the successful attempts
-    # (fault model only): (file_id, size, kind, source, start, end, attempt).
-    failed_attempts: list[tuple[str, float, str, int | None, float, float, int]] = (
-        field(default_factory=list)
-    )
-
-
-class _MissingIndex:
-    """Incremental per-(node, task) missing-input tracking for one sub-batch.
-
-    ``execute``'s candidate pre-filter ranks every pending task of a group
-    by the volume of input bytes not yet on its node. Recomputing that from
-    scratch is an O(T·F) scan per commit — O(T²·F) over a sub-batch. This
-    index maintains each task's *missing set* event-driven (file placed /
-    evicted / node crashed) and exposes the volumes as O(1) lookups.
-
-    Decision identity: the volume is **never** accumulated incrementally —
-    float ``+=``/``-=`` would round differently from the reference re-sum
-    and the value feeds a ``sorted`` key. Instead, whenever a task's
-    missing *set* changes, the volume is recomputed with the reference
-    term order (``sum(size_of(f) for f in t.files if f missing)``), so it
-    equals the from-scratch scan bit for bit.
-    """
-
-    def __init__(
-        self, state: ClusterState, groups: Mapping[int, Sequence[Task]]
-    ) -> None:
-        self.state = state
-        # node -> task_id -> set of input files not on the node
-        self.miss: dict[int, dict[str, set[str]]] = {}
-        # node -> task_id -> missing volume (reference summation order)
-        self.mb: dict[int, dict[str, MB]] = {}
-        # node -> file -> tasks of that group reading the file
-        self.readers: dict[int, dict[str, list[Task]]] = {}
-        self.done: set[str] = set()
-        for node, tasks in groups.items():
-            miss: dict[str, set[str]] = {}
-            mb: dict[str, MB] = {}
-            readers: dict[str, list[Task]] = {}
-            for t in tasks:
-                s = {f for f in t.files if not state.has_file(node, f)}
-                miss[t.task_id] = s
-                mb[t.task_id] = sum(
-                    state.size_of(f) for f in t.files if f in s
-                )
-                for f in t.files:
-                    readers.setdefault(f, []).append(t)
-            self.miss[node] = miss
-            self.mb[node] = mb
-            self.readers[node] = readers
-
-    def _refresh(self, node: int, t: Task, s: set[str]) -> None:
-        self.mb[node][t.task_id] = sum(
-            self.state.size_of(f) for f in t.files if f in s
-        )
-
-    def on_place(self, node: int, file_id: str) -> None:
-        """``file_id`` became resident on ``node``."""
-        readers = self.readers.get(node)
-        if readers is None:
-            return
-        for t in readers.get(file_id, ()):
-            if t.task_id in self.done:
-                continue
-            s = self.miss[node][t.task_id]
-            if file_id in s:
-                s.discard(file_id)
-                self._refresh(node, t, s)
-
-    def on_evict(self, node: int, file_id: str) -> None:
-        """``file_id`` left ``node``'s cache (eviction or disk loss)."""
-        readers = self.readers.get(node)
-        if readers is None:
-            return
-        for t in readers.get(file_id, ()):
-            if t.task_id in self.done:
-                continue
-            s = self.miss[node][t.task_id]
-            if file_id not in s:
-                s.add(file_id)
-                self._refresh(node, t, s)
-
-    def task_done(self, task_id: str) -> None:
-        self.done.add(task_id)
-
-    def drop_node(self, node: int) -> None:
-        self.miss.pop(node, None)
-        self.mb.pop(node, None)
-        self.readers.pop(node, None)
+    # (fault model only).
+    failed_attempts: list[_FailedAttempt] = field(default_factory=list)
 
 
 class Runtime:
@@ -191,12 +115,6 @@ class Runtime:
     One ``Runtime`` lives for a whole batch run; sub-batches are executed
     sequentially through :meth:`execute`, each starting at the previous
     makespan (the driver applies eviction between them).
-
-    ``reference=True`` disables every hot-path cache (source memoisation,
-    hoisted bandwidths, the missing-bytes index, the cached eviction order,
-    execution-duration memos) and runs the original from-scratch scans.
-    Both flavours are decision-identical — the reference path exists as the
-    oracle for differential tests and `repro bench`.
     """
 
     def __init__(
@@ -209,7 +127,6 @@ class Runtime:
         overlap_io_compute: bool = False,
         audit: bool = False,
         faults: FaultModel | None = None,
-        reference: bool = False,
     ) -> None:
         if ordering not in ("ect", "fifo"):
             raise ValueError(f"ordering must be 'ect' or 'fifo', got {ordering!r}")
@@ -224,7 +141,6 @@ class Runtime:
         # execution moves to a dedicated per-node CPU timeline so staging
         # for the next task can proceed during computation.
         self.overlap_io_compute = overlap_io_compute
-        self.reference = reference
         self.clock: Seconds = 0.0
         self.node_tl = [Timeline(f"compute{i}") for i in range(platform.num_compute)]
         self.cpu_tl = (
@@ -240,28 +156,9 @@ class Runtime:
         )
         # (node, file) -> absolute time the copy becomes usable
         self._avail: dict[tuple[int, str], float] = {}
-        # -- hot-path caches (all bypassed when ``reference`` is set) --------
-        # Remote bandwidth per storage node: a pure function of the platform,
-        # hoisted out of the per-transfer inner loop.
-        self._remote_bw = [
-            platform.remote_bandwidth(s) for s in range(platform.num_storage)
-        ]
-        # (file, dest) -> (holders snapshot, source list). Valid while the
-        # state still hands out the *same* holders frozenset (identity check);
-        # any replication/eviction/crash of the file drops that snapshot.
-        self._src_memo: dict[
-            tuple[str, int], tuple[frozenset[int], list[tuple[str, int | None]]]
-        ] = {}
-        # (task, node) -> execution duration (local reads + CPU): pure in the
-        # platform and the immutable file catalog.
-        self._exec_dur: dict[tuple[str, int], float] = {}
-        # node -> (cache.mutations stamp, size-ascending resident files)
-        self._vorder: dict[int, tuple[int, list[str]]] = {}
-        # Missing-bytes index of the sub-batch being executed (None outside
-        # `execute` and on the reference / unlimited-candidates paths).
-        self._mindex: _MissingIndex | None = None
-        # Fault injection (None = the null model: the exact fault-free code
-        # paths run and traces are bit-identical to a faultless build).
+        # Fault injection (None = the null model: staging skips every
+        # slowdown, crash and failure check, so traces are bit-identical to
+        # a faultless build).
         self.faults = faults
         # (file, dest) -> completed staging sessions, so repeated stagings
         # of the same file draw fresh failure outcomes. Only advanced at
@@ -305,33 +202,12 @@ class Runtime:
     def _dynamic_sources(
         self, file_id: str, dest: int
     ) -> list[tuple[str, int | None]]:
-        """All places ``file_id`` can come from: ``(kind, source_node)``.
-
-        The optimised path memoises the list per ``(file, dest)``, keyed on
-        the *identity* of the holders snapshot: :meth:`ClusterState.holders`
-        returns one cached frozenset until the holder set mutates, so
-        ``hit is holders`` proves nothing changed since the memo was built
-        and the same enumeration (frozenset order is content-determined)
-        would be rebuilt anyway.
-        """
-        if self.reference:
-            sources: list[tuple[str, int | None]] = [("remote", None)]
-            if self.allow_replication:
-                for holder in self.state.holders(file_id):
-                    if holder != dest:
-                        sources.append(("replica", holder))
-            return sources
-        holders = self.state.holders(file_id)
-        key = (file_id, dest)
-        hit = self._src_memo.get(key)
-        if hit is not None and hit[0] is holders:
-            return hit[1]
-        sources = [("remote", None)]
+        """All places ``file_id`` can come from: ``(kind, source_node)``."""
+        sources: list[tuple[str, int | None]] = [("remote", None)]
         if self.allow_replication:
-            for holder in holders:
+            for holder in self.state.holders(file_id):
                 if holder != dest:
                     sources.append(("replica", holder))
-        self._src_memo[key] = (holders, sources)
         return sources
 
     def _sources_for(
@@ -361,11 +237,7 @@ class Runtime:
             res = [dest_ov, self._overlay(overlays, self.storage_tl[storage])]
             if self.link_tl is not None:
                 res.append(self._overlay(overlays, self.link_tl))
-            bw = (
-                self.platform.remote_bandwidth(storage)
-                if self.reference
-                else self._remote_bw[storage]
-            )
+            bw = self.platform.remote_bandwidth(storage)
             ready = self.clock
         else:
             assert source_node is not None
@@ -374,7 +246,7 @@ class Runtime:
             ready = self._avail_time(source_node, file_id)
         return res, bw, ready
 
-    # -- fault-aware source selection ---------------------------------------------------
+    # -- source selection -------------------------------------------------------------
     def _best_source(
         self,
         file_id: str,
@@ -382,181 +254,141 @@ class Runtime:
         plan: StagingPlan | None,
         overlays: dict[str, Overlay],
         floor: Seconds,
-        exclude: frozenset[tuple[str, int | None]] = frozenset(),
-    ) -> tuple[float, str, int | None, float, float, list[Overlay]] | None:
-        """Min-TCT source for one transfer under the active fault model.
+        exclude: AbstractSet[tuple[str, int | None]] = frozenset(),
+    ) -> _Attempt | None:
+        """Min-TCT source for one transfer of ``file_id`` onto ``node``.
 
-        Returns ``(tct, kind, source, start, duration, resources)`` or
-        ``None`` when every candidate is excluded or crash-unreachable.
-        Only called when ``self.faults`` is set; the fault-free path keeps
-        its original inline loop untouched.
+        Returns the first candidate (in :meth:`_sources_for` order) with the
+        least transfer completion time, starting no earlier than ``floor``.
+        Under a fault model, link slowdowns stretch the transfer and a
+        replica whose node dies before the copy ends is skipped; a retry
+        excludes the sources it already tried. ``None`` means every
+        candidate was excluded or crash-unreachable, which takes a fault
+        model: the storage cluster never crashes.
         """
         faults = self.faults
-        assert faults is not None
         size = self.state.size_of(file_id)
-        best: tuple[float, str, int | None, float, float, list[Overlay]] | None = None
+        best: _Attempt | None = None
         for kind, src in self._sources_for(file_id, node, plan):
-            if (kind, src) in exclude:
+            if exclude and (kind, src) in exclude:
                 continue
             res, bw, ready = self._transfer_resources(
                 kind, src, node, file_id, overlays
             )
             not_before = max(floor, ready)
-            # Link slowdown windows divide bandwidth; the factor is sampled
-            # at the transfer's earliest possible start (deterministic even
-            # though the actual slot may land later).
-            duration = size * faults.slowdown_factor(kind, not_before) / bw
+            if faults is None:
+                duration = size / bw
+            else:
+                # Link slowdown windows divide bandwidth; the factor is
+                # sampled at the transfer's earliest possible start
+                # (deterministic even though the actual slot may land later).
+                duration = size * faults.slowdown_factor(kind, not_before) / bw
             start = earliest_common_slot(res, duration, not_before)
-            if kind == "replica":
-                assert src is not None
-                if start + duration > faults.crash_time(src):
-                    continue  # source node dies mid-copy: not a usable source
             tct = start + duration
+            if faults is not None and kind == "replica":
+                assert src is not None
+                if tct > faults.crash_time(src):
+                    continue  # source node dies mid-copy: not a usable source
             if best is None or tct < best[0]:
                 best = (tct, kind, src, start, duration, res)
         return best
 
-    def _stage_with_faults(
+    def _retry_until_staged(
         self,
-        task: Task,
+        file_id: str,
         node: int,
         plan: StagingPlan | None,
         overlays: dict[str, Overlay],
-        missing: list[str],
-    ) -> tuple[
-        list[tuple[str, str, int | None, float, float]],
-        float,
-        list[tuple[str, float, str, int | None, float, float, int]],
-    ]:
-        """Stage ``missing`` files with retry/backoff and source failover.
+        first: _Attempt,
+        failed: list[_FailedAttempt],
+    ) -> _Attempt:
+        """Run one file's staging session from attempt ``first`` to success.
 
-        Files are still picked in minimum-first-attempt-TCT order (the
-        paper's rule); each file's staging session then runs attempts until
-        one succeeds: a failed attempt occupies its slot (tagged
-        ``xfail:``), the next attempt starts after an exponential backoff
-        and prefers the next-cheapest source not yet tried this session
-        (falling back to retrying exhausted sources). Draw outcomes are
-        pure functions of ``(seed, file, dest, instance, attempt)`` so this
-        speculative evaluation matches the eventual commit exactly.
+        A failed attempt occupies its slot (tagged ``xfail:``) and is
+        appended to ``failed``; the next attempt starts after an
+        exponential backoff and prefers the next-cheapest source not yet
+        tried this session (falling back to retrying exhausted sources).
+        Draw outcomes are pure functions of ``(seed, file, dest, instance,
+        attempt)``, so this speculative evaluation matches the eventual
+        commit exactly. Returns the successful attempt.
         """
         faults = self.faults
         assert faults is not None
-        transfers: list[tuple[str, str, int | None, float, float]] = []
-        failed: list[tuple[str, float, str, int | None, float, float, int]] = []
-        transfers_done = self.clock
-        remaining = list(missing)
-        while remaining:
-            pick: tuple[float, str] | None = None
-            for f in remaining:
-                opt = self._best_source(f, node, plan, overlays, self.clock)
-                if opt is None:  # planned source unusable: dynamic fallback
-                    opt = self._best_source(f, node, None, overlays, self.clock)
-                assert opt is not None  # the storage cluster never crashes
-                if pick is None or opt[0] < pick[0]:
-                    pick = (opt[0], f)
-            assert pick is not None
-            f = pick[1]
-            size = self.state.size_of(f)
-            instance = self._xfer_instance.get((f, node), 0)
-            floor = self.clock
-            tried: set[tuple[str, int | None]] = set()
-            attempt = 0
-            while True:
-                opt = self._best_source(
-                    f, node, plan, overlays, floor, frozenset(tried)
-                )
-                if opt is None:
-                    tried.clear()  # every source tried: cycle through again
-                    opt = self._best_source(f, node, plan, overlays, floor)
-                if opt is None:
-                    opt = self._best_source(f, node, None, overlays, floor)
-                assert opt is not None
-                tct, kind, src, start, duration, res = opt
-                if faults.transfer_fails(f, node, instance, attempt):
-                    for ov in res:
-                        ov.reserve(start, duration, tag=f"xfail:{f}->{node}")
-                    failed.append(
-                        (f, size, kind, src, start, start + duration, attempt)
-                    )
-                    tried.add((kind, src))
-                    floor = start + duration + faults.backoff(attempt)
-                    attempt += 1
-                    continue
-                for ov in res:
-                    ov.reserve(start, duration, tag=f"xfer:{f}->{node}")
-                transfers.append((f, kind, src, start, duration))
-                transfers_done = max(transfers_done, tct)
-                break
-            remaining.remove(f)
-        return transfers, transfers_done, failed
+        size = self.state.size_of(file_id)
+        instance = self._xfer_instance.get((file_id, node), 0)
+        tried: set[tuple[str, int | None]] = set()
+        opt = first
+        attempt = 0
+        while faults.transfer_fails(file_id, node, instance, attempt):
+            _tct, kind, src, start, duration, res = opt
+            for ov in res:
+                ov.reserve(start, duration, tag=f"xfail:{file_id}->{node}")
+            failed.append(
+                (file_id, size, kind, src, start, start + duration, attempt)
+            )
+            tried.add((kind, src))
+            floor = start + duration + faults.backoff(attempt)
+            attempt += 1
+            nxt = self._best_source(file_id, node, plan, overlays, floor, tried)
+            if nxt is None:
+                tried.clear()  # every source tried: cycle through again
+                nxt = self._best_source(file_id, node, plan, overlays, floor)
+            if nxt is None:  # planned source unusable: dynamic fallback
+                nxt = self._best_source(file_id, node, None, overlays, floor)
+            assert nxt is not None  # the storage cluster never crashes
+            opt = nxt
+        return opt
 
     # -- tentative evaluation (ECT) ---------------------------------------------------
     def evaluate(
         self, task: Task, node: int, plan: StagingPlan | None = None
     ) -> _Tentative:
-        """Tentatively schedule ``task`` on ``node``; nothing is committed."""
+        """Tentatively schedule ``task`` on ``node``; nothing is committed.
+
+        Missing inputs are staged one at a time, always the file whose best
+        source completes first (the paper's minimum-TCT rule); under a
+        fault model each staging runs until an attempt succeeds.
+        """
         overlays: dict[str, Overlay] = {}
         missing = [f for f in task.files if not self.state.has_file(node, f)]
-        present_avail = [
-            self._avail_time(node, f) for f in task.files if f not in missing
-        ]
-        transfers: list[tuple[str, str, int | None, float, float]] = []
-        transfers_done = max(present_avail, default=self.clock)
-        failed_attempts: list[
-            tuple[str, float, str, int | None, float, float, int]
-        ] = []
-
-        if self.faults is not None:
-            transfers, staged_done, failed_attempts = self._stage_with_faults(
-                task, node, plan, overlays, missing
-            )
-            transfers_done = max(transfers_done, staged_done)
-        else:
-            remaining = list(missing)
-            while remaining:
-                best = None  # (tct, file, kind, src, start, duration, resources)
-                for f in remaining:
-                    size = self.state.size_of(f)
-                    for kind, src in self._sources_for(f, node, plan):
-                        res, bw, ready = self._transfer_resources(
-                            kind, src, node, f, overlays
-                        )
-                        duration = size / bw
-                        start = earliest_common_slot(
-                            res, duration, max(self.clock, ready)
-                        )
-                        tct = start + duration
-                        if best is None or tct < best[0]:
-                            best = (tct, f, kind, src, start, duration, res)
-                assert best is not None
-                tct, f, kind, src, start, duration, res = best
-                for ov in res:
-                    ov.reserve(start, duration, tag=f"xfer:{f}->{node}")
-                transfers.append((f, kind, src, start, duration))
-                transfers_done = max(transfers_done, tct)
-                remaining.remove(f)
+        transfers_done = max(
+            (self._avail_time(node, f) for f in task.files if f not in missing),
+            default=self.clock,
+        )
+        transfers: list[_Transfer] = []
+        failed_attempts: list[_FailedAttempt] = []
+        remaining = list(missing)
+        while remaining:
+            pick: tuple[_Attempt, str] | None = None
+            for f in remaining:
+                opt = self._best_source(f, node, plan, overlays, self.clock)
+                if opt is None:  # planned source unusable: dynamic fallback
+                    opt = self._best_source(f, node, None, overlays, self.clock)
+                assert opt is not None  # the storage cluster never crashes
+                if pick is None or opt[0] < pick[0][0]:
+                    pick = (opt, f)
+            assert pick is not None
+            opt, f = pick
+            if self.faults is not None:
+                opt = self._retry_until_staged(
+                    f, node, plan, overlays, opt, failed_attempts
+                )
+            tct, kind, src, start, duration, res = opt
+            for ov in res:
+                ov.reserve(start, duration, tag=f"xfer:{f}->{node}")
+            transfers.append((f, kind, src, start, duration))
+            transfers_done = max(transfers_done, tct)
+            remaining.remove(f)
 
         # Execution: local read of all inputs plus CPU time, after every
         # input file is available. Runs on the node timeline (port + CPU
         # mutually exclusive, the paper's model) or on the dedicated CPU
-        # timeline in overlap mode. The duration is pure in the platform
-        # and the immutable file catalog, so it is memoised per
-        # (task, node); the memo stores the float the reference expression
-        # produced on first evaluation.
-        exec_key = (task.task_id, node)
-        exec_dur = (
-            None if self.reference else self._exec_dur.get(exec_key)
+        # timeline in overlap mode.
+        read = sum(
+            self.platform.local_read_time(node, self.state.size_of(f))
+            for f in task.files
         )
-        if exec_dur is None:
-            read = sum(
-                self.platform.local_read_time(node, self.state.size_of(f))
-                for f in task.files
-            )
-            exec_dur = read + self.platform.task_compute_time(
-                node, task.compute_time
-            )
-            if not self.reference:
-                self._exec_dur[exec_key] = exec_dur
+        exec_dur = read + self.platform.task_compute_time(node, task.compute_time)
         exec_tl = (
             self.cpu_tl[node] if self.cpu_tl is not None else self.node_tl[node]
         )
@@ -617,8 +449,6 @@ class Runtime:
         for f, kind, src, start, duration in tent.transfers:
             size = self.state.size_of(f)
             self.state.place(node, f, now=start + duration)
-            if self._mindex is not None:
-                self._mindex.on_place(node, f)
             self._avail[(node, f)] = start + duration
             cache.pin(f)
             if kind == "remote":
@@ -663,7 +493,7 @@ class Runtime:
             )
         if not tent.failed_attempts:
             return
-        chains: dict[str, list[tuple[str, float, str, int | None, float, float, int]]] = {}
+        chains: dict[str, list[_FailedAttempt]] = {}
         for fa in tent.failed_attempts:
             chains.setdefault(fa[0], []).append(fa)
         success_source = {
@@ -693,32 +523,8 @@ class Runtime:
             self.trail.record_eviction(node, file_id, self.state.size_of(file_id))
         self.state.note_evicted(node, file_id)
         self._avail.pop((node, file_id), None)
-        if self._mindex is not None:
-            self._mindex.on_evict(node, file_id)
         if self.probe is not None:
             self.probe.on_evict(node, self.state.size_of(file_id))
-
-    def _size_ascending(self, node: int, cands: Iterable[str]) -> list[str]:
-        """Default eviction order: smallest candidate files first.
-
-        Equivalent to ``sorted(cands, key=size_of)``: the candidate list the
-        cache passes in is a subsequence of its insertion order with
-        distinct elements, so filtering the (stable) size-sorted order of
-        *all* resident files down to the candidate set yields the same
-        sequence as stable-sorting the candidates directly. The full order
-        is cached per node and revalidated against the cache's membership
-        mutation counter instead of being rebuilt per eviction query.
-        """
-        cache = self.state.caches[node]
-        stamp = cache.mutations
-        entry = self._vorder.get(node)
-        if entry is None or entry[0] != stamp:
-            order = sorted(cache.files, key=self.state.size_of)
-            self._vorder[node] = (stamp, order)
-        else:
-            order = entry[1]
-        cs = set(cands)
-        return [f for f in order if f in cs]
 
     def _release(self, task: Task, node: int) -> None:
         if self.faults is not None and node in self.state.dead_nodes:
@@ -738,8 +544,6 @@ class Runtime:
         faults.stats.lost_mb += sum(size for _, size in lost)
         for key in [k for k in self._avail if k[0] == node]:
             del self._avail[key]
-        if self._mindex is not None:
-            self._mindex.drop_node(node)
         if self.trail is not None:
             self.trail.record_crash(node, time, tuple(lost))
         if self.probe is not None:
@@ -801,29 +605,9 @@ class Runtime:
             )
         except CacheFullError:
             return  # skip the push rather than fail the run
-        best = None
         overlays: dict[str, Overlay] = {}
-        for kind, src in self._dynamic_sources(file_id, dest):
-            res, bw, ready = self._transfer_resources(
-                kind, src, dest, file_id, overlays
-            )
-            not_before = max(self.clock, ready)
-            duration = size / bw
-            if self.faults is not None:
-                duration = (
-                    size * self.faults.slowdown_factor(kind, not_before) / bw
-                )
-            start = earliest_common_slot(res, duration, not_before)
-            if (
-                self.faults is not None
-                and kind == "replica"
-                and src is not None
-                and start + duration > self.faults.crash_time(src)
-            ):
-                continue  # source dies mid-copy
-            if best is None or start + duration < best[0]:
-                best = (start + duration, kind, src, start, duration, res)
-        assert best is not None
+        best = self._best_source(file_id, dest, None, overlays, self.clock)
+        assert best is not None  # the storage cluster never crashes
         tct, kind, src, start, duration, res = best
         if self.faults is not None and tct > self.faults.crash_time(dest):
             return  # push would outlive the destination: skip it
@@ -859,14 +643,10 @@ class Runtime:
         eviction; default is size-ascending.
         """
         if victim_order is None:
-            if self.reference:
+            def _size_ascending(node: int, cands: Iterable[str]) -> list[str]:
+                return sorted(cands, key=self.state.size_of)
 
-                def _size_ascending(node: int, cands: Iterable[str]) -> list[str]:
-                    return sorted(cands, key=lambda f: self.state.size_of(f))
-
-                victim_order = _size_ascending
-            else:
-                victim_order = self._size_ascending
+            victim_order = _size_ascending
 
         start_time = self.clock
         failed: list[str] = []
@@ -897,17 +677,6 @@ class Runtime:
 
         base_stats = replace(self.state.stats)
 
-        # Candidate pre-filter index: built after pushes and dead-group
-        # removal so it sees the same placement state the reference scan
-        # would; kept current by the _commit/_on_evict/_kill_node hooks.
-        self._mindex = None
-        if (
-            not self.reference
-            and self.candidate_limit is not None
-            and self.ordering == "ect"
-        ):
-            self._mindex = _MissingIndex(self.state, groups)
-
         records: list[TaskRecord] = []
         events: list[tuple[float, int, int, Task]] = []  # (ect, seq, node, task)
         seq = 0
@@ -919,12 +688,6 @@ class Runtime:
             if self.candidate_limit is None or len(pend) <= self.candidate_limit:
                 return pend
             # Cheap pre-filter: tasks needing the least missing volume first.
-            mindex = self._mindex
-            if mindex is not None:
-                mb = mindex.mb[node]
-                return sorted(pend, key=lambda t: mb[t.task_id])[
-                    : self.candidate_limit
-                ]
             def missing_mb(t: Task) -> MB:
                 return sum(
                     self.state.size_of(f)
@@ -955,8 +718,6 @@ class Runtime:
             self._ready_count -= 1
             if not groups[node]:
                 del groups[node]
-            if self._mindex is not None:
-                self._mindex.task_done(tent.task.task_id)
             records.append(self._commit(tent, victim_order))
             heapq.heappush(events, (tent.ect, seq, node, tent.task))
             seq += 1
@@ -986,25 +747,10 @@ class Runtime:
                 commit_next(node)
 
         self.clock = max(self.clock, makespan)
-        self._mindex = None
-        delta = TransferStats(
-            self.state.stats.remote_transfers - base_stats.remote_transfers,
-            self.state.stats.remote_volume_mb - base_stats.remote_volume_mb,
-            self.state.stats.replications - base_stats.replications,
-            self.state.stats.replication_volume_mb
-            - base_stats.replication_volume_mb,
-            self.state.stats.evictions - base_stats.evictions,
-            self.state.stats.evicted_volume_mb - base_stats.evicted_volume_mb,
-            self.state.stats.cache_hits - base_stats.cache_hits,
-            self.state.stats.cache_hit_volume_mb - base_stats.cache_hit_volume_mb,
-            self.state.stats.cross_batch_hits - base_stats.cross_batch_hits,
-            self.state.stats.cross_batch_hit_volume_mb
-            - base_stats.cross_batch_hit_volume_mb,
-        )
         return ExecutionResult(
             start_time=start_time,
             makespan=makespan,
             records=records,
-            stats=delta,
+            stats=self.state.stats.minus(base_stats),
             failed_tasks=failed,
         )

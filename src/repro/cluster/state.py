@@ -9,7 +9,7 @@ the compute cluster due to previous sub-batch executions" (Section 4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..analysis.dims import MB, Count, Seconds
 from ..batch import Batch, FileInfo
@@ -47,17 +47,17 @@ class TransferStats:
     cross_batch_hit_volume_mb: MB = 0.0
 
     def merge(self, other: TransferStats) -> TransferStats:
+        """Field-wise sum (e.g. accumulating sub-batch deltas)."""
         return TransferStats(
-            self.remote_transfers + other.remote_transfers,
-            self.remote_volume_mb + other.remote_volume_mb,
-            self.replications + other.replications,
-            self.replication_volume_mb + other.replication_volume_mb,
-            self.evictions + other.evictions,
-            self.evicted_volume_mb + other.evicted_volume_mb,
-            self.cache_hits + other.cache_hits,
-            self.cache_hit_volume_mb + other.cache_hit_volume_mb,
-            self.cross_batch_hits + other.cross_batch_hits,
-            self.cross_batch_hit_volume_mb + other.cross_batch_hit_volume_mb,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name)
+               for f in fields(self)}
+        )
+
+    def minus(self, base: TransferStats) -> TransferStats:
+        """Field-wise difference: what accrued since the snapshot ``base``."""
+        return TransferStats(
+            **{f.name: getattr(self, f.name) - getattr(base, f.name)
+               for f in fields(self)}
         )
 
 
@@ -75,9 +75,8 @@ class ClusterState:
         # Frozen snapshots handed out by :meth:`holders`, dropped whenever
         # the underlying set mutates. A frozenset's iteration order is a
         # pure function of its contents, so reusing the snapshot between
-        # mutations yields byte-identical enumeration to rebuilding it —
-        # and the snapshot's *identity* doubles as a cheap version tag for
-        # downstream memos (see ``Runtime._dynamic_sources``).
+        # mutations yields byte-identical enumeration to rebuilding it,
+        # without a fresh frozenset per source enumeration.
         self._holders_cache: dict[str, frozenset[int]] = {}
         self.stats = TransferStats()
         # Compute nodes lost to injected crashes (empty without faults).

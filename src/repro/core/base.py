@@ -42,11 +42,6 @@ class Scheduler(abc.ABC):
 
     name: str = "abstract"
     uses_subbatches: bool = True
-    #: When True, schedulers (and the runtime, via ``run_batch``) use their
-    #: original pre-incremental code paths. The optimized kernels are
-    #: decision-identical — this flag exists for the differential-
-    #: equivalence harness and the ``repro bench`` baseline measurements.
-    reference: bool = False
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

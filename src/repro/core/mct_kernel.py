@@ -1,4 +1,4 @@
-"""Shared MCT-family scheduling kernels: reference and incremental.
+"""Shared MCT-family scheduling kernel and its reference oracle.
 
 The MinMin / MaxMin / Sufferage heuristics (Sections 3 and related work
 [Casanova et al.]) all iterate the same inner loop: build the minimum-
@@ -12,15 +12,17 @@ This module holds two decision-identical implementations of that loop:
 
 ``reference_mct_map``
     The original per-round full-matrix scan, kept verbatim as the ground
-    truth for the differential-equivalence harness
+    truth. Schedulers never run it; the differential tests
     (``tests/core/test_differential_kernels.py``) and the benchmark
-    baseline (``repro bench``). Selected with
-    ``run_batch(..., reference=True)`` / ``scheduler.reference = True``.
+    baseline (``repro bench``) call it directly on a fresh setup:
+    ``reference_mct_map(build_mct_setup(...), sched._pick,
+    sched.pick_rule, log)``.
 
 ``incremental_mct_map``
-    Never rebuilds the matrix after round one. A persistent value buffer
-    ``vals`` is kept equal — element for element — to what the reference
-    would have built this round, by rewriting only the entries a commit
+    The kernel every MCT-family scheduler runs. It never rebuilds the
+    matrix after round one: a persistent value buffer ``vals`` is kept
+    equal — element for element — to what the reference would have built
+    this round, by rewriting only the entries a commit
     can change: the committed node's column (its ``ready`` term moved),
     the rows sharing a file with the committed task (their ``stage`` row
     moved; refreshed in one batched NumPy operation), and the committed
@@ -43,7 +45,7 @@ reduction per distinct per-task file count so NumPy's pairwise-summation
 tree matches the reference's per-row ``sum(axis=1)``; and selection runs
 the same ``_pick`` on an identical matrix. Mappings, DecisionLogs
 (including ``evaluated`` and ``ties`` counts) and therefore downstream
-makespans are identical on both paths — see ``docs/performance.md`` for
+makespans are identical on both — see ``docs/performance.md`` for
 the argument and the differential tests for the proof-by-execution.
 """
 

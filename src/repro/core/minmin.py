@@ -14,12 +14,13 @@ runtime; the estimates here intentionally mirror the runtime's cost model
 without simulating port contention (that is what makes MinMin cheap relative
 to the IP scheme but still O(T^2 * C), visibly slower than JDP in Fig. 6b).
 
-The mapping loop lives in :mod:`repro.core.mct_kernel` in two
-decision-identical flavours: the original per-round full-matrix rescan
-(``scheduler.reference = True``) and the default incremental kernel that
-maintains the MCT value buffer in place, rewriting only the entries each
-commit moved. MaxMin and Sufferage (:mod:`repro.core.mct_family`) reuse
-both through the :meth:`_pick` selection hook.
+The mapping loop is the incremental kernel of :mod:`repro.core.mct_kernel`,
+which maintains the MCT value buffer in place, rewriting only the entries
+each commit moved; the original per-round full-matrix rescan stays there as
+its oracle (``reference_mct_map``, called directly by the differential
+tests and ``repro bench``). MaxMin and Sufferage
+(:mod:`repro.core.mct_family`) reuse the kernel through the :meth:`_pick`
+selection hook.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .mct_kernel import (
     KernelStats,
     build_mct_setup,
     incremental_mct_map,
-    reference_mct_map,
 )
 from .plan import SubBatchPlan
 
@@ -51,15 +51,15 @@ class MinMinScheduler(Scheduler):
     The selection rule is pluggable so the MaxMin and Sufferage variants
     (:mod:`repro.core.mct_family`) can reuse the whole data-aware MCT
     machinery and differ only in which task they commit: :meth:`_pick`
-    drives both the reference full-matrix path and the incremental kernel
-    (which hands it a bit-identical value buffer).
+    selects from the incremental kernel's value buffer, which is
+    bit-identical to the full MCT matrix the oracle rebuilds each round.
     """
 
     uses_subbatches = False
     #: Selection-rule label recorded on each Decision while telemetry is on.
     pick_rule = "global-min-mct"
-    #: Work accounting of the last incremental mapping call (None on the
-    #: reference path); reported by ``repro bench``.
+    #: Work accounting of the last mapping call (None before the first);
+    #: reported by ``repro bench``.
     kernel_stats: KernelStats | None = None
 
     def _pick(self, mct: np.ndarray) -> tuple[int, int]:
@@ -95,9 +95,6 @@ class MinMinScheduler(Scheduler):
             if self.decision_log is None:
                 self.decision_log = DecisionLog(scheme=self.name)
             log = self.decision_log
-        if self.reference:
-            self.kernel_stats = None
-            return reference_mct_map(setup, self._pick, self.pick_rule, log)
         mapping, stats = incremental_mct_map(setup, self._pick, self.pick_rule, log)
         self.kernel_stats = stats
         if telemetry.enabled:

@@ -2,7 +2,6 @@
 
 from .bench import (
     BenchCellResult,
-    bench_end_to_end_cell,
     bench_mapping_cell,
     default_bench_cells,
     run_bench_cells,
@@ -55,7 +54,6 @@ __all__ = [
     "degradation_curve",
     "BenchCellResult",
     "bench_mapping_cell",
-    "bench_end_to_end_cell",
     "default_bench_cells",
     "run_bench_cells",
     "write_bench",

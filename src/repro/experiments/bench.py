@@ -1,27 +1,21 @@
-"""Wall-clock benchmarks: incremental kernels vs their reference oracles.
+"""Wall-clock benchmarks: the incremental MCT kernel vs its reference oracle.
 
-The incremental MCT kernel (:mod:`repro.core.mct_kernel`) and the runtime
-hot-path caches (:class:`repro.cluster.runtime.Runtime` with
-``reference=False``) are *decision-identical* rewrites of the original
-from-scratch scans — the only observable difference allowed is wall-clock
-time. This module measures that difference on fixed cells and **refuses to
-report a speedup that isn't decision-checked**: every cell runs both
-flavours and asserts identical mappings (and, end-to-end, identical
-makespans) before timing is accepted.
-
-Two cell kinds:
-
-* *mapping* cells time one ``next_subbatch`` call of an MCT-family scheme
-  (the Fig. 6b scheduling-overhead axis, where the paper's O(T²·C) cost
-  lives). The headline trajectory cell is MinMin at n=1000, c=32 — the
-  largest Fig. 6b point.
-* *end-to-end* cells time a whole ``run_batch`` (mapping + the Section 6
-  runtime), so the runtime-side caches (source memoisation, the
-  missing-bytes candidate index, cached eviction order) are exercised too.
+The incremental MCT kernel (:func:`repro.core.mct_kernel.incremental_mct_map`,
+which every MCT-family scheduler runs) is a *decision-identical* rewrite of
+the original full-rescan loop, kept as
+:func:`~repro.core.mct_kernel.reference_mct_map` — the only observable
+difference allowed is wall-clock time. This module measures that difference
+on fixed *mapping* cells (one whole-batch mapping of an MCT-family scheme:
+the Fig. 6b scheduling-overhead axis, where the paper's O(T²·C) cost lives)
+and **refuses to report a speedup that isn't decision-checked**: every cell
+runs both kernels and asserts identical mappings before timing is accepted.
+The headline trajectory cell is MinMin at n=1000, c=32 — the largest Fig. 6b
+point. Whole-batch wall time (mapping plus the Section 6 runtime) is timed
+by the ``perfbench/`` benchmark instead.
 
 Timing uses min-of-``repeats``: the minimum is the standard robust
 estimator for "how fast can this code run" under scheduler noise (both
-flavours get the same treatment). Results serialise to a
+kernels get the same treatment). Results serialise to a
 ``BENCH_<sha>.json``-style document via :func:`write_bench`; the CI
 ``perf-smoke`` job and ``benchmarks/test_speed_schedulers.py`` gate on
 them. See ``docs/performance.md``.
@@ -40,7 +34,8 @@ from .. import __version__
 from ..cluster.platform import osc_xio
 from ..cluster.state import ClusterState
 from ..core.base import make_scheduler
-from ..core.driver import run_batch
+from ..core.mct_kernel import build_mct_setup, reference_mct_map
+from ..core.minmin import MinMinScheduler
 from ..obs.core import telemetry
 from ..workloads.image import generate_image_batch
 
@@ -48,7 +43,6 @@ __all__ = [
     "BenchCellResult",
     "append_trajectory",
     "bench_mapping_cell",
-    "bench_end_to_end_cell",
     "default_bench_cells",
     "run_bench_cells",
     "write_bench",
@@ -60,7 +54,6 @@ class BenchCellResult:
     """One decision-checked timing cell (all times in wall-clock seconds)."""
 
     cell: str
-    kind: str  # "mapping" | "end_to_end"
     scheme: str
     num_tasks: int
     num_compute: int
@@ -84,14 +77,12 @@ class BenchCellResult:
 
 @dataclass(frozen=True)
 class _Cell:
-    """A cell spec: :func:`run_bench_cells` dispatches on ``kind``."""
+    """A mapping cell spec for :func:`run_bench_cells`."""
 
     cell: str
-    kind: str
     scheme: str
     num_tasks: int
     num_compute: int
-    candidate_limit: int | None = None
 
 
 def _fig6b_inputs(num_tasks: int, num_compute: int, seed: int):
@@ -110,9 +101,9 @@ def bench_mapping_cell(
     repeats: int = 5,
     cell: str | None = None,
 ) -> BenchCellResult:
-    """Time one whole-batch ``next_subbatch`` call, reference vs optimized.
+    """Time one whole-batch mapping: ``reference_mct_map`` vs ``next_subbatch``.
 
-    Raises ``AssertionError`` if the two flavours ever disagree on the
+    Raises ``AssertionError`` if the two kernels ever disagree on the
     mapping — a speedup over a wrong answer is not a speedup.
     """
     batch, platform = _fig6b_inputs(num_tasks, num_compute, seed)
@@ -120,9 +111,9 @@ def bench_mapping_cell(
     was_enabled = telemetry.enabled
     telemetry.disable()  # time the kernel, not the instrumentation
     try:
-        # Flavours are interleaved (ref, opt, ref, opt, ...) so slow CPU
+        # The kernels are interleaved (ref, opt, ref, opt, ...) so slow CPU
         # drift — thermal throttling, noisy-neighbour VMs — hits both
-        # minimum-of-repeats estimates alike instead of whichever flavour
+        # minimum-of-repeats estimates alike instead of whichever kernel
         # happened to run second.
         timings = {True: float("inf"), False: float("inf")}
         mappings: dict[bool, dict[str, int]] = {}
@@ -131,16 +122,23 @@ def bench_mapping_cell(
             for reference in (True, False):
                 state = ClusterState.initial(platform, batch)
                 sched = make_scheduler(scheme, seed=0)
-                sched.reference = reference
+                assert isinstance(sched, MinMinScheduler)
                 t0 = time.perf_counter()
-                plan = sched.next_subbatch(batch, task_ids, platform, state)
+                if reference:
+                    mapping = reference_mct_map(
+                        build_mct_setup(batch, task_ids, platform, state),
+                        sched._pick, sched.pick_rule, None,
+                    )
+                else:
+                    mapping = sched.next_subbatch(
+                        batch, task_ids, platform, state
+                    ).mapping
                 timings[reference] = min(
                     timings[reference], time.perf_counter() - t0
                 )
-                mappings[reference] = plan.mapping
-                ks = getattr(sched, "kernel_stats", None)
-                if not reference and ks is not None:
-                    stats = ks.to_dict()
+                mappings[reference] = mapping
+                if not reference and sched.kernel_stats is not None:
+                    stats = sched.kernel_stats.to_dict()
     finally:
         if was_enabled:
             telemetry.enable()
@@ -150,7 +148,6 @@ def bench_mapping_cell(
     )
     return BenchCellResult(
         cell=cell or f"mapping/{scheme}/n{num_tasks}c{num_compute}",
-        kind="mapping",
         scheme=scheme,
         num_tasks=num_tasks,
         num_compute=num_compute,
@@ -158,57 +155,6 @@ def bench_mapping_cell(
         reference_s=timings[True],
         optimized_s=timings[False],
         kernel_stats=stats,
-    )
-
-
-def bench_end_to_end_cell(
-    scheme: str,
-    num_tasks: int,
-    num_compute: int,
-    *,
-    seed: int = 0,
-    repeats: int = 3,
-    candidate_limit: int | None = None,
-    cell: str | None = None,
-) -> BenchCellResult:
-    """Time a whole ``run_batch``, reference vs optimized.
-
-    Asserts identical makespans and per-sub-batch mappings across the two
-    flavours (the driver + runtime surface of the decision-identity claim).
-    """
-    batch, platform = _fig6b_inputs(num_tasks, num_compute, seed)
-    timings: dict[bool, float] = {}
-    shapes: dict[bool, tuple] = {}
-    for reference in (True, False):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = run_batch(
-                batch,
-                platform,
-                scheme,
-                candidate_limit=candidate_limit,
-                reference=reference,
-            )
-            best = min(best, time.perf_counter() - t0)
-        timings[reference] = best
-        shapes[reference] = (
-            result.makespan,
-            [sb.plan.mapping for sb in result.sub_batches],
-        )
-    assert shapes[True] == shapes[False], (
-        f"{scheme} n={num_tasks} c={num_compute}: optimized run_batch "
-        "diverged from reference"
-    )
-    return BenchCellResult(
-        cell=cell or f"e2e/{scheme}/n{num_tasks}c{num_compute}",
-        kind="end_to_end",
-        scheme=scheme,
-        num_tasks=num_tasks,
-        num_compute=num_compute,
-        repeats=repeats,
-        reference_s=timings[True],
-        optimized_s=timings[False],
     )
 
 
@@ -229,23 +175,14 @@ def default_bench_cells(full: bool = False) -> list[_Cell]:
         # incremental kernel deliberately leaves untouched (they are the
         # tie-breaking semantics); their smaller speedups are tracked
         # ungated in the full grid and in benchmarks/.
-        _Cell("mapping/minmin/n600c32", "mapping", "minmin", 600, 32),
-        _Cell("mapping/minmin/n1000c32", "mapping", "minmin", 1000, 32),
-        # End-to-end parity guard: run_batch at a size where mapping is a
-        # sliver of the wall clock. Not speed-gated (e2e cells never are)
-        # — it exists to catch the optimized flavour *regressing*.
-        _Cell(
-            "e2e/minmin/n120c8", "end_to_end", "minmin", 120, 8,
-            candidate_limit=25,
-        ),
+        _Cell("mapping/minmin/n600c32", "minmin", 600, 32),
+        _Cell("mapping/minmin/n1000c32", "minmin", 1000, 32),
     ]
     if full:
         cells += [
-            _Cell("mapping/maxmin/n1000c32", "mapping", "maxmin", 1000, 32),
-            _Cell(
-                "mapping/sufferage/n1000c32", "mapping", "sufferage", 1000, 32
-            ),
-            _Cell("mapping/minmin/n400c16", "mapping", "minmin", 400, 16),
+            _Cell("mapping/maxmin/n1000c32", "maxmin", 1000, 32),
+            _Cell("mapping/sufferage/n1000c32", "sufferage", 1000, 32),
+            _Cell("mapping/minmin/n400c16", "minmin", 400, 16),
         ]
     return cells
 
@@ -253,24 +190,12 @@ def default_bench_cells(full: bool = False) -> list[_Cell]:
 def run_bench_cells(
     cells: list[_Cell], repeats: int = 5
 ) -> list[BenchCellResult]:
-    results = []
-    for c in cells:
-        if c.kind == "mapping":
-            results.append(
-                bench_mapping_cell(
-                    c.scheme, c.num_tasks, c.num_compute,
-                    repeats=repeats, cell=c.cell,
-                )
-            )
-        else:
-            results.append(
-                bench_end_to_end_cell(
-                    c.scheme, c.num_tasks, c.num_compute,
-                    repeats=max(2, repeats - 2),
-                    candidate_limit=c.candidate_limit, cell=c.cell,
-                )
-            )
-    return results
+    return [
+        bench_mapping_cell(
+            c.scheme, c.num_tasks, c.num_compute, repeats=repeats, cell=c.cell
+        )
+        for c in cells
+    ]
 
 
 def _current_sha() -> str:

@@ -104,14 +104,6 @@ class BatchRecord:
         return len(self.task_ids)
 
 
-def _stats_delta(before: TransferStats, after: TransferStats) -> TransferStats:
-    values = {
-        f.name: getattr(after, f.name) - getattr(before, f.name)
-        for f in fields(TransferStats)
-    }
-    return TransferStats(**values)
-
-
 @dataclass
 class StreamResult:
     """Outcome of a streamed session: per-job, per-batch and aggregate."""
@@ -394,7 +386,7 @@ class ClusterSession:
                     state=state,
                     fault_model=fault_model,
                 )
-                delta = _stats_delta(before, batch_result.stats)
+                delta = batch_result.stats.minus(before)
             else:
                 batch_result = run_batch(
                     window,

@@ -1,8 +1,10 @@
 """Unit tests for Gantt-chart timelines, overlays and common-slot search."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Interval, Overlay, Timeline, earliest_common_slot
+from repro.cluster.gantt import _SCAN_VECTOR_MIN
 
 
 class TestInterval:
@@ -169,3 +171,88 @@ class TestCommonSlot:
         b = Timeline("b")
         b.reserve(5.0, 1.0)
         assert earliest_common_slot([ov, b], 1.0) == 6.0
+
+
+# -- property: slot search against a brute-force scan ----------------------------
+@st.composite
+def resource(draw, min_intervals=0, max_intervals=12, gaps=st.integers(0, 3)):
+    """A Timeline, or an Overlay over one, with integer-endpoint reservations.
+
+    Returns ``(resource, busy)``: ``busy`` lists every ``(start, end)`` the
+    resource must treat as occupied, base and virtual alike. Reservations
+    are made in a random order so out-of-order inserts are exercised.
+    """
+    n = draw(st.integers(min_intervals, max_intervals))
+    busy = []
+    t = 0
+    for _ in range(n):
+        t += draw(gaps)  # 0 = adjacent to the previous one
+        length = draw(st.integers(1, 4))
+        busy.append((t, t + length))
+        t += length
+    overlay = draw(st.booleans())
+    virtual = [overlay and draw(st.booleans()) for _ in busy]
+    order = draw(st.permutations(range(n)))
+    tl = Timeline("r")
+    for k in order:
+        if not virtual[k]:
+            tl.reserve(busy[k][0], busy[k][1] - busy[k][0])
+    if not overlay:
+        return tl, busy
+    ov = Overlay(tl)
+    for k in order:
+        if virtual[k]:
+            ov.reserve(busy[k][0], busy[k][1] - busy[k][0])
+    return ov, busy
+
+
+def brute_force_slot(busy, duration, not_before):
+    """Earliest integer start >= ``not_before`` whose window
+    ``[s, s + duration)`` overlaps none of ``busy``, by scanning every
+    integer start. With integer endpoints the true answer is an integer."""
+    horizon = max((end for _, end in busy), default=0)
+    cell_busy = [False] * horizon
+    for start, end in busy:
+        for k in range(start, end):
+            cell_busy[k] = True
+    s = not_before
+    while any(cell_busy[s : s + duration]):
+        s += 1
+    return s
+
+
+class TestSlotSearchOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        resources=st.lists(resource(), min_size=1, max_size=3),
+        duration=st.integers(1, 6),
+        not_before=st.integers(0, 30),
+    )
+    def test_matches_brute_force(self, resources, duration, not_before):
+        busy = [iv for _, ivs in resources for iv in ivs]
+        got = earliest_common_slot([r for r, _ in resources], duration, not_before)
+        assert got == brute_force_slot(busy, duration, not_before)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        resources=st.lists(
+            resource(
+                min_intervals=_SCAN_VECTOR_MIN + 12,
+                max_intervals=120,
+                # Mostly short gaps, so the first few rarely fit and the
+                # search reaches the long tail.
+                gaps=st.sampled_from([0, 0, 1, 1, 2, 3]),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        duration=st.integers(2, 4),
+        not_before=st.integers(0, 10),
+    )
+    def test_long_timelines_match_brute_force(self, resources, duration, not_before):
+        # A plain Timeline here holds more than _SCAN_VECTOR_MIN
+        # reservations past not_before, so its earliest_slot takes the
+        # vectorised tail scan.
+        busy = [iv for _, ivs in resources for iv in ivs]
+        got = earliest_common_slot([r for r, _ in resources], duration, not_before)
+        assert got == brute_force_slot(busy, duration, not_before)

@@ -14,6 +14,7 @@ from repro.cluster.platform import osc_xio
 from repro.cluster.state import ClusterState
 from repro.core.base import make_scheduler
 from repro.core.driver import run_batch
+from repro.core.mct_kernel import build_mct_setup, reference_mct_map
 from repro.obs.core import telemetry
 from repro.workloads.image import generate_image_batch
 
@@ -27,15 +28,17 @@ def clean_registry():
     telemetry.disable()
 
 
-def map_once(scheme="minmin", n=200, c=8, reference=False):
+def inputs(n=200, c=8):
     batch = generate_image_batch(n, "high", num_storage=8, seed=0)
     platform = osc_xio(num_compute=c, num_storage=8)
     state = ClusterState.initial(platform, batch)
+    return batch, [t.task_id for t in batch.tasks], platform, state
+
+
+def map_once(scheme="minmin", n=200, c=8):
+    batch, pending, platform, state = inputs(n, c)
     sched = make_scheduler(scheme, seed=0)
-    sched.reference = reference
-    plan = sched.next_subbatch(
-        batch, [t.task_id for t in batch.tasks], platform, state
-    )
+    plan = sched.next_subbatch(batch, pending, platform, state)
     return plan.mapping, sched.kernel_stats
 
 
@@ -52,11 +55,13 @@ class TestCounters:
         assert doc["evaluations_saved"] == 130578
 
     def test_counters_are_decision_neutral(self):
-        opt, stats = map_once(reference=False)
-        ref, ref_stats = map_once(reference=True)
+        opt, stats = map_once()
+        sched = make_scheduler("minmin", seed=0)
+        ref = reference_mct_map(
+            build_mct_setup(*inputs()), sched._pick, sched.pick_rule, None
+        )
         assert opt == ref
         assert stats is not None
-        assert ref_stats is None  # reference path has no incremental stats
 
     def test_small_cell_has_zero_compactions(self):
         # Compaction triggers at live*2 <= cap with cap >= 64; a tiny
@@ -75,14 +80,3 @@ class TestCounters:
         assert "kernel/flip_shortcut_hits" in counters
         assert "kernel/value_rows_skipped" in counters
         assert "kernel/compactions" in counters
-
-    def test_reference_run_has_no_kernel_counters(self):
-        batch = generate_image_batch(16, "high", 4, seed=0)
-        platform = osc_xio(num_compute=4, num_storage=4)
-        result = run_batch(
-            batch, platform, "minmin", candidate_limit=25,
-            telemetry=True, reference=True,
-        )
-        assert not any(
-            k.startswith("kernel/") for k in result.telemetry["counters"]
-        )

@@ -111,12 +111,12 @@ class TestTrajectoryIO:
 
         cells = [
             BenchCellResult(
-                cell="mapping/minmin/n600c32", kind="mapping", scheme="minmin",
+                cell="mapping/minmin/n600c32", scheme="minmin",
                 num_tasks=600, num_compute=32, repeats=1,
                 reference_s=0.2, optimized_s=0.1,
             ),
             BenchCellResult(
-                cell="e2e/minmin/n120c8", kind="end_to_end", scheme="minmin",
+                cell="e2e/minmin/n120c8", scheme="minmin",
                 num_tasks=120, num_compute=8, repeats=1,
                 reference_s=0.5, optimized_s=0.5,
             ),
