@@ -966,15 +966,20 @@ def _cmd_profile(args) -> int:
                 f"{path:42s} {span.count:6d} {span.total_s:8.3f}s "
                 f"{span.mean_s * 1000:7.2f}ms"
             )
-        kernel = {
-            name.split("/", 1)[1]: value
-            for name, value in sorted(tele.snapshot()["counters"].items())
-            if name.startswith("kernel/")
-        }
-        if kernel:
-            print("\nincremental kernel work (summed over mapping calls):")
-            for key, value in kernel.items():
-                print(f"  {key:26s} {int(value):,}")
+        counters = tele.snapshot()["counters"]
+        for prefix, title in (
+            ("kernel/", "incremental kernel work (summed over mapping calls)"),
+            ("runtime/", "runtime ECT search work (summed over sub-batches)"),
+        ):
+            work = {
+                name[len(prefix):]: value
+                for name, value in sorted(counters.items())
+                if name.startswith(prefix)
+            }
+            if work:
+                print(f"\n{title}:")
+                for key, value in work.items():
+                    print(f"  {key:26s} {int(value):,}")
         if args.trace:
             assert result.runtime is not None
             with open(args.trace, "w") as fh:

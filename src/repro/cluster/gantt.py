@@ -56,6 +56,10 @@ class Timeline:
     the vectorised long-tail scan in :meth:`earliest_slot`); both are
     updated in place on :meth:`reserve`. All three views hold the exact
     same floats, so query results are independent of which path runs.
+
+    A reservation no longer than ``_EPS`` occupies no time under
+    :meth:`is_free`'s rule and is not stored, so every stored interval is
+    longer than ``_EPS`` and the ends increase strictly with the starts.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -117,11 +121,10 @@ class Timeline:
         if n - i > _SCAN_VECTOR_MIN:
             # Vectorised tail scan. The candidate start before interval
             # j is the running max of ends up to j-1 (identical to the
-            # scalar loop's ``t = max(t, nxt.end)`` bumps); the first
-            # fitting gap wins, else the schedule's tail.
+            # scalar loop's ``t = max(t, nxt.end)`` bumps; ``t`` never
+            # exceeds ``ends[i]``, as ends increase); the first fitting
+            # gap wins, else the schedule's tail.
             racc = np.maximum.accumulate(self._ends_a[i:n])
-            if t > ends[i]:
-                racc = np.maximum(racc, t)
             fits = racc[:-1] + duration <= self._starts_a[i + 1 : n] + _EPS
             j = int(np.argmax(fits))
             if fits[j]:
@@ -137,9 +140,40 @@ class Timeline:
             if t + duration <= starts[i] + _EPS:
                 return t
 
+    def free_time_end(
+        self, work: Seconds, min_gap: Seconds, not_before: Seconds
+    ) -> Seconds:
+        """Earliest ``T`` by which the free gaps in ``[not_before, T)``
+        that are at least ``min_gap`` long add up to ``work``.
+
+        A gap is the span between two consecutive reservations (the first
+        one clipped to start at ``not_before``); the span after the last
+        reservation is unbounded.
+        """
+        if work <= 0.0:
+            return not_before
+        starts, ends = self._starts, self._ends
+        t = not_before
+        i = bisect_right(starts, t)
+        if i > 0 and ends[i - 1] > t:
+            t = ends[i - 1]
+        for j in range(i, len(starts)):
+            gap = starts[j] - t
+            if gap > 0.0 and gap >= min_gap:
+                if work <= gap:
+                    return t + work
+                work -= gap
+            t = ends[j]
+        return t + work
+
     def reserve(self, start: Seconds, duration: Seconds, tag: str = "") -> Interval:
-        """Reserve ``[start, start+duration)``; the slot must be free."""
+        """Reserve ``[start, start+duration)``; the slot must be free.
+
+        A reservation no longer than ``_EPS`` is returned but not stored.
+        """
         iv = Interval(start, start + duration, tag)
+        if iv.end - iv.start <= _EPS:
+            return iv
         if not self.is_free(iv.start, iv.end):
             raise ValueError(
                 f"timeline {self.name!r}: slot [{start}, {start + duration}) is busy"
@@ -212,6 +246,8 @@ class Overlay:
 
     def reserve(self, start: Seconds, duration: Seconds, tag: str = "") -> Interval:
         iv = Interval(start, start + duration, tag)
+        if iv.end - iv.start <= _EPS:
+            return iv  # occupies no time, like Timeline.reserve
         if not self.is_free(iv.start, iv.end):
             raise ValueError(f"overlay of {self.base.name!r}: slot busy")
         self.virtual.append(iv)
@@ -231,19 +267,24 @@ def earliest_common_slot(
 ) -> Seconds:
     """Earliest start where *all* resources are free for ``duration``.
 
-    Fixpoint iteration over per-resource ``earliest_slot``: each round pushes
-    the candidate start to the latest per-resource feasible start; stable
-    point = common slot. Terminates because a round that does not return
-    moves the candidate more than ``_EPS`` later, onto the end of a
-    reservation, and the resources hold finitely many reservations.
+    Fixpoint iteration over per-resource ``earliest_slot``, calling the
+    resources in turn: each call returns the candidate start ``t``
+    unchanged or moves it more than ``_EPS`` later, onto the end of a
+    reservation. Once every resource in a row has returned ``t`` unchanged,
+    ``t`` is the common slot. Terminates because the resources hold
+    finitely many reservations.
     """
-    if not resources:
-        return max(0.0, not_before)
     t = max(0.0, not_before)
-    while True:
-        t_new = t
+    count = len(resources)
+    unchanged = 0
+    while unchanged < count:
         for res in resources:
-            t_new = max(t_new, res.earliest_slot(duration, t_new))
-        if t_new <= t + _EPS:
-            return t_new
-        t = t_new
+            t_new = res.earliest_slot(duration, t)
+            if t_new > t:
+                t = t_new
+                unchanged = 0
+            else:
+                unchanged += 1
+                if unchanged == count:
+                    break
+    return t

@@ -17,6 +17,10 @@ inter-cluster link (when present):
   every other group (re-evaluated after each commit); afterwards, whenever a
   task completes, the next-best task from its group is committed — exactly
   the policy described in the paper.
+* The least-ECT search evaluates candidates in order of a cheap lower bound
+  on their ECT (:meth:`Runtime.ect_bound`) and stops once no remaining
+  candidate can beat the best found, so it picks exactly the task an
+  evaluation of every candidate would.
 
 Single-port model: a transfer occupies both endpoints' timelines; a compute
 node's timeline also carries task execution, so no file is staged on a node
@@ -39,9 +43,10 @@ from typing import TYPE_CHECKING
 from ..analysis.dims import MB, Seconds
 from ..batch import Task
 from ..faults import FaultModel
+from ..obs.core import telemetry
 from .cache import CacheFullError
 from .events import AuditTrail
-from .gantt import Overlay, Timeline, earliest_common_slot
+from .gantt import _EPS, Overlay, Timeline, earliest_common_slot
 from .platform import Platform
 from .state import ClusterState
 from .stats import ExecutionResult, TaskRecord
@@ -91,6 +96,10 @@ _Transfer = tuple[str, str, int | None, float, float]
 #: An injected transfer failure: (file_id, size, kind, source_node, start,
 #: end, attempt).
 _FailedAttempt = tuple[str, float, str, int | None, float, float, int]
+
+#: Relative slack of :meth:`Runtime.ect_bound` that absorbs the rounding of
+#: its gap walk and of ``is_free``'s ``_EPS`` comparisons.
+_BOUND_REL_SLACK = 1e-9
 
 
 @dataclass
@@ -184,6 +193,10 @@ class Runtime:
         # mapped but not yet committed); maintained unconditionally so the
         # probe's ready-queue gauge costs only integer arithmetic.
         self._ready_count: int = 0
+        # Work of the least-ECT search over this runtime's life: (task,
+        # node) pairs whose ECT bound it computed, and pairs it evaluated.
+        self.candidates = 0
+        self.evaluations = 0
 
     # -- resource helpers -------------------------------------------------------
     def _key(self, tl: Timeline) -> str:
@@ -340,6 +353,89 @@ class Runtime:
         return opt
 
     # -- tentative evaluation (ECT) ---------------------------------------------------
+    def _exec_duration(self, task: Task, node: int) -> Seconds:
+        """Local read of every input plus CPU time of ``task`` on ``node``."""
+        read = sum(
+            self.platform.local_read_time(node, self.state.size_of(f))
+            for f in task.files
+        )
+        return read + self.platform.task_compute_time(node, task.compute_time)
+
+    def ect_bound(self, task: Task, node: int) -> Seconds:
+        """A lower bound on ``evaluate(task, node, plan).ect``, for any plan.
+
+        Execution starts no earlier than the clock, every resident input's
+        availability time and the end of the last missing transfer. Those
+        transfers all land on ``node``'s timeline at or after the clock.
+        Each lasts at least ``size / b``, with ``b`` the fastest bandwidth
+        the file could come at: remote, or replication when another node
+        holds a copy (planned or not). Fault slowdowns only stretch a
+        transfer. Each transfer also fits inside one free gap of the base
+        timeline, so the transfers cannot end before the free gaps from the
+        clock, counting only gaps as long as the shortest transfer, add up
+        to their summed durations. Reservations may overlap by ``_EPS`` at
+        either end, so each transfer is allowed ``2 * _EPS``, plus a
+        relative slack for rounding. The maxima are exact and IEEE addition
+        is monotone, so the bound never exceeds the evaluated ECT.
+        """
+        state = self.state
+        platform = self.platform
+        ready = self.clock
+        work: Seconds = 0.0
+        shortest = float("inf")
+        missing = 0
+        for f in task.files:
+            if state.has_file(node, f):
+                ready = max(ready, self._avail_time(node, f))
+                continue
+            bw = platform.remote_bandwidth(state.storage_node_of(f))
+            if state.holders(f):  # ``node`` is not among them
+                bw = max(bw, platform.replication_bandwidth)
+            duration = state.size_of(f) / bw
+            work += duration
+            shortest = min(shortest, duration)
+            missing += 1
+        if missing:
+            tl = self.node_tl[node]
+            slack = _BOUND_REL_SLACK * (max(tl.horizon, self.clock) + work)
+            ready = max(
+                ready,
+                tl.free_time_end(
+                    work - 2 * _EPS * missing - slack,
+                    shortest - 2 * _EPS - slack,
+                    self.clock,
+                ),
+            )
+        return ready + self._exec_duration(task, node)
+
+    def _least_ect(
+        self, pairs: Sequence[tuple[Task, int]], plan: StagingPlan | None
+    ) -> _Tentative:
+        """The least-ECT tentative of ``pairs``, the first one on ties.
+
+        Candidates are evaluated in ``(bound, index)`` order, and the search
+        stops at the first whose key exceeds the best ``(ect, index)`` so
+        far: every later candidate has a larger ECT, or an equal one at a
+        later index. The result is what ``min`` over every evaluation
+        returns.
+        """
+        self.candidates += len(pairs)
+        order = sorted(
+            (self.ect_bound(task, node), i) for i, (task, node) in enumerate(pairs)
+        )
+        best: _Tentative | None = None
+        best_key = (float("inf"), len(pairs))
+        for bound, i in order:
+            if (bound, i) > best_key:
+                break
+            task, node = pairs[i]
+            tent = self.evaluate(task, node, plan)
+            self.evaluations += 1
+            if (tent.ect, i) < best_key:
+                best, best_key = tent, (tent.ect, i)
+        assert best is not None
+        return best
+
     def evaluate(
         self, task: Task, node: int, plan: StagingPlan | None = None
     ) -> _Tentative:
@@ -384,11 +480,7 @@ class Runtime:
         # input file is available. Runs on the node timeline (port + CPU
         # mutually exclusive, the paper's model) or on the dedicated CPU
         # timeline in overlap mode.
-        read = sum(
-            self.platform.local_read_time(node, self.state.size_of(f))
-            for f in task.files
-        )
-        exec_dur = read + self.platform.task_compute_time(node, task.compute_time)
+        exec_dur = self._exec_duration(task, node)
         exec_tl = (
             self.cpu_tl[node] if self.cpu_tl is not None else self.node_tl[node]
         )
@@ -649,6 +741,7 @@ class Runtime:
             victim_order = _size_ascending
 
         start_time = self.clock
+        work_before = (self.candidates, self.evaluations)
         failed: list[str] = []
         if self.faults is not None:
             self._apply_timed_faults(victim_order)
@@ -696,13 +789,9 @@ class Runtime:
                 )
             return sorted(pend, key=missing_mb)[: self.candidate_limit]
 
-        def best_of(node: int) -> _Tentative:
-            tents = [self.evaluate(t, node, plan) for t in candidates(node)]
-            return min(tents, key=lambda x: x.ect)
-
-        def commit_next(node: int) -> None:
+        def commit(tent: _Tentative) -> None:
             nonlocal seq
-            tent = best_of(node)
+            node = tent.node
             if self.faults is not None and tent.ect > self.faults.crash_time(node):
                 # The node dies before its next-best task could complete:
                 # declare it crashed now. Everything already committed here
@@ -723,18 +812,16 @@ class Runtime:
             seq += 1
 
         # Initial commits: globally best first, then each remaining group's
-        # best in ECT order (re-evaluated after every commit).
+        # best in ECT order (re-evaluated after every commit). Ties go to
+        # the first node in iteration order.
         uncommitted = set(groups)
         while uncommitted:
-            best_node = None
-            best_ect = float("inf")
-            for node in uncommitted:
-                tent = best_of(node)
-                if tent.ect < best_ect:
-                    best_node, best_ect = node, tent.ect
-            assert best_node is not None
-            commit_next(best_node)
-            uncommitted.discard(best_node)
+            tent = self._least_ect(
+                [(t, node) for node in uncommitted for t in candidates(node)],
+                plan,
+            )
+            commit(tent)
+            uncommitted.discard(tent.node)
             uncommitted &= set(groups)
 
         # Event loop: when a task completes, schedule that group's next task.
@@ -744,9 +831,12 @@ class Runtime:
             makespan = max(makespan, ect)
             self._release(task, node)
             if node in groups:
-                commit_next(node)
+                commit(self._least_ect([(t, node) for t in candidates(node)], plan))
 
         self.clock = max(self.clock, makespan)
+        if telemetry.enabled:
+            telemetry.count("runtime/candidates", self.candidates - work_before[0])
+            telemetry.count("runtime/evaluations", self.evaluations - work_before[1])
         return ExecutionResult(
             start_time=start_time,
             makespan=makespan,

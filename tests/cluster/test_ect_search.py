@@ -1,0 +1,262 @@
+"""The runtime's bound-ordered least-ECT search against evaluating everything.
+
+``Runtime._least_ect`` evaluates candidates in order of
+:meth:`Runtime.ect_bound` and skips those that provably cannot win. On small
+random problems covering every runtime feature (replication on and off,
+disk pressure, IP staging plans, overlapped I/O, FIFO ordering, candidate
+limits, slowdowns, transfer failures and crashes), every search is checked
+at its commit point against a brute-force ``min`` over every candidate's
+evaluation, and every candidate's bound against its evaluated ECT.
+"""
+
+import contextlib
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.batch import Batch, FileInfo, Task
+from repro.cluster import (
+    ClusterState,
+    ComputeNode,
+    PlannedSource,
+    Platform,
+    Runtime,
+    StagingPlan,
+    StorageNode,
+)
+from repro.cluster.platform import osc_xio
+from repro.core.driver import run_batch
+from repro.faults import FaultModel, FaultSpec, LinkSlowdown, NodeCrash
+from repro.obs.core import telemetry
+from repro.workloads import generate_image_batch
+
+
+def brute_force_least_ect(rt, pairs, plan):
+    """Evaluate every candidate; ``min`` keeps the first on ties."""
+    return min((rt.evaluate(t, n, plan) for t, n in pairs), key=lambda x: x.ect)
+
+
+def outcome(tent):
+    """Everything a committed tentative writes through, as one tuple."""
+    return (
+        tent.task.task_id,
+        tent.node,
+        tent.transfers,
+        tent.transfers_done,
+        tent.exec_start,
+        tent.ect,
+        tent.failed_attempts,
+    )
+
+
+@contextlib.contextmanager
+def checked_searches():
+    """Patch ``Runtime._least_ect`` to check every search it runs.
+
+    Yields the list of every checked search's candidate count.
+    """
+    search = Runtime._least_ect
+    sizes = []
+
+    def checked(rt, pairs, plan):
+        got = search(rt, pairs, plan)
+        for task, node in pairs:
+            assert rt.ect_bound(task, node) <= rt.evaluate(task, node, plan).ect
+        assert outcome(got) == outcome(brute_force_least_ect(rt, pairs, plan))
+        sizes.append(len(pairs))
+        return got
+
+    with mock.patch.object(Runtime, "_least_ect", checked):
+        yield sizes
+
+
+# -- random problems ---------------------------------------------------------------
+@st.composite
+def problem(draw):
+    """A small platform, two mapped sub-batches and the runtime's options."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    num_compute = draw(st.integers(1, 4))
+    num_storage = draw(st.integers(1, 3))
+    num_files = draw(st.integers(1, 8))
+    num_tasks = draw(st.integers(1, 10))
+    # Few distinct sizes, costs and speeds make exact ECT ties common,
+    # which exercises the first-occurrence tie-break.
+    ties = draw(st.booleans())
+
+    def value(low, high, choices):
+        return float(rng.choice(choices) if ties else rng.uniform(low, high))
+
+    files = {
+        f"f{i}": FileInfo(
+            f"f{i}",
+            value(10.0, 200.0, [50.0, 100.0]),
+            int(rng.integers(0, num_storage)),
+        )
+        for i in range(num_files)
+    }
+    tasks = []
+    for k in range(num_tasks):
+        size = int(rng.integers(1, min(4, num_files) + 1))
+        chosen = rng.choice(num_files, size=size, replace=False)
+        tasks.append(
+            Task(
+                f"t{k}",
+                tuple(f"f{i}" for i in sorted(chosen)),
+                value(0.0, 5.0, [0.0, 1.0]),
+            )
+        )
+    batch = Batch(tasks, files)
+    # Disk pressure: room for the largest task's inputs and a little more.
+    largest = max(sum(files[f].size_mb for f in t.files) for t in tasks)
+    disk = largest * float(rng.uniform(1.0, 1.5)) if draw(st.booleans()) else math.inf
+    platform = Platform(
+        compute_nodes=tuple(
+            ComputeNode(
+                i,
+                speed=value(0.5, 2.0, [1.0]),
+                disk_space_mb=disk,
+                local_disk_bw=value(100, 400, [200.0]),
+            )
+            for i in range(num_compute)
+        ),
+        storage_nodes=tuple(
+            StorageNode(s, disk_bw=value(20, 300, [100.0]))
+            for s in range(num_storage)
+        ),
+        storage_network_bw=value(50, 1000, [100.0, 400.0]),
+        compute_network_bw=value(50, 1000, [100.0, 400.0]),
+        shared_link_bw=value(10, 100, [50.0]) if draw(st.booleans()) else None,
+    )
+    mapping = {t.task_id: int(rng.integers(0, num_compute)) for t in tasks}
+    # Replicas present before the first sub-batch (unlimited disks only).
+    preplaced = (
+        [
+            (int(rng.integers(0, num_compute)), f)
+            for f in files
+            if rng.uniform() < 0.3
+        ]
+        if disk == math.inf
+        else []
+    )
+    plan = None
+    if draw(st.booleans()):  # an IP-style plan fixing some sources
+        plan = StagingPlan()
+        for t in tasks:
+            for f in t.files:
+                if rng.uniform() < 0.5:
+                    plan.sources[(f, mapping[t.task_id])] = (
+                        PlannedSource("remote")
+                        if rng.uniform() < 0.5
+                        else PlannedSource("replica", int(rng.integers(0, num_compute)))
+                    )
+    faults = None
+    if draw(st.booleans()):
+        crash = (
+            (NodeCrash(int(rng.integers(0, num_compute)), float(rng.uniform(0, 20))),)
+            if draw(st.booleans())
+            else ()
+        )
+        start = float(rng.uniform(0, 10))
+        faults = FaultSpec(
+            node_crashes=crash,
+            transfer_failure_rate=float(rng.uniform(0.0, 0.6)),
+            backoff_base_s=float(rng.uniform(0.0, 2.0)),
+            link_slowdowns=(
+                LinkSlowdown(
+                    start,
+                    start + float(rng.uniform(1, 20)),
+                    float(rng.uniform(1.0, 4.0)),
+                    draw(st.sampled_from(["all", "remote", "replica"])),
+                ),
+            ),
+            seed=int(rng.integers(0, 1000)),
+        )
+    options = {
+        "allow_replication": draw(st.booleans()),
+        "overlap_io_compute": draw(st.booleans()),
+        "ordering": draw(st.sampled_from(["ect", "ect", "fifo"])),
+        "candidate_limit": draw(st.sampled_from([None, None, 1, 2, 3])),
+    }
+    split = draw(st.integers(0, num_tasks))
+    return platform, batch, mapping, preplaced, plan, faults, options, split
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem())
+def test_search_matches_brute_force(prob):
+    platform, batch, mapping, preplaced, plan, spec, options, split = prob
+    state = ClusterState.initial(platform, batch)
+    for node, f in preplaced:
+        state.place(node, f)
+    faults = FaultModel(spec) if spec is not None else None
+    rt = Runtime(platform, state, faults=faults, **options)
+    with checked_searches() as sizes:
+        for part in (batch.tasks[:split], batch.tasks[split:]):
+            rt.execute(part, {t.task_id: mapping[t.task_id] for t in part}, plan)
+    assert rt.candidates == sum(sizes)
+    assert rt.evaluations <= rt.candidates
+
+
+def test_bound_allows_eps_overlap():
+    # The port's only gap before t=0.03 is 0.9e-9 shorter than the 0.01 s
+    # transfer; is_free's _EPS tolerance still fits the transfer there, so
+    # the bound must count that gap. Times stay small so the relative
+    # rounding slack does not cover the difference.
+    files = {"f0": FileInfo("f0", 1.0, 0)}
+    task = Task("t0", ("f0",), 1.0)
+    platform = Platform(
+        compute_nodes=(ComputeNode(0),),
+        storage_nodes=(StorageNode(0, disk_bw=100.0),),
+        storage_network_bw=1000.0,
+        compute_network_bw=1000.0,
+    )
+    rt = Runtime(platform, ClusterState.initial(platform, Batch([task], files)))
+    rt.node_tl[0].reserve(0.0, 0.01)
+    rt.node_tl[0].reserve(0.02 - 0.9e-9, 0.01)
+    tent = rt.evaluate(task, 0)
+    assert [start for *_, start, _duration in tent.transfers] == [0.01]
+    assert rt.ect_bound(task, 0) <= tent.ect
+
+
+# -- work counters -----------------------------------------------------------------
+def golden_run(telemetry_on=False):
+    """The fixed run behind tests/obs/golden_manifest.json."""
+    batch = generate_image_batch(16, "high", 4, seed=0)
+    platform = osc_xio(num_compute=4, num_storage=4, disk_space_mb=4000.0)
+    return run_batch(
+        batch, platform, "minmin", candidate_limit=25, telemetry=telemetry_on
+    )
+
+
+def records(result):
+    return [r for sb in result.sub_batches for r in sb.execution.records]
+
+
+class TestCounters:
+    def setup_method(self):
+        telemetry.reset()
+        telemetry.disable()
+
+    def teardown_method(self):
+        telemetry.reset()
+        telemetry.disable()
+
+    def test_pinned_values_on_fixed_case(self):
+        # Exact values: the search is deterministic. 16 tasks on 4 nodes
+        # give 63 candidate pairs over 16 searches; evaluating every one
+        # would take 63 evaluations, the bound order skips 22.
+        counters = golden_run(telemetry_on=True).telemetry["counters"]
+        assert counters["runtime/candidates"] == 63.0
+        assert counters["runtime/evaluations"] == 41.0
+
+    def test_counters_are_decision_neutral(self):
+        # The bound-ordered search commits exactly what evaluating every
+        # candidate commits, with telemetry on or off.
+        with_counters = records(golden_run(telemetry_on=True))
+        assert records(golden_run()) == with_counters
+        with mock.patch.object(
+            Runtime, "_least_ect", brute_force_least_ect
+        ):
+            assert records(golden_run()) == with_counters

@@ -89,6 +89,38 @@ class TestTimeline:
         iv = tl.reserve(0.0, 1.0, tag="xfer:f1")
         assert iv.tag == "xfer:f1"
 
+    def test_zero_length_reservation_occupies_nothing(self):
+        # A zero-length reservation inside a busy interval used to be
+        # stored, hiding the enclosing interval from later queries.
+        tl = Timeline("t")
+        tl.reserve(0.0, 10.0)
+        tl.reserve(5.0, 0.0)
+        assert len(tl) == 1
+        assert tl.earliest_slot(1.5, 5.0) == 10.0
+        assert not tl.is_free(5.0, 6.5)
+
+    def test_zero_length_reservation_in_gap_blocks_nothing(self):
+        tl = Timeline("t")
+        tl.reserve(0.0, 1.0)
+        tl.reserve(2.0, 0.0)
+        tl.reserve(4.0, 1.0)
+        assert tl.earliest_slot(3.0) == 1.0
+        ov = Overlay(tl)
+        ov.reserve(2.5, 0.0)
+        assert not ov.virtual
+        assert ov.earliest_slot(3.0) == 1.0
+
+    def test_free_time_end(self):
+        tl = Timeline("t")
+        tl.reserve(1.0, 1.0)  # gaps from 0: [0,1) [2,4) [5,inf)
+        tl.reserve(4.0, 1.0)
+        assert tl.free_time_end(0.5, 0.0, 0.0) == 0.5
+        assert tl.free_time_end(2.0, 0.0, 0.0) == 3.0
+        assert tl.free_time_end(2.0, 1.5, 0.0) == 4.0  # [0,1) too short
+        assert tl.free_time_end(2.0, 0.0, 1.5) == 4.0  # starts inside [1,2)
+        assert tl.free_time_end(4.0, 0.0, 0.0) == 6.0
+        assert tl.free_time_end(0.0, 0.0, 3.0) == 3.0
+
 
 class TestOverlay:
     def test_virtual_blocks_slot(self):
@@ -179,15 +211,16 @@ def resource(draw, min_intervals=0, max_intervals=12, gaps=st.integers(0, 3)):
     """A Timeline, or an Overlay over one, with integer-endpoint reservations.
 
     Returns ``(resource, busy)``: ``busy`` lists every ``(start, end)`` the
-    resource must treat as occupied, base and virtual alike. Reservations
-    are made in a random order so out-of-order inserts are exercised.
+    resource must treat as occupied, base and virtual alike; a zero-length
+    one occupies nothing. Reservations are made in a random order so
+    out-of-order inserts are exercised.
     """
     n = draw(st.integers(min_intervals, max_intervals))
     busy = []
     t = 0
     for _ in range(n):
         t += draw(gaps)  # 0 = adjacent to the previous one
-        length = draw(st.integers(1, 4))
+        length = draw(st.integers(0, 4))  # 0 occupies no time
         busy.append((t, t + length))
         t += length
     overlay = draw(st.booleans())
@@ -256,3 +289,51 @@ class TestSlotSearchOracle:
         busy = [iv for _, ivs in resources for iv in ivs]
         got = earliest_common_slot([r for r, _ in resources], duration, not_before)
         assert got == brute_force_slot(busy, duration, not_before)
+
+
+# -- early-exit common-slot search against the round-based fixpoint -------------
+class Spy:
+    """Records every ``earliest_slot`` call made on a resource."""
+
+    def __init__(self, res, calls):
+        self.res = res
+        self.calls = calls
+
+    def earliest_slot(self, duration, not_before=0.0):
+        result = self.res.earliest_slot(duration, not_before)
+        self.calls.append((id(self.res), duration, not_before, result))
+        return result
+
+
+def round_based_common_slot(resources, duration, not_before=0.0):
+    """The fixpoint in whole rounds: stop after a round that moved nothing."""
+    t = max(0.0, not_before)
+    while True:
+        t_new = t
+        for res in resources:
+            t_new = max(t_new, res.earliest_slot(duration, t_new))
+        if t_new <= t + 1e-9:
+            return t_new
+        t = t_new
+
+
+class TestEarlyExit:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        resources=st.lists(resource(), min_size=1, max_size=4),
+        duration=st.integers(0, 6),
+        not_before=st.integers(0, 30),
+    )
+    def test_prefix_of_round_based_calls(self, resources, duration, not_before):
+        plain = [r for r, _ in resources]
+        got_calls, want_calls = [], []
+        got = earliest_common_slot(
+            [Spy(r, got_calls) for r in plain], duration, not_before
+        )
+        want = round_based_common_slot(
+            [Spy(r, want_calls) for r in plain], duration, not_before
+        )
+        assert got == want
+        assert got_calls == want_calls[: len(got_calls)]
+        # It saves at most the confirming round.
+        assert len(want_calls) - len(got_calls) < len(plain)

@@ -113,6 +113,14 @@ class TestCommands:
         doc = json.loads(trace_file.read_text())
         assert doc["traceEvents"]
 
+    def test_profile_shows_work_counters(self, capsys):
+        rc = main(["profile", "fig6b", "--tasks", "12", "--scheme", "minmin"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "incremental kernel work" in out
+        assert "runtime ECT search work" in out
+        assert "evaluations" in out
+
     def test_figure_fig5a_with_csv(self, tmp_path, capsys):
         csv_file = tmp_path / "fig.csv"
         rc = main(["figure", "fig5a", "--tasks", "12", "--csv", str(csv_file)])
