@@ -35,21 +35,15 @@ Commands
     Execute a batch with the audit trail enabled and verify the resulting
     Gantt trace against the execution invariants E1–E7
     (:mod:`repro.analysis.audit`, ``docs/invariants.md``).
-``bench``
-    Time the incremental MCT mapping kernel against its retained
-    reference implementation on fixed Fig. 6b-shaped cells, asserting
-    decision identity before reporting any speedup
-    (``docs/performance.md``). The CI perf-smoke job runs this with
-    ``--min-speedup`` as a regression gate.
 ``diff``
     Attribute the makespan delta between two run manifests to phase
     (schedule/stage/execute), node and metric with ranked tables
     (:mod:`repro.obs.diff`); exits non-zero when the drift exceeds
     ``--fail-over`` — the attribution-aware version of the bench gate.
 ``report``
-    Render a run manifest — optionally with a baseline diff and the bench
-    speedup trajectory — as one self-contained offline HTML file (inline
-    SVG sparklines and node-activity strips, no external resources).
+    Render a run manifest — optionally with a baseline diff — as one
+    self-contained offline HTML file (inline SVG sparklines and
+    node-activity strips, no external resources).
 ``chaos``
     Fault-injection sweep (``docs/faults.md``): makespan-degradation curve
     over transfer-failure rates x schemes, each cell optionally audited
@@ -355,43 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exercises the fault invariants E6/E7",
     )
 
-    pb = sub.add_parser(
-        "bench",
-        help="time the incremental MCT kernel against its reference oracle "
-        "(decision-checked; see docs/performance.md)",
-    )
-    pb.add_argument(
-        "--full",
-        action="store_true",
-        help="add the Fig. 6b headline cells (n=1000, c=32; several minutes)",
-    )
-    pb.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repeats per kernel; min is reported (default 5)",
-    )
-    pb.add_argument(
-        "--out", metavar="FILE",
-        help="write the results as a BENCH_<sha>.json-style document",
-    )
-    pb.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="exit non-zero unless every mapping cell beats this factor "
-        "(the CI perf-smoke gate)",
-    )
-    pb.add_argument(
-        "--trajectory",
-        metavar="FILE",
-        default=None,
-        help="append one compact record per cell (sha, cell, speedup, "
-        "decision-checked) to this JSONL trajectory "
-        "(default: benchmarks/BENCH_trajectory.jsonl when it is writable)",
-    )
-    pb.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append to the bench trajectory",
-    )
-
     pd = sub.add_parser(
         "diff",
         help="attribute the makespan delta between two run manifests "
@@ -429,13 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--out", metavar="FILE", default="report.html",
         help="output HTML path (default report.html)",
-    )
-    pr.add_argument(
-        "--trajectory",
-        metavar="FILE",
-        default=None,
-        help="bench trajectory JSONL to render as sparklines "
-        "(default: benchmarks/BENCH_trajectory.jsonl when present)",
     )
     pr.add_argument("--title", default=None, help="override the page title")
 
@@ -968,7 +918,7 @@ def _cmd_profile(args) -> int:
             )
         counters = tele.snapshot()["counters"]
         for prefix, title in (
-            ("kernel/", "incremental kernel work (summed over mapping calls)"),
+            ("kernel/", "MCT mapping work (summed over mapping calls)"),
             ("runtime/", "runtime ECT search work (summed over sub-batches)"),
         ):
             work = {
@@ -1093,58 +1043,6 @@ def _cmd_audit(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args) -> int:
-    from .experiments import default_bench_cells, run_bench_cells, write_bench
-
-    cells = default_bench_cells(full=args.full)
-    print(
-        f"{'cell':32s} {'reference':>11s} {'optimized':>11s} {'speedup':>8s}"
-    )
-    results = []
-    for cell in cells:
-        res = run_bench_cells([cell], repeats=args.repeats)[0]
-        results.append(res)
-        print(
-            f"{res.cell:32s} {res.reference_s * 1e3:9.2f}ms "
-            f"{res.optimized_s * 1e3:9.2f}ms {res.speedup:7.2f}x"
-        )
-        if res.kernel_stats:
-            saved = res.kernel_stats.get("evaluations_saved", 0)
-            logical = res.kernel_stats.get("logical_evaluations", 0)
-            if logical:
-                print(
-                    f"{'':32s}   kernel pair evaluations saved: "
-                    f"{saved / logical:.1%} ({saved:,} of {logical:,})"
-                )
-    print("\nevery cell decision-checked: optimized == reference")
-    if args.out:
-        path = write_bench(results, args.out)
-        print(f"results written to {path}")
-    if not args.no_trajectory:
-        from pathlib import Path as _Path
-
-        from .experiments.bench import append_trajectory
-
-        traj = args.trajectory
-        if traj is None:
-            default = _Path("benchmarks") / "BENCH_trajectory.jsonl"
-            traj = default if default.parent.is_dir() else None
-        if traj is not None:
-            tpath = append_trajectory(results, traj)
-            print(f"trajectory appended to {tpath} ({len(results)} record(s))")
-    if args.min_speedup is not None:
-        slow = [r for r in results if r.speedup < args.min_speedup]
-        if slow:
-            for r in slow:
-                print(
-                    f"FAIL: {r.cell} speedup {r.speedup:.2f}x < "
-                    f"{args.min_speedup:.2f}x"
-                )
-            return 1
-        print(f"all mapping cells beat {args.min_speedup:.2f}x")
-    return 0
-
-
 def _cmd_diff(args) -> int:
     from .obs.diff import diff_manifests, format_diff, load_run
 
@@ -1171,25 +1069,12 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path as _Path
-
     from .obs.diff import load_run
-    from .obs.report import load_trajectory, write_report
+    from .obs.report import write_report
 
     manifest = load_run(args.run)
     baseline = load_run(args.baseline) if args.baseline else None
-    traj_path = args.trajectory
-    if traj_path is None:
-        default = _Path("benchmarks") / "BENCH_trajectory.jsonl"
-        traj_path = default if default.exists() else None
-    trajectory = load_trajectory(traj_path) if traj_path is not None else []
-    out = write_report(
-        manifest,
-        args.out,
-        baseline,
-        trajectory=trajectory,
-        title=args.title,
-    )
+    out = write_report(manifest, args.out, baseline, title=args.title)
     print(f"report written to {out} ({out.stat().st_size:,} bytes, "
           "self-contained HTML)")
     return 0
@@ -1347,7 +1232,6 @@ def main(argv: list[str] | None = None) -> int:
         "units": _cmd_units,
         "purity": _cmd_purity,
         "audit": _cmd_audit,
-        "bench": _cmd_bench,
         "diff": _cmd_diff,
         "report": _cmd_report,
         "chaos": _cmd_chaos,

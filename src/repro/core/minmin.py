@@ -14,13 +14,10 @@ runtime; the estimates here intentionally mirror the runtime's cost model
 without simulating port contention (that is what makes MinMin cheap relative
 to the IP scheme but still O(T^2 * C), visibly slower than JDP in Fig. 6b).
 
-The mapping loop is the incremental kernel of :mod:`repro.core.mct_kernel`,
-which maintains the MCT value buffer in place, rewriting only the entries
-each commit moved; the original per-round full-matrix rescan stays there as
-its oracle (``reference_mct_map``, called directly by the differential
-tests and ``repro bench``). MaxMin and Sufferage
-(:mod:`repro.core.mct_family`) reuse the kernel through the :meth:`_pick`
-selection hook.
+The mapping loop is :func:`repro.core.mct_kernel.mct_map`, which rebuilds
+the full MCT matrix every round. MaxMin and Sufferage
+(:mod:`repro.core.mct_family`) run the same loop and differ only in the
+:meth:`_pick` selection hook.
 """
 
 from __future__ import annotations
@@ -33,15 +30,10 @@ from ..cluster.state import ClusterState
 from ..obs.core import telemetry
 from ..obs.decisions import DecisionLog
 from .base import Scheduler, register_scheduler
-from .mct_kernel import (
-    _TIE_TOL,
-    KernelStats,
-    build_mct_setup,
-    incremental_mct_map,
-)
+from .mct_kernel import KernelStats, build_mct_setup, mct_map
 from .plan import SubBatchPlan
 
-__all__ = ["MinMinScheduler", "_TIE_TOL"]
+__all__ = ["MinMinScheduler"]
 
 
 @register_scheduler("minmin")
@@ -51,15 +43,14 @@ class MinMinScheduler(Scheduler):
     The selection rule is pluggable so the MaxMin and Sufferage variants
     (:mod:`repro.core.mct_family`) can reuse the whole data-aware MCT
     machinery and differ only in which task they commit: :meth:`_pick`
-    selects from the incremental kernel's value buffer, which is
-    bit-identical to the full MCT matrix the oracle rebuilds each round.
+    selects from the full MCT matrix that the mapping loop rebuilds each
+    round.
     """
 
     uses_subbatches = False
     #: Selection-rule label recorded on each Decision while telemetry is on.
     pick_rule = "global-min-mct"
-    #: Work accounting of the last mapping call (None before the first);
-    #: reported by ``repro bench``.
+    #: Work accounting of the last mapping call (None before the first).
     kernel_stats: KernelStats | None = None
 
     def _pick(self, mct: np.ndarray) -> tuple[int, int]:
@@ -95,12 +86,12 @@ class MinMinScheduler(Scheduler):
             if self.decision_log is None:
                 self.decision_log = DecisionLog(scheme=self.name)
             log = self.decision_log
-        mapping, stats = incremental_mct_map(setup, self._pick, self.pick_rule, log)
+        mapping, stats = mct_map(setup, self._pick, self.pick_rule, log)
         self.kernel_stats = stats
         if telemetry.enabled:
-            # Surface the kernel's real-work counters per run (manifest
-            # `telemetry.counters` + `repro profile`), not just per bench
-            # cell; counters sum across sub-batch mapping calls.
+            # Surface the mapping loop's work counters per run (manifest
+            # `telemetry.counters` + `repro profile`); counters sum across
+            # mapping calls.
             for key, value in stats.to_dict().items():
                 telemetry.count(f"kernel/{key}", value)
         return mapping

@@ -1,12 +1,5 @@
 """Experiment harness reproducing every figure of the paper's evaluation."""
 
-from .bench import (
-    BenchCellResult,
-    bench_mapping_cell,
-    default_bench_cells,
-    run_bench_cells,
-    write_bench,
-)
 from .faults import CHAOS_SCHEMES, chaos_sweep, degradation_curve
 from .figures import (
     fig3_image_overlap,
@@ -52,11 +45,6 @@ __all__ = [
     "CHAOS_SCHEMES",
     "chaos_sweep",
     "degradation_curve",
-    "BenchCellResult",
-    "bench_mapping_cell",
-    "default_bench_cells",
-    "run_bench_cells",
-    "write_bench",
     "StreamConfig",
     "StreamRecord",
     "run_stream_config",

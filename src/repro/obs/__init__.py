@@ -37,7 +37,7 @@ from .export import (
     write_ndjson,
 )
 from .metrics import RunMetrics, compute_metrics, conservation_residual_mb
-from .report import load_trajectory, render_report, write_report
+from .report import render_report, write_report
 from .schema import SchemaError, check, validate
 from .timeseries import (
     ProbeConfig,
@@ -70,7 +70,6 @@ __all__ = [
     "format_diff",
     "load_run",
     "load_schema",
-    "load_trajectory",
     "manifest_to_ndjson",
     "merge_snapshots",
     "merge_timeseries",

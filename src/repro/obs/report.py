@@ -14,9 +14,7 @@ fonts or images. The page carries:
   over that sample interval;
 * the scalar metrics / transfer-stats tables;
 * the ranked :mod:`repro.obs.diff` attribution view when a baseline is
-  given;
-* the bench speedup trajectory (``benchmarks/BENCH_trajectory.jsonl``)
-  when available.
+  given.
 
 Everything here is plain string assembly over already-JSON data, so the
 module stays dependency-free and mypy-strict like the rest of
@@ -26,14 +24,13 @@ module stays dependency-free and mypy-strict like the rest of
 from __future__ import annotations
 
 import html
-import json
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
 from .diff import ManifestDiff, diff_manifests
 
-__all__ = ["load_trajectory", "render_report", "write_report"]
+__all__ = ["render_report", "write_report"]
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Helvetica, Arial, sans-serif;
@@ -324,65 +321,10 @@ def _diff_section(diff: ManifestDiff, top: int = 10) -> str:
     return "".join(out)
 
 
-def load_trajectory(path: str | Path) -> list[dict[str, Any]]:
-    """Read ``BENCH_trajectory.jsonl`` records (missing file → empty).
-
-    The trajectory is an append-only shared file; unparseable or foreign
-    lines are skipped rather than failing the whole report.
-    """
-    p = Path(path)
-    if not p.exists():
-        return []
-    records: list[dict[str, Any]] = []
-    for line in p.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(rec, dict) and rec.get("kind") == "repro-bench-point":
-            records.append(rec)
-    return records
-
-
-def _trajectory_section(records: Sequence[Mapping[str, Any]]) -> str:
-    if not records:
-        return ""
-    by_cell: dict[str, list[Mapping[str, Any]]] = {}
-    for rec in records:
-        by_cell.setdefault(str(rec.get("cell")), []).append(rec)
-    out = [
-        "<h2>Bench speedup trajectory</h2>",
-        "<p class='note'>Per-cell optimized-vs-reference speedup over "
-        "recorded bench runs (benchmarks/BENCH_trajectory.jsonl); every "
-        "point is decision-checked.</p>",
-        "<table class='spark'><tr><th class='name'>cell</th><th>runs</th>"
-        "<th>latest</th><th>sha</th><th></th></tr>",
-    ]
-    for cell in sorted(by_cell):
-        recs = by_cell[cell]
-        speedups = [[float(i), float(r.get("speedup", 0.0))] for i, r in enumerate(recs)]
-        latest = recs[-1]
-        out.append(
-            "<tr>"
-            f"<td class='name'>{html.escape(cell)}</td>"
-            f"<td>{len(recs)}</td>"
-            f"<td>{float(latest.get('speedup', 0.0)):.2f}x</td>"
-            f"<td class='name'>{html.escape(str(latest.get('sha', '?')))}</td>"
-            f"<td>{_sparkline(speedups, width=160, height=24)}</td>"
-            "</tr>"
-        )
-    out.append("</table>")
-    return "".join(out)
-
-
 def render_report(
     manifest: Mapping[str, Any],
     baseline: Mapping[str, Any] | None = None,
     *,
-    trajectory: Sequence[Mapping[str, Any]] | None = None,
     title: str | None = None,
 ) -> str:
     """Render one run manifest (plus optional baseline diff) as HTML."""
@@ -421,8 +363,6 @@ def render_report(
     faults = manifest.get("faults")
     if faults is not None:
         parts.append(_kv_table(faults, "Fault accounting"))
-    if trajectory:
-        parts.append(_trajectory_section(trajectory))
     parts.append("</body></html>")
     return "\n".join(p for p in parts if p)
 
@@ -432,12 +372,9 @@ def write_report(
     path: str | Path,
     baseline: Mapping[str, Any] | None = None,
     *,
-    trajectory: Sequence[Mapping[str, Any]] | None = None,
     title: str | None = None,
 ) -> Path:
     """Render and write the report; returns the output path."""
     out = Path(path)
-    out.write_text(
-        render_report(manifest, baseline, trajectory=trajectory, title=title)
-    )
+    out.write_text(render_report(manifest, baseline, title=title))
     return out

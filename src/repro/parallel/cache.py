@@ -35,7 +35,10 @@ __all__ = ["CACHE_SALT", "DEFAULT_CACHE_DIR", "CacheStats", "ResultCache", "conf
 # v2: ExperimentConfig grew the semantic ``faults`` field — v1 keys were
 # hashed without it, so a faulty run could have collided with its fault-free
 # twin's cached Record.
-CACHE_SALT = "repro-cache-v2"
+# v3: MinMin/MaxMin/Sufferage map with one full-rescan loop, so a cached
+# wall-clock ``scheduling_ms_per_task`` (Fig. 6(b)'s y-axis) from the old
+# incremental kernel would be stale.
+CACHE_SALT = "repro-cache-v3"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 

@@ -1,15 +1,14 @@
-"""Decision equivalence: the MCT kernel against its oracle, whole batches
-against a recorded fixture.
+"""Decision equivalence: MCT mappings and whole batches against recorded
+fixtures.
 
 Two layers, both exact (not tolerance bands):
 
-* kernel: one whole-batch ``next_subbatch`` per MCT-family scheme, which
-  runs :func:`~repro.core.mct_kernel.incremental_mct_map`, against a direct
-  call of :func:`~repro.core.mct_kernel.reference_mct_map` (the original
-  full-rescan loop) on the same inputs. Mappings, DecisionLog records and
-  telemetry counters must match. Pre-placed replicas keep the
-  replica-aware staging terms live; one case crashes a node first, so the
-  surviving-node column set is covered too.
+* mapping: one whole-batch ``next_subbatch`` per MCT-family scheme against
+  ``golden_mct_map.json``: the mapping, every DecisionLog record
+  (estimate, ``evaluated``, ``ties``) and the ``scheduler/*`` telemetry
+  counters. Pre-placed replicas keep the replica-aware staging terms live;
+  one case runs a single node, one has zero file overlap, and one crashes a
+  node first, so the surviving-node column set is covered too.
 * whole batch: ``run_batch`` for MinMin, MaxMin, Sufferage, BiPartition
   and JDP, each plain and under fault injection (crash + flaky network +
   link-slowdown window), plus disk pressure (eviction order), a
@@ -17,9 +16,9 @@ Two layers, both exact (not tolerance bands):
   proactive pushes, against ``golden_run_batch.json``: makespan, every
   sub-batch mapping, every TaskRecord, TransferStats and FaultStats.
 
-The fixture is a pure function of the cases below; it must not depend on
-``PYTHONHASHSEED``. After a deliberate behaviour change, regenerate it with
-``PYTHONPATH=src python -m tests.core.test_differential_kernels`` and
+Both fixtures are pure functions of the cases below; they must not depend
+on ``PYTHONHASHSEED``. After a deliberate behaviour change, regenerate them
+with ``PYTHONPATH=src python -m tests.core.test_differential_kernels`` and
 explain the diff in the commit.
 """
 
@@ -34,12 +33,11 @@ from repro.cluster.platform import osc_xio
 from repro.cluster.state import ClusterState
 from repro.core.base import make_scheduler
 from repro.core.driver import run_batch
-from repro.core.mct_kernel import build_mct_setup, reference_mct_map
 from repro.obs.core import telemetry
-from repro.obs.decisions import DecisionLog
 from repro.workloads.image import generate_image_batch
 
 GOLDEN_PATH = Path(__file__).with_name("golden_run_batch.json")
+MAP_GOLDEN_PATH = Path(__file__).with_name("golden_mct_map.json")
 
 FAULTS = {
     "seed": 7,
@@ -52,7 +50,7 @@ FAULTS = {
 DISK_MB = 700.0
 
 
-# -- kernel: incremental vs reference_mct_map ----------------------------------
+# -- mapping: next_subbatch vs the recorded fixture -----------------------------
 def _kernel_inputs(n: int, c: int, overlap: str, seed: int, crash: int | None):
     batch = generate_image_batch(n, overlap, num_storage=4, seed=seed)
     platform = osc_xio(num_compute=c, num_storage=4)
@@ -68,69 +66,92 @@ def _kernel_inputs(n: int, c: int, overlap: str, seed: int, crash: int | None):
     return batch, [t.task_id for t in batch.tasks], platform, state
 
 
-def _traced(fn):
-    """Run ``fn`` with fresh telemetry; return (its result, counters)."""
+_MAP_SCHEMES = ["minmin", "maxmin", "sufferage"]
+_MAP_INPUTS = [
+    (40, 4, "high", 0),
+    (40, 4, "zero", 1),
+    (25, 1, "high", 2),
+    (7, 3, "low", 3),
+    (150, 4, "high", 4),
+]
+#: The crashed-node case: node 1 is dead before mapping starts.
+_CRASH_INPUT = (40, 4, "high", 5)
+_CRASH_NODE = 1
+
+
+def _map_key(scheme: str, n: int, c: int, overlap: str, seed: int,
+             crash: int | None = None) -> str:
+    key = f"{scheme}/n{n}c{c}/{overlap}/seed{seed}"
+    return key if crash is None else f"{key}/crash{crash}"
+
+
+MAP_CASES: dict[str, tuple] = {
+    **{
+        _map_key(s, *inp): (s, *inp, None)
+        for s in _MAP_SCHEMES for inp in _MAP_INPUTS
+    },
+    **{
+        _map_key(s, *_CRASH_INPUT, _CRASH_NODE): (s, *_CRASH_INPUT, _CRASH_NODE)
+        for s in _MAP_SCHEMES
+    },
+}
+
+
+def map_case(name: str) -> dict:
+    """One traced whole-batch mapping, JSON-normalised."""
+    scheme, n, c, overlap, seed, crash = MAP_CASES[name]
+    batch, pending, platform, state = _kernel_inputs(n, c, overlap, seed, crash)
+    sched = make_scheduler(scheme, seed=0)
     telemetry.reset()
     telemetry.enable()
     try:
-        out = fn()
-        counters = telemetry.snapshot().get("counters", {})
+        plan = sched.next_subbatch(batch, pending, platform, state)
+        counters = telemetry.snapshot()["counters"]
     finally:
         telemetry.disable()
         telemetry.reset()
-    return out, counters
-
-
-def _check_kernel(scheme: str, n: int, c: int, overlap: str, seed: int,
-                  crash: int | None = None) -> None:
-    batch, pending, platform, state = _kernel_inputs(n, c, overlap, seed, crash)
-    sched = make_scheduler(scheme, seed=0)
-    plan, opt_counters = _traced(
-        lambda: sched.next_subbatch(batch, list(pending), platform, state)
-    )
     assert sched.decision_log is not None
-    # kernel/* counters account for the incremental kernel's own work;
-    # the oracle has no such counters by design.
-    opt_counters = {
-        k: v for k, v in opt_counters.items() if not k.startswith("kernel/")
+    doc = {
+        "mapping": plan.mapping,
+        "decisions": [d.to_dict() for d in sched.decision_log.decisions],
+        "counters": {
+            k: v for k, v in sorted(counters.items())
+            if k.startswith("scheduler/")
+        },
     }
-    ref_log = DecisionLog(scheme=sched.name)
-    ref_mapping, ref_counters = _traced(
-        lambda: reference_mct_map(
-            build_mct_setup(batch, pending, platform, state),
-            sched._pick, sched.pick_rule, ref_log,
-        )
-    )
-    assert plan.mapping == ref_mapping, "mapping diverged"
-    assert [d.to_dict() for d in sched.decision_log.decisions] == [
-        d.to_dict() for d in ref_log.decisions
-    ], "DecisionLog diverged"
-    assert opt_counters == ref_counters, "telemetry counters diverged"
+    return json.loads(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def map_golden() -> dict:
+    return json.loads(MAP_GOLDEN_PATH.read_text())
+
+
+def _check_map(name: str, map_golden: dict) -> None:
+    want = map_golden[name]
+    got = map_case(name)
+    assert got["mapping"] == want["mapping"], "mapping diverged"
+    assert got["decisions"] == want["decisions"], "DecisionLog diverged"
+    assert got["counters"] == want["counters"], "telemetry counters diverged"
+    crash = MAP_CASES[name][-1]
     if crash is not None:
-        assert crash not in set(plan.mapping.values())
+        assert crash not in set(got["mapping"].values())
 
 
-@pytest.mark.parametrize("scheme", ["minmin", "maxmin", "sufferage"])
-@pytest.mark.parametrize(
-    "n,c,overlap,seed",
-    [
-        (40, 4, "high", 0),
-        (40, 4, "zero", 1),
-        (25, 1, "high", 2),
-        (7, 3, "low", 3),
-        # Large enough that the incremental kernel compacts its live rows
-        # (twice: 150 -> 75 -> 37) mid-mapping.
-        (150, 4, "high", 4),
-    ],
-)
-def test_kernel_decision_identity(scheme, n, c, overlap, seed):
-    _check_kernel(scheme, n, c, overlap, seed)
+def test_map_golden_covers_every_case(map_golden):
+    assert sorted(map_golden) == sorted(MAP_CASES)
 
 
-@pytest.mark.parametrize("scheme", ["minmin", "maxmin", "sufferage"])
-def test_kernel_decision_identity_crashed_node(scheme):
+@pytest.mark.parametrize("scheme", _MAP_SCHEMES)
+@pytest.mark.parametrize("n,c,overlap,seed", _MAP_INPUTS)
+def test_kernel_decision_identity(scheme, n, c, overlap, seed, map_golden):
+    _check_map(_map_key(scheme, n, c, overlap, seed), map_golden)
+
+
+@pytest.mark.parametrize("scheme", _MAP_SCHEMES)
+def test_kernel_decision_identity_crashed_node(scheme, map_golden):
     # Only surviving nodes are matrix columns.
-    _check_kernel(scheme, 40, 4, "high", 5, crash=1)
+    _check_map(_map_key(scheme, *_CRASH_INPUT, _CRASH_NODE), map_golden)
 
 
 # -- whole batch: run_batch vs the recorded fixture -----------------------------
@@ -258,5 +279,9 @@ def test_identity_jdp_pushes_with_candidate_limit(golden):
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(
         json.dumps({name: run_case(name) for name in sorted(CASES)}, indent=1)
+        + "\n"
+    )
+    MAP_GOLDEN_PATH.write_text(
+        json.dumps({name: map_case(name) for name in sorted(MAP_CASES)}, indent=1)
         + "\n"
     )

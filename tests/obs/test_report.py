@@ -8,7 +8,7 @@ from repro.cli import main
 from repro.cluster.platform import osc_xio
 from repro.core.driver import run_batch
 from repro.faults import FaultSpec
-from repro.obs import build_manifest, load_trajectory, render_report, write_report
+from repro.obs import build_manifest, render_report, write_report
 from repro.obs.core import telemetry
 from repro.workloads.image import generate_image_batch
 
@@ -74,61 +74,6 @@ class TestRenderReport:
         )
         text = render_report(run_manifest(faults=slow))
         assert "slowdown-start" in text
-
-    def test_trajectory_section(self):
-        points = [
-            {"kind": "repro-bench-point", "sha": "abc12345",
-             "cell": "mapping/minmin/n1000c32", "speedup": 3.1,
-             "decision_checked": True},
-            {"kind": "repro-bench-point", "sha": "def67890",
-             "cell": "mapping/minmin/n1000c32", "speedup": 3.3,
-             "decision_checked": True},
-        ]
-        text = render_report(run_manifest(), trajectory=points)
-        assert_self_contained(text)
-        assert "mapping/minmin/n1000c32" in text
-
-
-class TestTrajectoryIO:
-    def test_load_trajectory(self, tmp_path):
-        path = tmp_path / "traj.jsonl"
-        lines = [
-            json.dumps({"kind": "repro-bench-point", "sha": "aaaa", "cell": "x",
-                        "speedup": 2.0, "decision_checked": True}),
-            json.dumps({"kind": "other", "noise": 1}),
-            "not json at all",
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        points = load_trajectory(path)
-        assert len(points) == 1
-        assert points[0]["cell"] == "x"
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_trajectory(tmp_path / "nope.jsonl") == []
-
-    def test_append_then_load_round_trip(self, tmp_path):
-        from repro.experiments.bench import BenchCellResult, append_trajectory
-
-        cells = [
-            BenchCellResult(
-                cell="mapping/minmin/n600c32", scheme="minmin",
-                num_tasks=600, num_compute=32, repeats=1,
-                reference_s=0.2, optimized_s=0.1,
-            ),
-            BenchCellResult(
-                cell="e2e/minmin/n120c8", scheme="minmin",
-                num_tasks=120, num_compute=8, repeats=1,
-                reference_s=0.5, optimized_s=0.5,
-            ),
-        ]
-        path = tmp_path / "traj.jsonl"
-        append_trajectory(cells, path, sha="cafe1234")
-        append_trajectory(cells, path, sha="beef5678")
-        points = load_trajectory(path)
-        assert len(points) == 4
-        assert points[0]["speedup"] == 2.0
-        assert points[0]["sha"] == "cafe1234"
-        assert all(p["decision_checked"] for p in points)
 
 
 class TestWriteReport:

@@ -117,7 +117,8 @@ class TestCommands:
         rc = main(["profile", "fig6b", "--tasks", "12", "--scheme", "minmin"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "incremental kernel work" in out
+        assert "MCT mapping work" in out
+        assert "pair_evaluations" in out
         assert "runtime ECT search work" in out
         assert "evaluations" in out
 
