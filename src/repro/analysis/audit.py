@@ -2,8 +2,9 @@
 
 :func:`repro.core.validate.validate_plan` oracles *plans*; this module
 oracles *executions*.  Schedulers and the Section 6 runtime are trusted at
-run time, so a bug in overlay commits, cache mirroring or transfer source
-selection would silently produce traces that break the paper's cost model.
+run time, so a bug in replaying tentative reservations, cache mirroring or
+transfer source selection would silently produce traces that break the
+paper's cost model.
 The auditor re-derives the execution-time invariants from the recorded
 timelines and the :class:`~repro.cluster.events.AuditTrail` and reports
 every breach:

@@ -9,7 +9,7 @@ task-ordering/file-staging runtime.
 
 from .cache import CacheFullError, DiskCache
 from .events import AuditTrail, EvictionEvent, ExecEvent, TransferEvent
-from .gantt import Interval, Overlay, Timeline, earliest_common_slot
+from .gantt import Interval, Timeline, earliest_common_slot
 from .platform import (
     MBPS_8GBIT,
     MBPS_100MBIT,
@@ -33,7 +33,6 @@ __all__ = [
     "MBPS_100MBIT",
     "MBPS_8GBIT",
     "Timeline",
-    "Overlay",
     "Interval",
     "earliest_common_slot",
     "DiskCache",

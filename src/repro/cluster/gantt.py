@@ -3,17 +3,18 @@
 Section 6 of the paper maintains a Gantt chart per storage and compute node
 and reserves time slots on the source and destination of every transfer.
 :class:`Timeline` stores disjoint busy intervals in sorted order and answers
-``earliest_slot`` queries in O(log n + k); :class:`Overlay` adds *virtual*
-reservations on top of a timeline so task completion times can be evaluated
-tentatively (paper: files are "tentatively scheduled") without mutating the
-real chart; :func:`earliest_common_slot` finds the first instant a set of
-resources is simultaneously free (single-port model: a transfer occupies both
-its endpoints, plus the shared inter-cluster link when present).
+``earliest_slot`` queries in O(log n + k). A reservation can be undone with
+:meth:`Timeline.release`, so task completion times are evaluated by
+reserving a task's transfers on the real charts and releasing them again
+(paper: files are "tentatively scheduled"). :func:`earliest_common_slot`
+finds the first instant a set of resources is simultaneously free
+(single-port model: a transfer occupies both its endpoints, plus the shared
+inter-cluster link when present).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..analysis.dims import Seconds
 
-__all__ = ["Interval", "Timeline", "Overlay", "earliest_common_slot"]
+__all__ = ["Interval", "Timeline", "earliest_common_slot"]
 
 _EPS: Seconds = 1e-9
 
@@ -54,8 +55,9 @@ class Timeline:
     Starts and ends are mirrored in parallel float lists (for bisection
     and the Python-level scan) and in NumPy arrays grown by doubling (for
     the vectorised long-tail scan in :meth:`earliest_slot`); both are
-    updated in place on :meth:`reserve`. All three views hold the exact
-    same floats, so query results are independent of which path runs.
+    updated in place on :meth:`reserve` and :meth:`release`. All three
+    views hold the exact same floats, so query results are independent of
+    which path runs.
 
     A reservation no longer than ``_EPS`` occupies no time under
     :meth:`is_free`'s rule and is not stored, so every stored interval is
@@ -198,70 +200,30 @@ class Timeline:
         ea[idx] = iv.end
         return iv
 
+    def release(self, iv: Interval) -> None:
+        """Undo the reservation :meth:`reserve` returned as ``iv``.
+
+        One no longer than ``_EPS`` was never stored and is ignored.
+        """
+        if iv.end - iv.start <= _EPS:
+            return
+        idx = bisect_left(self._starts, iv.start)
+        if idx == len(self._starts) or self._intervals[idx] is not iv:
+            raise ValueError(f"timeline {self.name!r}: {iv} is not reserved")
+        del self._intervals[idx]
+        del self._starts[idx]
+        del self._ends[idx]
+        n = len(self._starts)  # count after this removal
+        if idx < n:
+            self._starts_a[idx:n] = self._starts_a[idx + 1 : n + 1]
+            self._ends_a[idx:n] = self._ends_a[idx + 1 : n + 1]
+
     def __repr__(self) -> str:
         return f"Timeline({self.name!r}, {len(self)} reservations)"
 
 
-class Overlay:
-    """A timeline view with extra virtual reservations (copy-on-write).
-
-    Used when evaluating a task's earliest completion time: the transfers of
-    the candidate task are placed on overlays so they constrain each other
-    without touching the real Gantt chart. ``commit`` replays the virtual
-    reservations onto the base timeline.
-    """
-
-    def __init__(self, base: Timeline) -> None:
-        self.base = base
-        self.virtual: list[Interval] = []
-
-    def is_free(self, start: Seconds, end: Seconds) -> bool:
-        if not self.base.is_free(start, end):
-            return False
-        return all(
-            iv.end <= start + _EPS or iv.start >= end - _EPS for iv in self.virtual
-        )
-
-    def earliest_slot(self, duration: Seconds, not_before: Seconds = 0.0) -> Seconds:
-        virtual = self.virtual
-        if not virtual:
-            return self.base.earliest_slot(duration, max(0.0, not_before))
-        t = max(0.0, not_before)
-        base_slot = self.base.earliest_slot
-        # Alternate between the base timeline and virtual intervals until
-        # a common gap is found. A round that bumps moves t to the end of a
-        # virtual interval lying more than _EPS past the previous t, so the
-        # bumped-to ends strictly increase and at most len(virtual) rounds
-        # bump before one returns.
-        while True:
-            t2 = base_slot(duration, t)
-            bumped = False
-            for iv in virtual:
-                if iv.start < t2 + duration - _EPS and iv.end > t2 + _EPS:
-                    t2 = max(t2, iv.end)
-                    bumped = True
-            if not bumped:
-                return t2
-            t = t2
-
-    def reserve(self, start: Seconds, duration: Seconds, tag: str = "") -> Interval:
-        iv = Interval(start, start + duration, tag)
-        if iv.end - iv.start <= _EPS:
-            return iv  # occupies no time, like Timeline.reserve
-        if not self.is_free(iv.start, iv.end):
-            raise ValueError(f"overlay of {self.base.name!r}: slot busy")
-        self.virtual.append(iv)
-        return iv
-
-    def commit(self) -> None:
-        """Write all virtual reservations through to the base timeline."""
-        for iv in self.virtual:
-            self.base.reserve(iv.start, iv.duration, iv.tag)
-        self.virtual.clear()
-
-
 def earliest_common_slot(
-    resources: Sequence[Timeline | Overlay],
+    resources: Sequence[Timeline],
     duration: Seconds,
     not_before: Seconds = 0.0,
 ) -> Seconds:

@@ -46,7 +46,7 @@ from ..faults import FaultModel
 from ..obs.core import telemetry
 from .cache import CacheFullError
 from .events import AuditTrail
-from .gantt import _EPS, Overlay, Timeline, earliest_common_slot
+from .gantt import _EPS, Interval, Timeline, earliest_common_slot
 from .platform import Platform
 from .state import ClusterState
 from .stats import ExecutionResult, TaskRecord
@@ -88,9 +88,15 @@ class StagingPlan:
     pushes: list[tuple[str, int]] = field(default_factory=list)
 
 
+#: One place a file can come from, with what costing a transfer from it
+#: needs: (kind, source_node, timelines the transfer occupies, bandwidth,
+#: time the source's copy is ready).
+_Source = tuple[str, int | None, list[Timeline], float, float]
 #: One costed transfer attempt: (tct, kind, source_node, start, duration,
-#: overlays it occupies).
-_Attempt = tuple[float, str, int | None, float, float, list[Overlay]]
+#: timelines it occupies).
+_Attempt = tuple[float, str, int | None, float, float, list[Timeline]]
+#: A reservation placed on a timeline.
+_Reservation = tuple[Timeline, Interval]
 #: A staged input: (file_id, kind, source_node, start, duration).
 _Transfer = tuple[str, str, int | None, float, float]
 #: An injected transfer failure: (file_id, size, kind, source_node, start,
@@ -101,6 +107,13 @@ _FailedAttempt = tuple[str, float, str, int | None, float, float, int]
 #: its gap walk and of ``is_free``'s ``_EPS`` comparisons.
 _BOUND_REL_SLACK = 1e-9
 
+#: Every transfer and execution must last longer than this. Then
+#: ``Timeline.earliest_slot`` returns the first candidate start that no
+#: reservation overlaps by more than ``_EPS``, whichever of them are
+#: tentative, so evaluating on the real timelines is exact
+#: (docs/performance.md, "Tentative staging on the real timelines").
+_MIN_DURATION: Seconds = 2 * _EPS
+
 
 @dataclass
 class _Tentative:
@@ -108,7 +121,9 @@ class _Tentative:
 
     task: Task
     node: int
-    overlays: dict[str, Overlay]
+    # Every reservation of the schedule, in the order it was made; the
+    # evaluation has released them and :meth:`Runtime._commit` replays them.
+    reservations: list[_Reservation]
     transfers: list[_Transfer]
     transfers_done: Seconds
     exec_start: Seconds
@@ -194,20 +209,13 @@ class Runtime:
         # probe's ready-queue gauge costs only integer arithmetic.
         self._ready_count: int = 0
         # Work of the least-ECT search over this runtime's life: (task,
-        # node) pairs whose ECT bound it computed, and pairs it evaluated.
+        # node) pairs whose ECT bound it computed, pairs it evaluated, and
+        # the common-slot searches that costed their transfers.
         self.candidates = 0
         self.evaluations = 0
+        self.slot_searches = 0
 
     # -- resource helpers -------------------------------------------------------
-    def _key(self, tl: Timeline) -> str:
-        return tl.name
-
-    def _overlay(self, overlays: dict[str, Overlay], tl: Timeline) -> Overlay:
-        key = self._key(tl)
-        if key not in overlays:
-            overlays[key] = Overlay(tl)
-        return overlays[key]
-
     def _avail_time(self, node: int, file_id: str) -> Seconds:
         return self._avail.get((node, file_id), self.clock)
 
@@ -238,57 +246,62 @@ class Runtime:
                 # Planned replica source lost (evicted): dynamic fallback.
         return self._dynamic_sources(file_id, dest)
 
-    # -- transfer timing ------------------------------------------------------------
-    def _transfer_resources(
-        self, kind: str, source_node: int | None, dest: int, file_id: str,
-        overlays: dict[str, Overlay],
-    ) -> tuple[list[Overlay], float, Seconds]:
-        """Overlays involved in a transfer, its bandwidth and earliest start."""
-        dest_ov = self._overlay(overlays, self.node_tl[dest])
-        if kind == "remote":
-            storage = self.state.storage_node_of(file_id)
-            res = [dest_ov, self._overlay(overlays, self.storage_tl[storage])]
-            if self.link_tl is not None:
-                res.append(self._overlay(overlays, self.link_tl))
-            bw = self.platform.remote_bandwidth(storage)
-            ready = self.clock
-        else:
-            assert source_node is not None
-            res = [dest_ov, self._overlay(overlays, self.node_tl[source_node])]
-            bw = self.platform.replication_bandwidth
-            ready = self._avail_time(source_node, file_id)
-        return res, bw, ready
+    def _sources(
+        self, file_id: str, dest: int, plan: StagingPlan | None
+    ) -> list[_Source]:
+        """Every source of ``file_id`` onto ``dest``, in :meth:`_sources_for`
+        order, with the timelines, bandwidth and ready time of a transfer
+        from it. A transfer no longer than ``_MIN_DURATION`` is refused.
+        """
+        dest_tl = self.node_tl[dest]
+        size = self.state.size_of(file_id)
+        sources: list[_Source] = []
+        for kind, src in self._sources_for(file_id, dest, plan):
+            if kind == "remote":
+                storage = self.state.storage_node_of(file_id)
+                res = [dest_tl, self.storage_tl[storage]]
+                if self.link_tl is not None:
+                    res.append(self.link_tl)
+                bw = self.platform.remote_bandwidth(storage)
+                ready = self.clock
+            else:
+                assert src is not None
+                res = [dest_tl, self.node_tl[src]]
+                bw = self.platform.replication_bandwidth
+                ready = self._avail_time(src, file_id)
+            if size / bw <= _MIN_DURATION:
+                raise ValueError(
+                    f"a {kind} transfer of {file_id!r} onto node {dest} lasts "
+                    f"{size / bw} s; transfers must last over {_MIN_DURATION} s"
+                )
+            sources.append((kind, src, res, bw, ready))
+        return sources
 
     # -- source selection -------------------------------------------------------------
     def _best_source(
         self,
         file_id: str,
-        node: int,
-        plan: StagingPlan | None,
-        overlays: dict[str, Overlay],
+        sources: Sequence[_Source],
         floor: Seconds,
         exclude: AbstractSet[tuple[str, int | None]] = frozenset(),
     ) -> _Attempt | None:
-        """Min-TCT source for one transfer of ``file_id`` onto ``node``.
+        """Min-TCT transfer of ``file_id`` from one of ``sources``.
 
-        Returns the first candidate (in :meth:`_sources_for` order) with the
-        least transfer completion time, starting no earlier than ``floor``.
-        Under a fault model, link slowdowns stretch the transfer and a
-        replica whose node dies before the copy ends is skipped; a retry
-        excludes the sources it already tried. ``None`` means every
-        candidate was excluded or crash-unreachable, which takes a fault
-        model: the storage cluster never crashes.
+        Returns the first source with the least transfer completion time,
+        starting no earlier than ``floor``. Under a fault model, link
+        slowdowns stretch the transfer and a replica whose node dies before
+        the copy ends is skipped; a retry excludes the sources it already
+        tried. ``None`` means every source was excluded or
+        crash-unreachable, which takes a fault model: the storage cluster
+        never crashes.
         """
         faults = self.faults
         size = self.state.size_of(file_id)
         best: _Attempt | None = None
-        for kind, src in self._sources_for(file_id, node, plan):
+        for kind, src, res, bw, ready in sources:
             if exclude and (kind, src) in exclude:
                 continue
-            res, bw, ready = self._transfer_resources(
-                kind, src, node, file_id, overlays
-            )
-            not_before = max(floor, ready)
+            not_before = ready if ready > floor else floor
             if faults is None:
                 duration = size / bw
             else:
@@ -296,6 +309,7 @@ class Runtime:
                 # sampled at the transfer's earliest possible start
                 # (deterministic even though the actual slot may land later).
                 duration = size * faults.slowdown_factor(kind, not_before) / bw
+            self.slot_searches += 1
             start = earliest_common_slot(res, duration, not_before)
             tct = start + duration
             if faults is not None and kind == "replica":
@@ -310,17 +324,19 @@ class Runtime:
         self,
         file_id: str,
         node: int,
-        plan: StagingPlan | None,
-        overlays: dict[str, Overlay],
+        sources: Sequence[_Source],
         first: _Attempt,
         failed: list[_FailedAttempt],
+        log: list[_Reservation],
     ) -> _Attempt:
         """Run one file's staging session from attempt ``first`` to success.
 
-        A failed attempt occupies its slot (tagged ``xfail:``) and is
-        appended to ``failed``; the next attempt starts after an
-        exponential backoff and prefers the next-cheapest source not yet
-        tried this session (falling back to retrying exhausted sources).
+        A failed attempt occupies its slot (tagged ``xfail:``, reserved
+        through ``log``) and is appended to ``failed``; the next attempt
+        starts after an exponential backoff and prefers the next-cheapest
+        of ``sources`` not yet tried this session (falling back to retrying
+        exhausted sources, then to every source if the planned ones are
+        unusable).
         Draw outcomes are pure functions of ``(seed, file, dest, instance,
         attempt)``, so this speculative evaluation matches the eventual
         commit exactly. Returns the successful attempt.
@@ -334,20 +350,22 @@ class Runtime:
         attempt = 0
         while faults.transfer_fails(file_id, node, instance, attempt):
             _tct, kind, src, start, duration, res = opt
-            for ov in res:
-                ov.reserve(start, duration, tag=f"xfail:{file_id}->{node}")
+            tag = f"xfail:{file_id}->{node}"
+            for tl in res:
+                log.append((tl, tl.reserve(start, duration, tag)))
             failed.append(
                 (file_id, size, kind, src, start, start + duration, attempt)
             )
             tried.add((kind, src))
             floor = start + duration + faults.backoff(attempt)
             attempt += 1
-            nxt = self._best_source(file_id, node, plan, overlays, floor, tried)
+            nxt = self._best_source(file_id, sources, floor, tried)
             if nxt is None:
                 tried.clear()  # every source tried: cycle through again
-                nxt = self._best_source(file_id, node, plan, overlays, floor)
+                nxt = self._best_source(file_id, sources, floor)
             if nxt is None:  # planned source unusable: dynamic fallback
-                nxt = self._best_source(file_id, node, None, overlays, floor)
+                dynamic = self._sources(file_id, node, None)
+                nxt = self._best_source(file_id, dynamic, floor)
             assert nxt is not None  # the storage cluster never crashes
             opt = nxt
         return opt
@@ -359,7 +377,13 @@ class Runtime:
             self.platform.local_read_time(node, self.state.size_of(f))
             for f in task.files
         )
-        return read + self.platform.task_compute_time(node, task.compute_time)
+        duration = read + self.platform.task_compute_time(node, task.compute_time)
+        if duration <= _MIN_DURATION:
+            raise ValueError(
+                f"task {task.task_id} runs {duration} s on node {node}; "
+                f"executions must last over {_MIN_DURATION} s"
+            )
+        return duration
 
     def ect_bound(self, task: Task, node: int) -> Seconds:
         """A lower bound on ``evaluate(task, node, plan).ect``, for any plan.
@@ -443,62 +467,73 @@ class Runtime:
 
         Missing inputs are staged one at a time, always the file whose best
         source completes first (the paper's minimum-TCT rule); under a
-        fault model each staging runs until an attempt succeeds.
+        fault model each staging runs until an attempt succeeds. Each
+        transfer and failed attempt is reserved on the real timelines, so
+        the ones after it see it, and released again before returning; the
+        tentative keeps them, plus the execution slot, for :meth:`_commit`.
         """
-        overlays: dict[str, Overlay] = {}
+        clock = self.clock
         missing = [f for f in task.files if not self.state.has_file(node, f)]
         transfers_done = max(
             (self._avail_time(node, f) for f in task.files if f not in missing),
-            default=self.clock,
+            default=clock,
         )
         transfers: list[_Transfer] = []
         failed_attempts: list[_FailedAttempt] = []
-        remaining = list(missing)
-        while remaining:
-            pick: tuple[_Attempt, str] | None = None
-            for f in remaining:
-                opt = self._best_source(f, node, plan, overlays, self.clock)
-                if opt is None:  # planned source unusable: dynamic fallback
-                    opt = self._best_source(f, node, None, overlays, self.clock)
-                assert opt is not None  # the storage cluster never crashes
-                if pick is None or opt[0] < pick[0][0]:
-                    pick = (opt, f)
-            assert pick is not None
-            opt, f = pick
-            if self.faults is not None:
-                opt = self._retry_until_staged(
-                    f, node, plan, overlays, opt, failed_attempts
-                )
-            tct, kind, src, start, duration, res = opt
-            for ov in res:
-                ov.reserve(start, duration, tag=f"xfer:{f}->{node}")
-            transfers.append((f, kind, src, start, duration))
-            transfers_done = max(transfers_done, tct)
-            remaining.remove(f)
+        log: list[_Reservation] = []
+        try:
+            # The sources do not change while the task is evaluated: only
+            # the timelines do, and each round searches them afresh.
+            remaining = {f: self._sources(f, node, plan) for f in missing}
+            while remaining:
+                pick: tuple[_Attempt, str] | None = None
+                for f, sources in remaining.items():
+                    opt = self._best_source(f, sources, clock)
+                    if opt is None:  # planned source unusable: dynamic fallback
+                        opt = self._best_source(f, self._sources(f, node, None), clock)
+                    assert opt is not None  # the storage cluster never crashes
+                    if pick is None or opt[0] < pick[0][0]:
+                        pick = (opt, f)
+                assert pick is not None
+                opt, f = pick
+                if self.faults is not None:
+                    opt = self._retry_until_staged(
+                        f, node, remaining[f], opt, failed_attempts, log
+                    )
+                tct, kind, src, start, duration, res = opt
+                tag = f"xfer:{f}->{node}"
+                for tl in res:
+                    log.append((tl, tl.reserve(start, duration, tag)))
+                transfers.append((f, kind, src, start, duration))
+                transfers_done = max(transfers_done, tct)
+                del remaining[f]
 
-        # Execution: local read of all inputs plus CPU time, after every
-        # input file is available. Runs on the node timeline (port + CPU
-        # mutually exclusive, the paper's model) or on the dedicated CPU
-        # timeline in overlap mode.
-        exec_dur = self._exec_duration(task, node)
-        exec_tl = (
-            self.cpu_tl[node] if self.cpu_tl is not None else self.node_tl[node]
-        )
-        dest_ov = self._overlay(overlays, exec_tl)
-        exec_start = dest_ov.earliest_slot(
-            exec_dur, max(transfers_done, self.clock)
-        )
-        dest_ov.reserve(exec_start, exec_dur, tag=f"exec:{task.task_id}")
-        return _Tentative(
-            task=task,
-            node=node,
-            overlays=overlays,
-            transfers=transfers,
-            transfers_done=transfers_done,
-            exec_start=exec_start,
-            ect=exec_start + exec_dur,
-            failed_attempts=failed_attempts,
-        )
+            # Execution: local read of all inputs plus CPU time, after every
+            # input file is available. Runs on the node timeline (port + CPU
+            # mutually exclusive, the paper's model) or on the dedicated CPU
+            # timeline in overlap mode. Nothing after it searches a slot, so
+            # it is recorded without being placed.
+            exec_dur = self._exec_duration(task, node)
+            exec_tl = (
+                self.cpu_tl[node] if self.cpu_tl is not None else self.node_tl[node]
+            )
+            exec_start = exec_tl.earliest_slot(exec_dur, max(transfers_done, clock))
+            execution = Interval(
+                exec_start, exec_start + exec_dur, f"exec:{task.task_id}"
+            )
+            return _Tentative(
+                task=task,
+                node=node,
+                reservations=[*log, (exec_tl, execution)],
+                transfers=transfers,
+                transfers_done=transfers_done,
+                exec_start=exec_start,
+                ect=exec_start + exec_dur,
+                failed_attempts=failed_attempts,
+            )
+        finally:
+            for tl, iv in reversed(log):
+                tl.release(iv)
 
     # -- committing ---------------------------------------------------------------------
     def _commit(
@@ -534,8 +569,8 @@ class Runtime:
                 on_evict=lambda fid: self._on_evict(node, fid),
             )
 
-        for ov in tent.overlays.values():
-            ov.commit()
+        for tl, iv in tent.reservations:
+            tl.reserve(iv.start, iv.duration, iv.tag)
         if self.faults is not None:
             self._commit_fault_accounting(tent)
         for f, kind, src, start, duration in tent.transfers:
@@ -697,16 +732,14 @@ class Runtime:
             )
         except CacheFullError:
             return  # skip the push rather than fail the run
-        overlays: dict[str, Overlay] = {}
-        best = self._best_source(file_id, dest, None, overlays, self.clock)
+        sources = self._sources(file_id, dest, None)
+        best = self._best_source(file_id, sources, self.clock)
         assert best is not None  # the storage cluster never crashes
         tct, kind, src, start, duration, res = best
         if self.faults is not None and tct > self.faults.crash_time(dest):
             return  # push would outlive the destination: skip it
-        for ov in res:
-            ov.reserve(start, duration, tag=f"push:{file_id}->{dest}")
-        for ov in overlays.values():
-            ov.commit()
+        for tl in res:
+            tl.reserve(start, duration, tag=f"push:{file_id}->{dest}")
         self.state.place(dest, file_id, now=tct)
         self._avail[(dest, file_id)] = tct
         if kind == "remote":
@@ -741,7 +774,7 @@ class Runtime:
             victim_order = _size_ascending
 
         start_time = self.clock
-        work_before = (self.candidates, self.evaluations)
+        work_before = (self.candidates, self.evaluations, self.slot_searches)
         failed: list[str] = []
         if self.faults is not None:
             self._apply_timed_faults(victim_order)
@@ -837,6 +870,9 @@ class Runtime:
         if telemetry.enabled:
             telemetry.count("runtime/candidates", self.candidates - work_before[0])
             telemetry.count("runtime/evaluations", self.evaluations - work_before[1])
+            telemetry.count(
+                "runtime/slot_searches", self.slot_searches - work_before[2]
+            )
         return ExecutionResult(
             start_time=start_time,
             makespan=makespan,

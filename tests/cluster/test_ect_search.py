@@ -1,19 +1,26 @@
-"""The runtime's bound-ordered least-ECT search against evaluating everything.
+"""The runtime's least-ECT search and ECT evaluation against references.
 
 ``Runtime._least_ect`` evaluates candidates in order of
-:meth:`Runtime.ect_bound` and skips those that provably cannot win. On small
-random problems covering every runtime feature (replication on and off,
-disk pressure, IP staging plans, overlapped I/O, FIFO ordering, candidate
-limits, slowdowns, transfer failures and crashes), every search is checked
-at its commit point against a brute-force ``min`` over every candidate's
-evaluation, and every candidate's bound against its evaluated ECT.
+:meth:`Runtime.ect_bound` and skips those that provably cannot win.
+``Runtime.evaluate`` places a candidate's tentative reservations on the real
+timelines and releases them before it returns. On small random problems
+covering every runtime feature (replication on and off, disk pressure, IP
+staging plans, overlapped I/O, FIFO ordering, candidate limits, slowdowns,
+transfer failures and crashes), every search is checked at its commit point
+against a brute-force ``min`` over every candidate's evaluation, every
+candidate's bound against its evaluated ECT, and every evaluation against
+the overlay-based reference in ``overlay_reference.py``. Each evaluation
+must also leave every timeline exactly as it found it, including when a
+reservation fails midway.
 """
 
 import contextlib
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import Batch, FileInfo, Task
@@ -25,12 +32,17 @@ from repro.cluster import (
     Runtime,
     StagingPlan,
     StorageNode,
+    Timeline,
+    runtime,
 )
 from repro.cluster.platform import osc_xio
 from repro.core.driver import run_batch
 from repro.faults import FaultModel, FaultSpec, LinkSlowdown, NodeCrash
 from repro.obs.core import telemetry
 from repro.workloads import generate_image_batch
+
+from . import overlay_reference
+from .test_gantt import contents
 
 
 def brute_force_least_ect(rt, pairs, plan):
@@ -51,6 +63,64 @@ def outcome(tent):
     )
 
 
+def timelines(rt):
+    shared = [rt.link_tl] if rt.link_tl is not None else []
+    return [*rt.node_tl, *(rt.cpu_tl or ()), *rt.storage_tl, *shared]
+
+
+def snapshot(rt):
+    """Every timeline's intervals, both float lists and live NumPy prefix."""
+    return [(tl.name, contents(tl)) for tl in timelines(rt)]
+
+
+def reservations(tent):
+    """The tentative's reservations per timeline name, in placement order."""
+    out = {}
+    for tl, iv in tent.reservations:
+        out.setdefault(tl.name, []).append((iv.start, iv.end, iv.tag))
+    return out
+
+
+class InjectedFailure(Exception):
+    pass
+
+
+def checked_evaluate(rt, task, node, plan, fail_at):
+    """``rt.evaluate``, checked against the overlay-based reference.
+
+    Then evaluates again with the ``fail_at``-th reservation (modulo the
+    number the evaluation places) raising, and checks that the timelines
+    are restored either way.
+    """
+    before = snapshot(rt)
+    want = overlay_reference.evaluate(rt, task, node, plan)
+    got = rt.evaluate(task, node, plan)
+    assert snapshot(rt) == before
+    assert (
+        got.transfers,
+        got.failed_attempts,
+        got.transfers_done,
+        got.exec_start,
+        got.ect,
+        reservations(got),
+    ) == want
+    placed = len(got.reservations) - 1  # the execution is recorded, not placed
+    if placed:
+        reserve = Timeline.reserve
+        calls = itertools.count()
+
+        def failing(tl, *args, **kwargs):
+            if next(calls) == fail_at % placed:
+                raise InjectedFailure
+            return reserve(tl, *args, **kwargs)
+
+        with mock.patch.object(Timeline, "reserve", failing):
+            with pytest.raises(InjectedFailure):
+                rt.evaluate(task, node, plan)
+        assert snapshot(rt) == before
+    return got
+
+
 @contextlib.contextmanager
 def checked_searches():
     """Patch ``Runtime._least_ect`` to check every search it runs.
@@ -59,11 +129,13 @@ def checked_searches():
     """
     search = Runtime._least_ect
     sizes = []
+    evaluations = itertools.count()
 
     def checked(rt, pairs, plan):
         got = search(rt, pairs, plan)
         for task, node in pairs:
-            assert rt.ect_bound(task, node) <= rt.evaluate(task, node, plan).ect
+            tent = checked_evaluate(rt, task, node, plan, next(evaluations))
+            assert rt.ect_bound(task, node) <= tent.ect
         assert outcome(got) == outcome(brute_force_least_ect(rt, pairs, plan))
         sizes.append(len(pairs))
         return got
@@ -199,25 +271,56 @@ def test_search_matches_brute_force(prob):
     assert rt.evaluations <= rt.candidates
 
 
-def test_bound_allows_eps_overlap():
-    # The port's only gap before t=0.03 is 0.9e-9 shorter than the 0.01 s
-    # transfer; is_free's _EPS tolerance still fits the transfer there, so
-    # the bound must count that gap. Times stay small so the relative
-    # rounding slack does not cover the difference.
-    files = {"f0": FileInfo("f0", 1.0, 0)}
-    task = Task("t0", ("f0",), 1.0)
+def one_task_runtime(size_mb, compute_s):
+    files = {"f0": FileInfo("f0", size_mb, 0)}
+    task = Task("t0", ("f0",), compute_s)
     platform = Platform(
         compute_nodes=(ComputeNode(0),),
         storage_nodes=(StorageNode(0, disk_bw=100.0),),
         storage_network_bw=1000.0,
         compute_network_bw=1000.0,
     )
-    rt = Runtime(platform, ClusterState.initial(platform, Batch([task], files)))
+    state = ClusterState.initial(platform, Batch([task], files))
+    return Runtime(platform, state), task
+
+
+def test_bound_allows_eps_overlap():
+    # The port's only gap before t=0.03 is 0.9e-9 shorter than the 0.01 s
+    # transfer; is_free's _EPS tolerance still fits the transfer there, so
+    # the bound must count that gap. Times stay small so the relative
+    # rounding slack does not cover the difference.
+    rt, task = one_task_runtime(size_mb=1.0, compute_s=1.0)
     rt.node_tl[0].reserve(0.0, 0.01)
     rt.node_tl[0].reserve(0.02 - 0.9e-9, 0.01)
     tent = rt.evaluate(task, 0)
     assert [start for *_, start, _duration in tent.transfers] == [0.01]
     assert rt.ect_bound(task, 0) <= tent.ect
+
+
+class TestGanttTolerance:
+    """Transfers and executions must last longer than ``2 * _EPS``."""
+
+    def test_short_query_is_where_overlay_and_timeline_differ(self):
+        # A zero-length query at the start of an adjacent tentative
+        # reservation: the overlay lets it start there, the timeline
+        # holding the same reservation does not.
+        tl = Timeline("t")
+        ov = overlay_reference.Overlay(tl)
+        ov.reserve(1.0, 1.0)
+        assert ov.earliest_slot(0.0, 1.0) == 1.0
+        tl.reserve(1.0, 1.0)
+        assert tl.earliest_slot(0.0, 1.0) == 2.0
+
+    def test_short_transfer_rejected(self):
+        rt, task = one_task_runtime(size_mb=1e-9, compute_s=1.0)
+        with pytest.raises(ValueError, match="transfers must last"):
+            rt.evaluate(task, 0)
+
+    def test_short_execution_rejected(self):
+        rt, task = one_task_runtime(size_mb=1e-9, compute_s=0.0)
+        rt.state.place(0, "f0")
+        with pytest.raises(ValueError, match="executions must last"):
+            rt.evaluate(task, 0)
 
 
 # -- work counters -----------------------------------------------------------------
@@ -250,10 +353,26 @@ class TestCounters:
         counters = golden_run(telemetry_on=True).telemetry["counters"]
         assert counters["runtime/candidates"] == 63.0
         assert counters["runtime/evaluations"] == 41.0
+        # One common-slot search per (file, source) per min-TCT round of
+        # every evaluation.
+        assert counters["runtime/slot_searches"] == 3213.0
+
+    def test_slot_searches_count_every_common_slot_call(self):
+        calls = []
+        search = runtime.earliest_common_slot
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        with mock.patch.object(runtime, "earliest_common_slot", counted):
+            counters = golden_run(telemetry_on=True).telemetry["counters"]
+        assert counters["runtime/slot_searches"] == len(calls)
 
     def test_counters_are_decision_neutral(self):
-        # The bound-ordered search commits exactly what evaluating every
-        # candidate commits, with telemetry on or off.
+        # The counters only accumulate: the bound-ordered search commits
+        # exactly what evaluating every candidate commits, with telemetry
+        # on or off.
         with_counters = records(golden_run(telemetry_on=True))
         assert records(golden_run()) == with_counters
         with mock.patch.object(

@@ -1,9 +1,9 @@
-"""Unit tests for Gantt-chart timelines, overlays and common-slot search."""
+"""Unit tests for Gantt-chart timelines, releases and common-slot search."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Interval, Overlay, Timeline, earliest_common_slot
+from repro.cluster import Interval, Timeline, earliest_common_slot
 from repro.cluster.gantt import _SCAN_VECTOR_MIN
 
 
@@ -105,10 +105,6 @@ class TestTimeline:
         tl.reserve(2.0, 0.0)
         tl.reserve(4.0, 1.0)
         assert tl.earliest_slot(3.0) == 1.0
-        ov = Overlay(tl)
-        ov.reserve(2.5, 0.0)
-        assert not ov.virtual
-        assert ov.earliest_slot(3.0) == 1.0
 
     def test_free_time_end(self):
         tl = Timeline("t")
@@ -122,47 +118,87 @@ class TestTimeline:
         assert tl.free_time_end(0.0, 0.0, 3.0) == 3.0
 
 
-class TestOverlay:
-    def test_virtual_blocks_slot(self):
+class TestRelease:
+    def test_release_frees_the_slot(self):
         tl = Timeline("t")
-        ov = Overlay(tl)
-        ov.reserve(0.0, 2.0)
-        assert ov.earliest_slot(1.0) == 2.0
-        # base is untouched
+        iv = tl.reserve(0.0, 2.0)
+        assert tl.earliest_slot(1.0) == 2.0
+        tl.release(iv)
         assert tl.earliest_slot(1.0) == 0.0
+        assert len(tl) == 0
 
-    def test_combines_base_and_virtual(self):
+    def test_tentative_next_to_base(self):
         tl = Timeline("t")
         tl.reserve(0.0, 1.0)
-        ov = Overlay(tl)
-        ov.reserve(1.0, 1.0)
-        assert ov.earliest_slot(1.0) == 2.0
+        iv = tl.reserve(1.0, 1.0)
+        assert tl.earliest_slot(1.0) == 2.0
+        tl.release(iv)
+        assert tl.earliest_slot(1.0) == 1.0
 
-    def test_gap_between_base_and_virtual(self):
+    def test_gap_between_base_and_tentative(self):
         tl = Timeline("t")
         tl.reserve(0.0, 1.0)
         tl.reserve(5.0, 1.0)
-        ov = Overlay(tl)
-        ov.reserve(1.0, 1.0)
-        assert ov.earliest_slot(2.0) == 2.0  # gap [2,5)
-        assert ov.earliest_slot(4.0) == 6.0
+        iv = tl.reserve(1.0, 1.0)
+        assert tl.earliest_slot(2.0) == 2.0  # gap [2,5)
+        assert tl.earliest_slot(4.0) == 6.0
+        tl.release(iv)
+        assert tl.earliest_slot(4.0) == 1.0
 
-    def test_conflicting_virtual_rejected(self):
+    def test_conflict_rejected_until_released(self):
         tl = Timeline("t")
-        ov = Overlay(tl)
-        ov.reserve(0.0, 2.0)
+        iv = tl.reserve(0.0, 2.0)
         with pytest.raises(ValueError):
-            ov.reserve(1.0, 1.0)
+            tl.reserve(1.0, 1.0)
+        tl.release(iv)
+        tl.reserve(1.0, 1.0)
+        assert len(tl) == 1
 
-    def test_commit_writes_through(self):
+    def test_release_of_unreserved_interval_rejected(self):
         tl = Timeline("t")
-        ov = Overlay(tl)
-        ov.reserve(0.0, 2.0, tag="a")
-        ov.reserve(3.0, 1.0, tag="b")
-        ov.commit()
-        assert len(tl) == 2
-        assert not ov.virtual
-        assert not tl.is_free(0.5, 1.0)
+        iv = tl.reserve(0.0, 1.0)
+        with pytest.raises(ValueError):
+            tl.release(Interval(2.0, 3.0))
+        tl.release(iv)
+        with pytest.raises(ValueError):
+            tl.release(iv)  # already released
+
+    def test_zero_length_release_does_nothing(self):
+        tl = Timeline("t")
+        tl.reserve(0.0, 10.0)
+        tl.release(tl.reserve(5.0, 0.0))  # never stored
+        assert len(tl) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_release_leaves_the_survivors(self, data):
+        # Past 64 reservations the NumPy mirrors have been regrown.
+        ivs = data.draw(spans(max_intervals=80))
+        order = data.draw(st.permutations(range(len(ivs))))
+        released = data.draw(st.permutations(range(len(ivs))))
+        released = released[: data.draw(st.integers(0, len(ivs)))]
+        tl = Timeline("r")
+        made = {
+            k: tl.reserve(ivs[k][0], ivs[k][1] - ivs[k][0], f"{k}") for k in order
+        }
+        for k in released:
+            tl.release(made[k])
+        survivors = Timeline("r")
+        for k, (start, end) in enumerate(ivs):
+            if k not in released:
+                survivors.reserve(start, end - start, f"{k}")
+        assert contents(tl) == contents(survivors)
+
+
+def contents(tl):
+    """A timeline's intervals, both float lists and live NumPy prefix."""
+    return (
+        [(iv.start, iv.end, iv.tag) for iv in tl.intervals],
+        list(tl._starts),
+        list(tl._ends),
+        tl._starts_a[: len(tl)].tolist(),
+        tl._ends_a[: len(tl)].tolist(),
+    )
 
 
 class TestCommonSlot:
@@ -196,47 +232,58 @@ class TestCommonSlot:
     def test_empty_resources(self):
         assert earliest_common_slot([], 1.0, not_before=3.0) == 3.0
 
-    def test_with_overlays(self):
+    def test_with_tentative_reservation(self):
         a = Timeline("a")
-        ov = Overlay(a)
-        ov.reserve(0.0, 5.0)
+        tentative = a.reserve(0.0, 5.0)
         b = Timeline("b")
         b.reserve(5.0, 1.0)
-        assert earliest_common_slot([ov, b], 1.0) == 6.0
+        assert earliest_common_slot([a, b], 1.0) == 6.0
+        a.release(tentative)
+        assert earliest_common_slot([a, b], 1.0) == 0.0
 
 
 # -- property: slot search against a brute-force scan ----------------------------
 @st.composite
-def resource(draw, min_intervals=0, max_intervals=12, gaps=st.integers(0, 3)):
-    """A Timeline, or an Overlay over one, with integer-endpoint reservations.
+def spans(draw, min_intervals=0, max_intervals=12, gaps=st.integers(0, 3)):
+    """Disjoint integer ``(start, end)`` spans in increasing order.
 
-    Returns ``(resource, busy)``: ``busy`` lists every ``(start, end)`` the
-    resource must treat as occupied, base and virtual alike; a zero-length
-    one occupies nothing. Reservations are made in a random order so
-    out-of-order inserts are exercised.
+    A gap of 0 makes a span adjacent to the previous one; a zero-length
+    span occupies no time.
     """
     n = draw(st.integers(min_intervals, max_intervals))
-    busy = []
+    out = []
     t = 0
     for _ in range(n):
-        t += draw(gaps)  # 0 = adjacent to the previous one
-        length = draw(st.integers(0, 4))  # 0 occupies no time
-        busy.append((t, t + length))
+        t += draw(gaps)
+        length = draw(st.integers(0, 4))
+        out.append((t, t + length))
         t += length
-    overlay = draw(st.booleans())
-    virtual = [overlay and draw(st.booleans()) for _ in busy]
-    order = draw(st.permutations(range(n)))
+    return out
+
+
+@st.composite
+def resource(draw, min_intervals=0, max_intervals=12, gaps=st.integers(0, 3)):
+    """A Timeline with integer-endpoint reservations, some then released.
+
+    Returns ``(timeline, busy)``: ``busy`` lists every ``(start, end)`` the
+    timeline must treat as occupied. Reservations are made in a random
+    order, so out-of-order inserts are exercised. Up to about a quarter
+    more are made among them and released again in a random order, as an
+    ECT evaluation does with its tentative reservations, so queries also
+    run on timelines that releases have shifted.
+    """
+    kept = draw(st.integers(min_intervals, max_intervals))
+    extra = draw(st.integers(0, max(3, kept // 4)))
+    ivs = draw(spans(kept + extra, kept + extra, gaps))
+    released = draw(st.permutations(range(kept + extra)))[:extra]
     tl = Timeline("r")
-    for k in order:
-        if not virtual[k]:
-            tl.reserve(busy[k][0], busy[k][1] - busy[k][0])
-    if not overlay:
-        return tl, busy
-    ov = Overlay(tl)
-    for k in order:
-        if virtual[k]:
-            ov.reserve(busy[k][0], busy[k][1] - busy[k][0])
-    return ov, busy
+    made = {
+        k: tl.reserve(ivs[k][0], ivs[k][1] - ivs[k][0])
+        for k in draw(st.permutations(range(kept + extra)))
+    }
+    for k in released:
+        tl.release(made[k])
+    return tl, [iv for k, iv in enumerate(ivs) if k not in released]
 
 
 def brute_force_slot(busy, duration, not_before):

@@ -121,6 +121,7 @@ class TestCommands:
         assert "pair_evaluations" in out
         assert "runtime ECT search work" in out
         assert "evaluations" in out
+        assert "slot_searches" in out
 
     def test_figure_fig5a_with_csv(self, tmp_path, capsys):
         csv_file = tmp_path / "fig.csv"
