@@ -1,0 +1,169 @@
+#!/usr/bin/env python
+"""Check that two source trees make the same scheduling decisions.
+
+Usage, from the repository root::
+
+    python3 benchmarks/compare_decisions.py --base ../parent --change . \\
+        --workload disk --seed 1
+
+Each tree is a checkout of this repository. For each tree, a fresh
+interpreter with ``PYTHONHASHSEED=0`` (as perfbench pins it) imports
+``repro`` from the tree's ``src/`` and builds the perfbench workload's jobs
+from the seed with the tree's own ``perfbench/bench_workloads.py``. It then
+runs every job once and records every batch the job ran: each
+``TaskRecord`` in commit order, the batch's ``TransferStats`` and fault
+statistics, and for an online session also each job record and the
+session's totals. Floats are compared by ``repr``, so a difference in the
+last bit counts.
+
+The report goes to standard output. The exit status is 0 when every job
+matches, 1 when any differs and 2 when a tree cannot be run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any
+
+#: Differences printed per job; the rest are counted.
+SHOWN_PER_JOB = 5
+
+# Runs in the tree under test: prints one JSON line per job, each the list
+# of the batches that job ran, and its result's own fields.
+_CHILD = r"""
+import dataclasses, json, sys
+src, perfbench, workload, seed = sys.argv[1:5]
+sys.path[:0] = [src, perfbench]
+import repro
+from pathlib import Path
+if Path(repro.__file__).resolve().parent != Path(src).resolve() / "repro":
+    sys.exit(f"repro imported from {repro.__file__}, not {src}")
+import bench_workloads
+from repro.core import driver
+from repro.online import session
+
+def fields(obj):
+    if obj is None:
+        return None
+    return {f.name: repr(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+def batch(result):
+    return {
+        "records": [
+            [r.task_id, r.node, repr(r.transfers_done), repr(r.exec_start),
+             repr(r.completion)]
+            for sb in result.sub_batches
+            for r in sb.execution.records
+        ],
+        "failed_tasks": [
+            t for sb in result.sub_batches for t in sb.execution.failed_tasks
+        ],
+        "makespan": repr(result.makespan),
+        "stats": fields(result.stats),
+        "fault_stats": fields(result.fault_stats),
+    }
+
+batches = []
+def capturing(run_batch):
+    def run(*args, **kwargs):
+        result = run_batch(*args, **kwargs)
+        batches.append(batch(result))
+        return result
+    return run
+# bench_workloads looks driver.run_batch up at call time; the online
+# session holds its own reference.
+driver.run_batch = capturing(driver.run_batch)
+session.run_batch = capturing(session.run_batch)
+
+for job in bench_workloads.WORKLOADS[workload].build(int(seed)):
+    batches.clear()
+    result = job.run(False)
+    out = {"batches": list(batches)}
+    if hasattr(result, "jobs"):  # an online session's StreamResult
+        out["jobs"] = [fields(j) for j in result.jobs]
+        out["stats"] = fields(result.stats)
+        out["fault_stats"] = fields(result.fault_stats)
+    print(json.dumps(out))
+"""
+
+
+def run_tree(tree: Path, workload: str, seed: int) -> list[Any]:
+    """Every job's decisions in ``tree``, in job order."""
+    src, perfbench = tree / "src", tree / "perfbench"
+    if not (src / "repro" / "__init__.py").is_file():
+        raise RuntimeError(f"no program source at {src}")
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src), str(perfbench), workload,
+         str(seed)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if out.returncode != 0:
+        raise RuntimeError(f"{tree}: exit {out.returncode}\n{out.stderr}")
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def differences(base: Any, change: Any, path: str = "") -> list[str]:
+    """Where two decoded JSON values differ, one line per difference."""
+    if isinstance(base, dict) and isinstance(change, dict):
+        found = []
+        for key in sorted(base.keys() | change.keys()):
+            if key not in change:
+                found.append(f"{path}.{key}: only in base")
+            elif key not in base:
+                found.append(f"{path}.{key}: only in change")
+            else:
+                found += differences(base[key], change[key], f"{path}.{key}")
+        return found
+    if isinstance(base, list) and isinstance(change, list):
+        found = []
+        for i, (b, c) in enumerate(zip(base, change)):
+            found += differences(b, c, f"{path}[{i}]")
+        if len(base) != len(change):
+            found.append(f"{path}: length {len(base)} in base, {len(change)} in change")
+        return found
+    return [] if base == change else [f"{path}: {base!r} in base, {change!r} in change"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    try:
+        base = run_tree(args.base.resolve(), args.workload, args.seed)
+        change = run_tree(args.change.resolve(), args.workload, args.seed)
+    except RuntimeError as exc:
+        print(f"compare_decisions: {exc}")
+        return 2
+    differing = 0
+    for i, (b, c) in enumerate(zip(base, change)):
+        found = differences(b, c, f"job[{i}]")
+        if found:
+            differing += 1
+            for line in found[:SHOWN_PER_JOB]:
+                print(line)
+            if len(found) > SHOWN_PER_JOB:
+                print(f"job[{i}]: {len(found) - SHOWN_PER_JOB} more differences")
+    if len(base) != len(change):
+        print(f"{len(base)} jobs in base, {len(change)} in change")
+        differing += 1
+    tasks = sum(len(b["records"]) for job in base for b in job["batches"])
+    verdict = "identical" if not differing else f"{differing} differ"
+    print(
+        f"{args.workload} seed {args.seed}: {len(base)} jobs, {tasks} task "
+        f"records: {verdict}"
+    )
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

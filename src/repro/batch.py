@@ -10,6 +10,7 @@ characterise workloads (high / medium / low overlap in Section 7).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
@@ -29,8 +30,11 @@ class FileInfo:
     storage_node: int
 
     def __post_init__(self):
-        if self.size_mb <= 0:
-            raise ValueError(f"file {self.file_id}: size must be positive")
+        if not (math.isfinite(self.size_mb) and self.size_mb > 0):
+            raise ValueError(
+                f"file {self.file_id}: size must be positive and finite, "
+                f"got {self.size_mb!r}"
+            )
         if self.storage_node < 0:
             raise ValueError(f"file {self.file_id}: bad storage node")
 
@@ -52,8 +56,11 @@ class Task:
             raise ValueError(f"task {self.task_id}: needs at least one file")
         if len(set(self.files)) != len(self.files):
             raise ValueError(f"task {self.task_id}: duplicate files")
-        if self.compute_time < 0:
-            raise ValueError(f"task {self.task_id}: negative compute time")
+        if not (math.isfinite(self.compute_time) and self.compute_time >= 0):
+            raise ValueError(
+                f"task {self.task_id}: compute time must be non-negative and "
+                f"finite, got {self.compute_time!r}"
+            )
 
 
 class Batch:

@@ -20,7 +20,10 @@ inter-cluster link (when present):
 * The least-ECT search evaluates candidates in order of a cheap lower bound
   on their ECT (:meth:`Runtime.ect_bound`) and stops once no remaining
   candidate can beat the best found, so it picks exactly the task an
-  evaluation of every candidate would.
+  evaluation of every candidate would. Candidates that differ only in the
+  task id (same node, same ordered inputs, same compute time) are bounded
+  and evaluated once, and within one min-TCT round of an evaluation,
+  identical slot queries share one search.
 
 Single-port model: a transfer occupies both endpoints' timelines; a compute
 node's timeline also carries task execution, so no file is staged on a node
@@ -91,10 +94,12 @@ class StagingPlan:
 #: One place a file can come from, with what costing a transfer from it
 #: needs: (kind, source_node, timelines the transfer occupies, bandwidth,
 #: time the source's copy is ready).
-_Source = tuple[str, int | None, list[Timeline], float, float]
+_Source = tuple[str, int | None, tuple[Timeline, ...], float, float]
 #: One costed transfer attempt: (tct, kind, source_node, start, duration,
 #: timelines it occupies).
-_Attempt = tuple[float, str, int | None, float, float, list[Timeline]]
+_Attempt = tuple[float, str, int | None, float, float, tuple[Timeline, ...]]
+#: One common-slot query: (timelines, duration, not_before).
+_SlotQuery = tuple[tuple[Timeline, ...], float, float]
 #: A reservation placed on a timeline.
 _Reservation = tuple[Timeline, Interval]
 #: A staged input: (file_id, kind, source_node, start, duration).
@@ -106,6 +111,12 @@ _FailedAttempt = tuple[str, float, str, int | None, float, float, int]
 #: Relative slack of :meth:`Runtime.ect_bound` that absorbs the rounding of
 #: its gap walk and of ``is_free``'s ``_EPS`` comparisons.
 _BOUND_REL_SLACK = 1e-9
+
+#: The least-ECT search's work counters: ``Runtime`` attributes, reported
+#: per :meth:`Runtime.execute` call as ``runtime/<name>`` telemetry counters.
+_WORK_COUNTERS = (
+    "candidates", "duplicates", "evaluations", "slot_searches", "slot_reuses"
+)
 
 #: Every transfer and execution must last longer than this. Then
 #: ``Timeline.earliest_slot`` returns the first candidate start that no
@@ -209,11 +220,15 @@ class Runtime:
         # probe's ready-queue gauge costs only integer arithmetic.
         self._ready_count: int = 0
         # Work of the least-ECT search over this runtime's life: (task,
-        # node) pairs whose ECT bound it computed, pairs it evaluated, and
-        # the common-slot searches that costed their transfers.
+        # node) pairs it was given, pairs skipped as copies of an earlier
+        # pair of the same search, pairs it evaluated, the common-slot
+        # searches that costed their transfers, and the slot queries
+        # answered by an identical query earlier in the same round.
         self.candidates = 0
+        self.duplicates = 0
         self.evaluations = 0
         self.slot_searches = 0
+        self.slot_reuses = 0
 
     # -- resource helpers -------------------------------------------------------
     def _avail_time(self, node: int, file_id: str) -> Seconds:
@@ -257,16 +272,17 @@ class Runtime:
         size = self.state.size_of(file_id)
         sources: list[_Source] = []
         for kind, src in self._sources_for(file_id, dest, plan):
+            res: tuple[Timeline, ...]
             if kind == "remote":
                 storage = self.state.storage_node_of(file_id)
-                res = [dest_tl, self.storage_tl[storage]]
+                res = (dest_tl, self.storage_tl[storage])
                 if self.link_tl is not None:
-                    res.append(self.link_tl)
+                    res += (self.link_tl,)
                 bw = self.platform.remote_bandwidth(storage)
                 ready = self.clock
             else:
                 assert src is not None
-                res = [dest_tl, self.node_tl[src]]
+                res = (dest_tl, self.node_tl[src])
                 bw = self.platform.replication_bandwidth
                 ready = self._avail_time(src, file_id)
             if size / bw <= _MIN_DURATION:
@@ -283,6 +299,7 @@ class Runtime:
         file_id: str,
         sources: Sequence[_Source],
         floor: Seconds,
+        slots: dict[_SlotQuery, Seconds],
         exclude: AbstractSet[tuple[str, int | None]] = frozenset(),
     ) -> _Attempt | None:
         """Min-TCT transfer of ``file_id`` from one of ``sources``.
@@ -294,6 +311,11 @@ class Runtime:
         tried. ``None`` means every source was excluded or
         crash-unreachable, which takes a fault model: the storage cluster
         never crashes.
+
+        ``slots`` memoises ``earliest_common_slot`` by its arguments. The
+        caller must reserve nothing while one memo is in use, so an answer
+        stays valid for as long as the memo lives; a caller that reserves
+        between calls passes a fresh one to each.
         """
         faults = self.faults
         size = self.state.size_of(file_id)
@@ -309,8 +331,14 @@ class Runtime:
                 # sampled at the transfer's earliest possible start
                 # (deterministic even though the actual slot may land later).
                 duration = size * faults.slowdown_factor(kind, not_before) / bw
-            self.slot_searches += 1
-            start = earliest_common_slot(res, duration, not_before)
+            query = (res, duration, not_before)
+            known = slots.get(query)
+            if known is None:
+                self.slot_searches += 1
+                start = slots[query] = earliest_common_slot(res, duration, not_before)
+            else:
+                self.slot_reuses += 1
+                start = known
             tct = start + duration
             if faults is not None and kind == "replica":
                 assert src is not None
@@ -359,13 +387,13 @@ class Runtime:
             tried.add((kind, src))
             floor = start + duration + faults.backoff(attempt)
             attempt += 1
-            nxt = self._best_source(file_id, sources, floor, tried)
+            nxt = self._best_source(file_id, sources, floor, {}, tried)
             if nxt is None:
                 tried.clear()  # every source tried: cycle through again
-                nxt = self._best_source(file_id, sources, floor)
+                nxt = self._best_source(file_id, sources, floor, {})
             if nxt is None:  # planned source unusable: dynamic fallback
                 dynamic = self._sources(file_id, node, None)
-                nxt = self._best_source(file_id, dynamic, floor)
+                nxt = self._best_source(file_id, dynamic, floor, {})
             assert nxt is not None  # the storage cluster never crashes
             opt = nxt
         return opt
@@ -437,6 +465,14 @@ class Runtime:
     ) -> _Tentative:
         """The least-ECT tentative of ``pairs``, the first one on ties.
 
+        Pairs with the same node, ordered inputs and compute time are one
+        class: :meth:`ect_bound` and :meth:`evaluate` read nothing else of
+        a task but its id, which only tags the execution, so a class shares
+        one bound and one ECT. Only each class's first pair is bounded and
+        evaluated; the others, at later indices, cannot beat its
+        ``(ect, index)`` key. The order of the inputs is part of the class
+        because the min-TCT rule breaks ties in that order.
+
         Candidates are evaluated in ``(bound, index)`` order, and the search
         stops at the first whose key exceeds the best ``(ect, index)`` so
         far: every later candidate has a larger ECT, or an equal one at a
@@ -444,9 +480,11 @@ class Runtime:
         returns.
         """
         self.candidates += len(pairs)
-        order = sorted(
-            (self.ect_bound(task, node), i) for i, (task, node) in enumerate(pairs)
-        )
+        first: dict[tuple[int, tuple[str, ...], float], int] = {}
+        for i, (task, node) in enumerate(pairs):
+            first.setdefault((node, task.files, task.compute_time), i)
+        self.duplicates += len(pairs) - len(first)
+        order = sorted((self.ect_bound(*pairs[i]), i) for i in first.values())
         best: _Tentative | None = None
         best_key = (float("inf"), len(pairs))
         for bound, i in order:
@@ -471,6 +509,11 @@ class Runtime:
         transfer and failed attempt is reserved on the real timelines, so
         the ones after it see it, and released again before returning; the
         tentative keeps them, plus the execution slot, for :meth:`_commit`.
+
+        A round costs every remaining file before it reserves anything, so
+        its identical slot queries (files of one size on one storage node,
+        say) share one search. The memo is dropped when the round's pick is
+        staged.
         """
         clock = self.clock
         missing = [f for f in task.files if not self.state.has_file(node, f)]
@@ -487,10 +530,13 @@ class Runtime:
             remaining = {f: self._sources(f, node, plan) for f in missing}
             while remaining:
                 pick: tuple[_Attempt, str] | None = None
+                slots: dict[_SlotQuery, Seconds] = {}
                 for f, sources in remaining.items():
-                    opt = self._best_source(f, sources, clock)
+                    opt = self._best_source(f, sources, clock, slots)
                     if opt is None:  # planned source unusable: dynamic fallback
-                        opt = self._best_source(f, self._sources(f, node, None), clock)
+                        opt = self._best_source(
+                            f, self._sources(f, node, None), clock, slots
+                        )
                     assert opt is not None  # the storage cluster never crashes
                     if pick is None or opt[0] < pick[0][0]:
                         pick = (opt, f)
@@ -733,7 +779,7 @@ class Runtime:
         except CacheFullError:
             return  # skip the push rather than fail the run
         sources = self._sources(file_id, dest, None)
-        best = self._best_source(file_id, sources, self.clock)
+        best = self._best_source(file_id, sources, self.clock, {})
         assert best is not None  # the storage cluster never crashes
         tct, kind, src, start, duration, res = best
         if self.faults is not None and tct > self.faults.crash_time(dest):
@@ -774,7 +820,7 @@ class Runtime:
             victim_order = _size_ascending
 
         start_time = self.clock
-        work_before = (self.candidates, self.evaluations, self.slot_searches)
+        work_before = [getattr(self, name) for name in _WORK_COUNTERS]
         failed: list[str] = []
         if self.faults is not None:
             self._apply_timed_faults(victim_order)
@@ -868,11 +914,8 @@ class Runtime:
 
         self.clock = max(self.clock, makespan)
         if telemetry.enabled:
-            telemetry.count("runtime/candidates", self.candidates - work_before[0])
-            telemetry.count("runtime/evaluations", self.evaluations - work_before[1])
-            telemetry.count(
-                "runtime/slot_searches", self.slot_searches - work_before[2]
-            )
+            for name, before in zip(_WORK_COUNTERS, work_before):
+                telemetry.count(f"runtime/{name}", getattr(self, name) - before)
         return ExecutionResult(
             start_time=start_time,
             makespan=makespan,

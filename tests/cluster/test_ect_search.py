@@ -11,7 +11,9 @@ against a brute-force ``min`` over every candidate's evaluation, every
 candidate's bound against its evaluated ECT, and every evaluation against
 the overlay-based reference in ``overlay_reference.py``. Each evaluation
 must also leave every timeline exactly as it found it, including when a
-reservation fails midway.
+reservation fails midway. The problems include exact copies of tasks,
+which the search evaluates once per class, and near-copies, which it must
+keep apart.
 """
 
 import contextlib
@@ -125,23 +127,33 @@ def checked_evaluate(rt, task, node, plan, fail_at):
 def checked_searches():
     """Patch ``Runtime._least_ect`` to check every search it runs.
 
-    Yields the list of every checked search's candidate count.
+    Pairs with the same node, ordered inputs and compute time form a class;
+    every member must have the bound and the evaluation of the class's
+    first pair, apart from the task id. Yields two lists: every checked
+    search's candidate count and its number of classes.
     """
     search = Runtime._least_ect
     sizes = []
+    class_counts = []
     evaluations = itertools.count()
 
     def checked(rt, pairs, plan):
         got = search(rt, pairs, plan)
+        classes = {}
         for task, node in pairs:
             tent = checked_evaluate(rt, task, node, plan, next(evaluations))
-            assert rt.ect_bound(task, node) <= tent.ect
+            bound = rt.ect_bound(task, node)
+            assert bound <= tent.ect
+            shared = (bound, outcome(tent)[1:])
+            key = (node, task.files, task.compute_time)
+            assert classes.setdefault(key, shared) == shared
         assert outcome(got) == outcome(brute_force_least_ect(rt, pairs, plan))
         sizes.append(len(pairs))
+        class_counts.append(len(classes))
         return got
 
     with mock.patch.object(Runtime, "_least_ect", checked):
-        yield sizes
+        yield sizes, class_counts
 
 
 # -- random problems ---------------------------------------------------------------
@@ -169,16 +181,37 @@ def problem(draw):
         for i in range(num_files)
     }
     tasks = []
+    mapping = {}
+    # Copies of earlier tasks, usually on the same node: exact ones (same
+    # ordered inputs and compute time) share one evaluation in a search;
+    # near-copies (inputs reordered, or another compute time) must not.
+    copies = draw(st.booleans())
     for k in range(num_tasks):
-        size = int(rng.integers(1, min(4, num_files) + 1))
-        chosen = rng.choice(num_files, size=size, replace=False)
-        tasks.append(
-            Task(
+        if copies and tasks and rng.uniform() < 0.6:
+            like = tasks[int(rng.integers(0, len(tasks)))]
+            inputs, compute = like.files, like.compute_time
+            variant = int(rng.integers(0, 4))  # 0 and 1: an exact copy
+            if variant == 2:
+                inputs = inputs[::-1]
+            elif variant == 3:
+                compute += 1.0
+            task = Task(f"t{k}", inputs, compute)
+            node = (
+                mapping[like.task_id]
+                if rng.uniform() < 0.8
+                else int(rng.integers(0, num_compute))
+            )
+        else:
+            size = int(rng.integers(1, min(4, num_files) + 1))
+            chosen = rng.choice(num_files, size=size, replace=False)
+            task = Task(
                 f"t{k}",
                 tuple(f"f{i}" for i in sorted(chosen)),
                 value(0.0, 5.0, [0.0, 1.0]),
             )
-        )
+            node = int(rng.integers(0, num_compute))
+        tasks.append(task)
+        mapping[task.task_id] = node
     batch = Batch(tasks, files)
     # Disk pressure: room for the largest task's inputs and a little more.
     largest = max(sum(files[f].size_mb for f in t.files) for t in tasks)
@@ -201,7 +234,6 @@ def problem(draw):
         compute_network_bw=value(50, 1000, [100.0, 400.0]),
         shared_link_bw=value(10, 100, [50.0]) if draw(st.booleans()) else None,
     )
-    mapping = {t.task_id: int(rng.integers(0, num_compute)) for t in tasks}
     # Replicas present before the first sub-batch (unlimited disks only).
     preplaced = (
         [
@@ -264,24 +296,102 @@ def test_search_matches_brute_force(prob):
         state.place(node, f)
     faults = FaultModel(spec) if spec is not None else None
     rt = Runtime(platform, state, faults=faults, **options)
-    with checked_searches() as sizes:
+    with checked_searches() as (sizes, class_counts):
         for part in (batch.tasks[:split], batch.tasks[split:]):
             rt.execute(part, {t.task_id: mapping[t.task_id] for t in part}, plan)
     assert rt.candidates == sum(sizes)
-    assert rt.evaluations <= rt.candidates
+    assert rt.duplicates == sum(sizes) - sum(class_counts)
+    assert rt.evaluations <= sum(class_counts)
 
 
-def one_task_runtime(size_mb, compute_s):
-    files = {"f0": FileInfo("f0", size_mb, 0)}
-    task = Task("t0", ("f0",), compute_s)
+def one_node_runtime(files, tasks):
+    """A runtime over one compute node and one storage node (100 MB/s)."""
     platform = Platform(
         compute_nodes=(ComputeNode(0),),
         storage_nodes=(StorageNode(0, disk_bw=100.0),),
         storage_network_bw=1000.0,
         compute_network_bw=1000.0,
     )
-    state = ClusterState.initial(platform, Batch([task], files))
-    return Runtime(platform, state), task
+    state = ClusterState.initial(
+        platform, Batch(tasks, {f.file_id: f for f in files})
+    )
+    return Runtime(platform, state)
+
+
+def one_task_runtime(size_mb, compute_s):
+    task = Task("t0", ("f0",), compute_s)
+    return one_node_runtime([FileInfo("f0", size_mb, 0)], [task]), task
+
+
+def test_identical_tasks_share_one_evaluation():
+    # "b" and "a" differ only in their ids: the first search evaluates
+    # the first of them once and commits it; the second search, after
+    # it completes, evaluates the other.
+    tasks = [Task("b", ("f0",), 1.0), Task("a", ("f0",), 1.0)]
+    rt = one_node_runtime([FileInfo("f0", 100.0, 0)], tasks)
+    evaluate = Runtime.evaluate
+    evaluated = []
+
+    def counted(self, task, node, plan=None):
+        evaluated.append(task.task_id)
+        return evaluate(self, task, node, plan)
+
+    with mock.patch.object(Runtime, "evaluate", counted):
+        result = rt.execute(tasks, {"a": 0, "b": 0})
+    assert evaluated == ["b", "a"]
+    assert [r.task_id for r in result.records] == ["b", "a"]
+    assert (rt.candidates, rt.duplicates, rt.evaluations) == (3, 1, 2)
+
+
+def test_near_copies_are_separate_classes():
+    # The same inputs in another order can be staged in another order
+    # (min-TCT ties follow the task's file order), and another compute
+    # time gives another ECT: only "t3" copies "t0".
+    files = [FileInfo("f0", 100.0, 0), FileInfo("f1", 100.0, 0)]
+    tasks = [
+        Task("t0", ("f0", "f1"), 1.0),
+        Task("t1", ("f1", "f0"), 1.0),
+        Task("t2", ("f0", "f1"), 2.0),
+        Task("t3", ("f0", "f1"), 1.0),
+    ]
+    rt = one_node_runtime(files, tasks)
+    rt._least_ect([(t, 0) for t in tasks], None)
+    assert (rt.candidates, rt.duplicates) == (4, 1)
+    staged = [[f for f, *_ in rt.evaluate(t, 0).transfers] for t in tasks[:2]]
+    assert staged == [["f0", "f1"], ["f1", "f0"]]
+
+
+def test_identical_slot_queries_share_one_search_per_round():
+    # f0-f2 have one size and one storage node, so in every min-TCT round
+    # they ask the same slot query; f3 is shorter and staged first. Ties
+    # between f0-f2 go to the task's file order.
+    files = [FileInfo(f"f{i}", 100.0, 0) for i in range(3)]
+    files.append(FileInfo("f3", 50.0, 0))
+    task = Task("t0", ("f0", "f1", "f2", "f3"), 1.0)
+    rt = one_node_runtime(files, [task])
+    calls = []
+    search = runtime.earliest_common_slot
+
+    def counted(res, duration, not_before):
+        calls.append((tuple(tl.name for tl in res), duration, not_before))
+        return search(res, duration, not_before)
+
+    want = overlay_reference.evaluate(rt, task, 0, None)
+    with mock.patch.object(runtime, "earliest_common_slot", counted):
+        tent = rt.evaluate(task, 0)
+    assert [f for f, *_ in tent.transfers] == ["f3", "f0", "f1", "f2"]
+    query = ("compute0", "storage0")
+    # Round 1: one search for f0-f2 and one for f3; rounds 2-4: one each.
+    assert calls == [(query, 1.0, 0.0), (query, 0.5, 0.0), *[(query, 1.0, 0.0)] * 3]
+    assert (rt.slot_searches, rt.slot_reuses) == (5, 2 + 2 + 1)
+    assert (
+        tent.transfers,
+        tent.failed_attempts,
+        tent.transfers_done,
+        tent.exec_start,
+        tent.ect,
+        reservations(tent),
+    ) == want
 
 
 def test_bound_allows_eps_overlap():
@@ -348,14 +458,17 @@ class TestCounters:
 
     def test_pinned_values_on_fixed_case(self):
         # Exact values: the search is deterministic. 16 tasks on 4 nodes
-        # give 63 candidate pairs over 16 searches; evaluating every one
-        # would take 63 evaluations, the bound order skips 22.
+        # give 63 candidate pairs over 16 searches; 6 copy an earlier pair
+        # of their search, and the bound order skips 22 of the other 57.
         counters = golden_run(telemetry_on=True).telemetry["counters"]
         assert counters["runtime/candidates"] == 63.0
-        assert counters["runtime/evaluations"] == 41.0
-        # One common-slot search per (file, source) per min-TCT round of
-        # every evaluation.
-        assert counters["runtime/slot_searches"] == 3213.0
+        assert counters["runtime/duplicates"] == 6.0
+        assert counters["runtime/evaluations"] == 35.0
+        # One common-slot search per distinct (timelines, duration, start)
+        # query per min-TCT round of every evaluation; the round's repeats
+        # reuse its answer.
+        assert counters["runtime/slot_searches"] == 2165.0
+        assert counters["runtime/slot_reuses"] == 553.0
 
     def test_slot_searches_count_every_common_slot_call(self):
         calls = []

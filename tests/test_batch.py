@@ -1,5 +1,7 @@
 """Unit tests for the batch/task/file data model and sharing metrics."""
 
+import math
+
 import pytest
 
 from repro.batch import (
@@ -40,6 +42,15 @@ class TestValidation:
             Task("t", ("a", "a"), 1.0)
         with pytest.raises(ValueError):
             Task("t", ("a",), -1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        # NaN passes every ordered comparison's negation, so each check
+        # must also ask for a finite value.
+        with pytest.raises(ValueError, match="finite"):
+            FileInfo("f", value, 0)
+        with pytest.raises(ValueError, match="finite"):
+            Task("t", ("a",), value)
 
     def test_unknown_file_rejected(self):
         with pytest.raises(ValueError):

@@ -120,8 +120,8 @@ class TestCommands:
         assert "MCT mapping work" in out
         assert "pair_evaluations" in out
         assert "runtime ECT search work" in out
-        assert "evaluations" in out
-        assert "slot_searches" in out
+        for counter in ("duplicates", "evaluations", "slot_searches", "slot_reuses"):
+            assert counter in out
 
     def test_figure_fig5a_with_csv(self, tmp_path, capsys):
         csv_file = tmp_path / "fig.csv"

@@ -1,0 +1,46 @@
+"""The decision-check tool ``benchmarks/compare_decisions.py``."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "compare_decisions", ROOT / "benchmarks" / "compare_decisions.py"
+)
+compare_decisions = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_decisions)
+
+
+class TestDifferences:
+    def test_equal_values_have_none(self):
+        job = {"batches": [{"records": [["t0", 1, "0.5"]], "stats": None}]}
+        assert compare_decisions.differences(job, job) == []
+
+    def test_each_difference_is_located(self):
+        base = {"records": [["t0", 1, "0.5"], ["t1", 0, "1.0"]], "a": 1}
+        change = {"records": [["t0", 1, "0.5000000000000001"]], "b": 1}
+        assert compare_decisions.differences(base, change, "job[0]") == [
+            "job[0].a: only in base",
+            "job[0].b: only in change",
+            "job[0].records[0][2]: '0.5' in base, '0.5000000000000001' in change",
+            "job[0].records: length 2 in base, 1 in change",
+        ]
+
+
+def test_a_tree_matches_itself(capsys):
+    code = compare_decisions.main(
+        ["--base", str(ROOT), "--change", str(ROOT), "--workload", "stream",
+         "--seed", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.strip().endswith("identical")
+
+
+def test_a_tree_without_source_is_an_error(tmp_path, capsys):
+    code = compare_decisions.main(
+        ["--base", str(tmp_path), "--change", str(ROOT), "--workload", "stream",
+         "--seed", "1"]
+    )
+    assert code == 2
+    assert "no program source" in capsys.readouterr().out

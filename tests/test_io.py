@@ -62,6 +62,21 @@ class TestBatchRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             batch_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, literal",
+        [("files", "size_mb", "NaN"), ("tasks", "compute_time", "Infinity")],
+    )
+    def test_non_finite_value_in_file_rejected(
+        self, batch, tmp_path, section, key, literal
+    ):
+        # Python's json module reads the NaN and Infinity literals.
+        doc = batch_to_dict(batch)
+        doc[section][0][key] = "PLACEHOLDER"
+        p = tmp_path / "batch.json"
+        p.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+        with pytest.raises(ValueError, match="finite"):
+            load_batch(p)
+
     def test_json_is_stable(self, batch, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_batch(batch, p1)
