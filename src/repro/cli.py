@@ -84,8 +84,7 @@ import sys
 
 from . import available_schedulers, osc_osumed, osc_xio, run_batch
 from .batch import Batch, overlap_fraction, pairwise_overlap
-from .cluster import ClusterState, Runtime, render_ascii, to_chrome_trace
-from .core import make_scheduler
+from .cluster import Runtime, render_ascii, to_chrome_trace
 from .experiments import (
     ExperimentConfig,
     fig3_image_overlap,
@@ -571,7 +570,7 @@ def _cmd_run_parallel(args) -> int:
 def _cmd_run(args) -> int:
     # The parallel/cached path covers the common cell-shaped invocations;
     # trace, Gantt, saved batches, synthetic workloads and I/O-overlap runs
-    # need the in-process runtime below.
+    # need the in-process run_batch calls below.
     parallelisable = not (
         args.load
         or args.gantt
@@ -614,76 +613,33 @@ def _cmd_run(args) -> int:
         kwargs = {}
         if scheme == "ip":
             kwargs = {"time_limit": args.ip_time_limit, "mip_rel_gap": 0.05}
-        # Re-create runtime internals manually when a trace is requested so
-        # the timelines stay accessible. Fault injection needs the driver's
-        # rescheduling loop, so faulty runs go through run_batch instead
-        # (whose result keeps the runtime for --gantt/--trace).
-        if (args.gantt or args.trace) and faults is None:
-            scheduler = make_scheduler(scheme, **kwargs)
-            scheduler.reset()
-            state = ClusterState.initial(platform, batch)
-            runtime = Runtime(
-                platform,
-                state,
-                allow_replication=not args.no_replication,
-                candidate_limit=args.candidate_limit,
-                overlap_io_compute=args.overlap_io,
+        result = run_batch(
+            batch,
+            platform,
+            scheme,
+            allow_replication=not args.no_replication,
+            candidate_limit=args.candidate_limit,
+            scheduler_kwargs=kwargs,
+            overlap_io_compute=args.overlap_io,
+            faults=faults,
+        )
+        last_runtime = result.runtime
+        fs = result.fault_stats
+        if fs is not None:
+            fault_lines.append(
+                f"{scheme:14s} {fs.node_crashes} crash(es), "
+                f"{fs.transfer_failures} failed transfer(s) / "
+                f"{fs.retries} retried / {fs.failovers} re-sourced, "
+                f"{fs.tasks_rescheduled} task(s) rescheduled, "
+                f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
             )
-            policy = scheduler.eviction_policy(batch)
-            pending = [t.task_id for t in batch.tasks]
-            import time as _time
-
-            sched_s = 0.0
-            sub = 0
-            while pending:
-                t0 = _time.perf_counter()
-                plan = scheduler.next_subbatch(batch, pending, platform, state)
-                sched_s += _time.perf_counter() - t0
-                tasks = [batch.task(t) for t in plan.task_ids]
-                runtime.execute(
-                    tasks,
-                    plan.mapping,
-                    plan.staging,
-                    victim_order=lambda n, c, _p=policy, _s=state: _p.order(_s, n, c),
-                )
-                done = set(plan.task_ids)
-                pending = [t for t in pending if t not in done]
-                sub += 1
-            makespan = runtime.clock
-            stats = state.stats
-            per_task = 1000.0 * sched_s / len(batch)
-            last_runtime = runtime
-        else:
-            result = run_batch(
-                batch,
-                platform,
-                scheme,
-                allow_replication=not args.no_replication,
-                candidate_limit=args.candidate_limit,
-                scheduler_kwargs=kwargs,
-                overlap_io_compute=args.overlap_io,
-                faults=faults,
-            )
-            makespan = result.makespan
-            stats = result.stats
-            per_task = result.scheduling_ms_per_task
-            sub = result.num_sub_batches
-            if args.gantt or args.trace:
-                last_runtime = result.runtime
-            fs = result.fault_stats
-            if fs is not None:
-                fault_lines.append(
-                    f"{scheme:14s} {fs.node_crashes} crash(es), "
-                    f"{fs.transfer_failures} failed transfer(s) / "
-                    f"{fs.retries} retried / {fs.failovers} re-sourced, "
-                    f"{fs.tasks_rescheduled} task(s) rescheduled, "
-                    f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
-                )
+        stats = result.stats
         print(
-            f"{scheme:14s} {makespan:9.1f}s {per_task:14.2f} "
+            f"{scheme:14s} {result.makespan:9.1f}s "
+            f"{result.scheduling_ms_per_task:14.2f} "
             f"{stats.remote_volume_mb:10.0f} "
             f"{stats.replication_volume_mb:11.0f} "
-            f"{stats.evictions:6d} {sub:4d}"
+            f"{stats.evictions:6d} {result.num_sub_batches:4d}"
         )
 
     if fault_lines:
@@ -818,10 +774,7 @@ def _obs_config(args) -> ExperimentConfig:
     if getattr(args, "timeseries", False):
         fields["timeseries"] = True
     if getattr(args, "faults", None):
-        import json as _json
-
-        with open(args.faults) as fh:
-            fields["faults"] = _json.load(fh)
+        fields["faults"] = _load_faults(args.faults)
     fields["telemetry"] = True
     if fields.get("disk_space_mb") in ("inf", None):
         fields["disk_space_mb"] = math.inf

@@ -3,7 +3,11 @@
 Each compute node's local disk acts as a cache for staged files (Section 4).
 Files used by tasks that are currently staged or running are *pinned* and
 cannot be evicted; everything else is evictable in an order decided by an
-eviction policy (see :mod:`repro.core.eviction`).
+eviction policy (see :mod:`repro.core.eviction`). Making room for a staged
+file (:meth:`DiskCache.ensure_space`) and losing capacity to a disk fault
+(:meth:`DiskCache.shrink`) share one eviction loop, which reports each
+victim to the caller's ``on_evict``; the caller records the eviction (in
+:class:`~repro.cluster.state.TransferStats`).
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ class DiskCache:
         self.capacity_mb: MB = capacity_mb
         self._entries: dict[str, _Entry] = {}
         self._used: MB = 0.0
-        self.evictions: Count = 0
-        self.evicted_volume: MB = 0.0
 
     # -- queries ---------------------------------------------------------------
     def __contains__(self, file_id: str) -> bool:
@@ -88,14 +90,13 @@ class DiskCache:
         self._used += size_mb
 
     def remove(self, file_id: str) -> MB:
-        """Drop a file (eviction bookkeeping is the caller's job)."""
+        """Drop a file, pinned or not (a crash destroys pinned copies too).
+
+        Eviction bookkeeping is the caller's job.
+        """
         e = self._entries.pop(file_id)
         self._used -= e.size_mb
         return e.size_mb
-
-    def drop_unconditionally(self, file_id: str) -> MB:
-        """Drop a file even if pinned (node crash — the copy is destroyed)."""
-        return self.remove(file_id)
 
     def shrink(
         self,
@@ -112,19 +113,9 @@ class DiskCache:
         pinned).
         """
         self.capacity_mb = max(self.capacity_mb - lost_mb, 0.0)
-        if self._used <= self.capacity_mb + 1e-9:
-            return []
-        candidates = [f for f, e in self._entries.items() if e.pin_count == 0]
-        victims: list[str] = []
-        for f in victim_order(candidates):
-            if self._used <= self.capacity_mb + 1e-9:
-                break
-            size = self.remove(f)
-            victims.append(f)
-            self.evictions += 1
-            self.evicted_volume += size
-            if on_evict:
-                on_evict(f)
+        victims = self._evict_until(
+            lambda: self._used <= self.capacity_mb + 1e-9, victim_order, on_evict
+        )
         if self._used > self.capacity_mb + 1e-9:
             raise CacheFullError(
                 f"node {self.node_id}: disk loss leaves {self._used} MB pinned "
@@ -157,22 +148,36 @@ class DiskCache:
         first (the eviction policy). Raises :class:`CacheFullError` when even
         evicting every unpinned file is insufficient.
         """
-        if needed_mb <= self.free_mb + 1e-9:
-            return []
-        candidates = [f for f, e in self._entries.items() if e.pin_count == 0]
-        victims: list[str] = []
-        for f in victim_order(candidates):
-            if needed_mb <= self.free_mb + 1e-9:
-                break
-            size = self.remove(f)
-            victims.append(f)
-            self.evictions += 1
-            self.evicted_volume += size
-            if on_evict:
-                on_evict(f)
+        victims = self._evict_until(
+            lambda: needed_mb <= self.free_mb + 1e-9, victim_order, on_evict
+        )
         if needed_mb > self.free_mb + 1e-9:
             raise CacheFullError(
                 f"node {self.node_id}: cannot free {needed_mb} MB "
                 f"(free {self.free_mb} MB, all remaining files pinned)"
             )
+        return victims
+
+    def _evict_until(
+        self,
+        fits: Callable[[], bool],
+        victim_order: Callable[[Iterable[str]], list[str]],
+        on_evict: Callable[[str], None] | None,
+    ) -> list[str]:
+        """Remove unpinned files in ``victim_order`` until ``fits()``.
+
+        Returns the victims; the policy is not consulted when ``fits()``
+        already holds. The caller decides what a shortfall means.
+        """
+        if fits():
+            return []
+        candidates = [f for f, e in self._entries.items() if e.pin_count == 0]
+        victims: list[str] = []
+        for f in victim_order(candidates):
+            if fits():
+                break
+            self.remove(f)
+            victims.append(f)
+            if on_evict:
+                on_evict(f)
         return victims

@@ -18,8 +18,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..analysis.dims import Seconds
 
 __all__ = ["Interval", "Timeline", "earliest_common_slot"]
@@ -44,20 +42,13 @@ class Interval:
         return self.end - self.start
 
 
-#: Tail length beyond which ``earliest_slot`` switches from the Python
-#: scan to the vectorised gap search (below it, NumPy call overhead wins).
-_SCAN_VECTOR_MIN = 48
-
-
 class Timeline:
     """Busy intervals of one resource, kept sorted and non-overlapping.
 
-    Starts and ends are mirrored in parallel float lists (for bisection
-    and the Python-level scan) and in NumPy arrays grown by doubling (for
-    the vectorised long-tail scan in :meth:`earliest_slot`); both are
-    updated in place on :meth:`reserve` and :meth:`release`. All three
-    views hold the exact same floats, so query results are independent of
-    which path runs.
+    Starts and ends are mirrored in two float lists, for bisection and for
+    the walk in :meth:`earliest_slot`; :meth:`reserve` and :meth:`release`
+    update them in place with the interval list, so all three hold the
+    same floats.
 
     A reservation no longer than ``_EPS`` occupies no time under
     :meth:`is_free`'s rule and is not stored, so every stored interval is
@@ -69,8 +60,6 @@ class Timeline:
         self._intervals: list[Interval] = []
         self._starts: list[float] = []
         self._ends: list[float] = []
-        self._starts_a = np.empty(64)
-        self._ends_a = np.empty(64)
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -120,18 +109,6 @@ class Timeline:
             return t
         if t + duration <= starts[i] + _EPS:
             return t
-        if n - i > _SCAN_VECTOR_MIN:
-            # Vectorised tail scan. The candidate start before interval
-            # j is the running max of ends up to j-1 (identical to the
-            # scalar loop's ``t = max(t, nxt.end)`` bumps; ``t`` never
-            # exceeds ``ends[i]``, as ends increase); the first fitting
-            # gap wins, else the schedule's tail.
-            racc = np.maximum.accumulate(self._ends_a[i:n])
-            fits = racc[:-1] + duration <= self._starts_a[i + 1 : n] + _EPS
-            j = int(np.argmax(fits))
-            if fits[j]:
-                return float(racc[j])
-            return float(racc[-1])
         while True:
             e = ends[i]
             if e > t:
@@ -184,20 +161,6 @@ class Timeline:
         self._intervals.insert(idx, iv)
         self._starts.insert(idx, iv.start)
         self._ends.insert(idx, iv.end)
-        n = len(self._starts) - 1  # count before this insert
-        sa, ea = self._starts_a, self._ends_a
-        if n == len(sa):
-            grown = np.empty(2 * n)
-            grown[:n] = sa
-            self._starts_a = sa = grown
-            grown = np.empty(2 * n)
-            grown[:n] = ea
-            self._ends_a = ea = grown
-        if idx < n:
-            sa[idx + 1 : n + 1] = sa[idx:n]
-            ea[idx + 1 : n + 1] = ea[idx:n]
-        sa[idx] = iv.start
-        ea[idx] = iv.end
         return iv
 
     def release(self, iv: Interval) -> None:
@@ -213,10 +176,6 @@ class Timeline:
         del self._intervals[idx]
         del self._starts[idx]
         del self._ends[idx]
-        n = len(self._starts)  # count after this removal
-        if idx < n:
-            self._starts_a[idx:n] = self._starts_a[idx + 1 : n + 1]
-            self._ends_a[idx:n] = self._ends_a[idx + 1 : n + 1]
 
     def __repr__(self) -> str:
         return f"Timeline({self.name!r}, {len(self)} reservations)"

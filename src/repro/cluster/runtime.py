@@ -235,20 +235,16 @@ class Runtime:
         return self._avail.get((node, file_id), self.clock)
 
     # -- source enumeration --------------------------------------------------------
-    def _dynamic_sources(
-        self, file_id: str, dest: int
-    ) -> list[tuple[str, int | None]]:
-        """All places ``file_id`` can come from: ``(kind, source_node)``."""
-        sources: list[tuple[str, int | None]] = [("remote", None)]
-        if self.allow_replication:
-            for holder in self.state.holders(file_id):
-                if holder != dest:
-                    sources.append(("replica", holder))
-        return sources
-
     def _sources_for(
         self, file_id: str, dest: int, plan: StagingPlan | None
     ) -> list[tuple[str, int | None]]:
+        """Where ``file_id`` can come from onto ``dest``: ``(kind,
+        source_node)`` pairs.
+
+        The plan's source when the plan names one for the pair (a planned
+        replica only while its node still holds the file); otherwise the
+        storage node, then every other holder when replication is allowed.
+        """
         if plan is not None:
             planned = plan.sources.get((file_id, dest))
             if planned is not None:
@@ -259,7 +255,12 @@ class Runtime:
                 if self.state.has_file(src, file_id):
                     return [("replica", src)]
                 # Planned replica source lost (evicted): dynamic fallback.
-        return self._dynamic_sources(file_id, dest)
+        sources: list[tuple[str, int | None]] = [("remote", None)]
+        if self.allow_replication:
+            for holder in self.state.holders(file_id):
+                if holder != dest:
+                    sources.append(("replica", holder))
+        return sources
 
     def _sources(
         self, file_id: str, dest: int, plan: StagingPlan | None

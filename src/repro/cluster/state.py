@@ -153,18 +153,13 @@ class ClusterState:
         self._holders.setdefault(file_id, set()).add(node_id)
         self._holders_cache.pop(file_id, None)
 
-    def drop(self, node_id: int, file_id: str) -> None:
-        """Remove a cached copy (explicit eviction between sub-batches)."""
-        self.caches[node_id].remove(file_id)
-        self._forget_holder(node_id, file_id)
-
-    def evict(self, node_id: int, file_id: str) -> None:
-        """Drop a cached copy and record it as an eviction."""
-        self.drop(node_id, file_id)
-        self.record_eviction(self.size_of(file_id))
-
     def note_evicted(self, node_id: int, file_id: str) -> None:
-        """Bookkeeping after the cache itself removed a file on demand."""
+        """Record an eviction the node's cache has just made.
+
+        The one eviction record: :meth:`DiskCache.ensure_space` and
+        :meth:`DiskCache.shrink` remove the file and report it to their
+        ``on_evict`` callback, and every caller's callback calls this.
+        """
         self._forget_holder(node_id, file_id)
         self.record_eviction(self.size_of(file_id))
 
@@ -176,7 +171,7 @@ class ClusterState:
                 del self._holders[file_id]
             self._holders_cache.pop(file_id, None)
         if self._carryover is not None:
-            # The copy is gone (evicted, dropped or crashed away); it can no
+            # The copy is gone (evicted or crashed away); it can no
             # longer satisfy a cross-batch hit.
             self._carryover.discard((node_id, file_id))
 
@@ -194,7 +189,7 @@ class ClusterState:
         self.dead_nodes.add(node_id)
         cache = self.caches[node_id]
         for file_id in list(cache.files):
-            size = cache.drop_unconditionally(file_id)
+            size = cache.remove(file_id)
             self._forget_holder(node_id, file_id)
             lost.append((file_id, size))
         return lost

@@ -155,10 +155,11 @@ def run_batch(
         registry for the duration of the run, replays the scheduler's
         decision log (when the scheme emits one) against the executed task
         records, and attaches ``result.metrics`` (derived resource metrics,
-        Eqs. 9–13), ``result.decision_log``, ``result.telemetry`` (the
-        counters/gauges/spans snapshot) and ``result.runtime`` (for trace
-        export). Scalar metrics are also published as ``metrics/*`` gauges
-        so parallel workers' per-cell snapshots carry them.
+        Eqs. 9–13), ``result.decision_log`` and ``result.telemetry`` (the
+        counters/gauges/spans snapshot). Scalar metrics are also published
+        as ``metrics/*`` gauges so parallel workers' per-cell snapshots
+        carry them. ``result.runtime``, the executed runtime (for Gantt
+        charts and trace export), is attached on every run.
     timeseries:
         Attach simulated-time series probes (:mod:`repro.obs.timeseries`):
         samples per-node disk occupancy, eviction pressure, port busy
@@ -361,6 +362,7 @@ def _run_batch_inner(
 
     result.makespan = runtime.clock
     result.stats = state.stats
+    result.runtime = runtime
     if probe is not None:
         result.timeseries = probe.to_dict()
     if fault_model is not None:
@@ -380,7 +382,6 @@ def _run_batch_inner(
         result.metrics = metrics
         result.decision_log = decisions
         result.telemetry = tele.snapshot()
-        result.runtime = runtime
     if audit:
         # Imported lazily: repro.analysis is tooling layered on top of the
         # core scheduling/runtime packages, not a dependency of them.

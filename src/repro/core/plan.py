@@ -64,11 +64,12 @@ class BatchResult:
     audit_report: AuditReport | None = None
     # Filled by run_batch(telemetry=True): the derived resource metrics
     # (repro.obs.metrics), the scheduler decision log when the scheme emits
-    # one, the telemetry registry snapshot, and the executed runtime (for
-    # trace export / further post-hoc analysis).
+    # one, and the telemetry registry snapshot.
     metrics: RunMetrics | None = None
     decision_log: DecisionLog | None = None
     telemetry: dict[str, Any] | None = None
+    # Filled by every run_batch call: the executed runtime (for Gantt
+    # charts, trace export and further post-hoc analysis).
     runtime: Runtime | None = None
     # Filled by run_batch(faults=...): injected/recovered fault accounting.
     fault_stats: FaultStats | None = None

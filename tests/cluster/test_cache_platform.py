@@ -88,12 +88,13 @@ class TestDiskCache:
         )
         assert victims == ["f2", "f1"]
 
-    def test_eviction_counters(self):
+    def test_eviction_returns_victims_and_frees_space(self):
         c = DiskCache(0, 100.0)
         c.add("f1", 60.0)
-        c.ensure_space(80.0, victim_order=lambda x: list(x))
-        assert c.evictions == 1
-        assert c.evicted_volume == 60.0
+        c.add("f2", 10.0)
+        assert c.ensure_space(80.0, victim_order=lambda x: list(x)) == ["f1"]
+        assert c.files == ("f2",)
+        assert c.used_mb == 10.0
 
     def test_on_evict_callback(self):
         c = DiskCache(0, 100.0)
@@ -110,6 +111,64 @@ class TestDiskCache:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DiskCache(0, 0.0)
+
+
+class TestShrink:
+    """Disk-loss capacity shrinking evicts like ``ensure_space``."""
+
+    def test_victims_follow_the_policy_order(self):
+        c = DiskCache(0, 100.0)
+        for f in ("f0", "f1", "f2"):
+            c.add(f, 30.0)
+        # 90 MB in 50 MB of capacity: two files must go, largest name first.
+        victims = c.shrink(
+            50.0, victim_order=lambda cands: sorted(cands, reverse=True)
+        )
+        assert victims == ["f2", "f1"]
+        assert c.files == ("f0",)
+        assert (c.capacity_mb, c.used_mb) == (50.0, 30.0)
+
+    def test_no_eviction_when_the_files_still_fit(self):
+        c = DiskCache(0, 100.0)
+        c.add("f0", 50.0)
+        assert c.shrink(50.0, victim_order=lambda cands: list(cands)) == []
+        assert "f0" in c
+
+    def test_pinned_files_survive(self):
+        c = DiskCache(0, 100.0)
+        c.add("f0", 50.0)
+        c.add("f1", 30.0)
+        c.pin("f0")
+        # f0 would be the policy's first victim if it were offered.
+        victims = c.shrink(30.0, victim_order=lambda cands: sorted(cands))
+        assert victims == ["f1"]
+        assert "f0" in c
+        assert c.used_mb == 50.0
+
+    def test_on_evict_callback(self):
+        c = DiskCache(0, 100.0)
+        c.add("f0", 40.0)
+        c.add("f1", 40.0)
+        seen = []
+        victims = c.shrink(
+            70.0, victim_order=lambda cands: list(cands), on_evict=seen.append
+        )
+        assert seen == victims == ["f0", "f1"]
+
+    def test_pinned_data_over_the_new_capacity_raises(self):
+        c = DiskCache(0, 100.0)
+        c.add("f0", 80.0)
+        c.add("f1", 10.0)
+        c.pin("f0")
+        with pytest.raises(CacheFullError):
+            c.shrink(50.0, victim_order=lambda cands: list(cands))
+
+    def test_capacity_floors_at_zero(self):
+        c = DiskCache(0, 100.0)
+        c.add("f0", 40.0)
+        victims = c.shrink(250.0, victim_order=lambda cands: list(cands))
+        assert victims == ["f0"]
+        assert (c.capacity_mb, c.used_mb) == (0.0, 0.0)
 
 
 class TestPlatform:

@@ -71,7 +71,7 @@ def timelines(rt):
 
 
 def snapshot(rt):
-    """Every timeline's intervals, both float lists and live NumPy prefix."""
+    """Every timeline's three views: its intervals and both float lists."""
     return [(tl.name, contents(tl)) for tl in timelines(rt)]
 
 

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Interval, Timeline, earliest_common_slot
-from repro.cluster.gantt import _SCAN_VECTOR_MIN
+
+#: Reservations past ``not_before`` that make a timeline's tail "long": the
+#: walk runs past the short tails that most runtime queries see.
+LONG_TAIL = 48
 
 
 class TestInterval:
@@ -172,7 +175,6 @@ class TestRelease:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_release_leaves_the_survivors(self, data):
-        # Past 64 reservations the NumPy mirrors have been regrown.
         ivs = data.draw(spans(max_intervals=80))
         order = data.draw(st.permutations(range(len(ivs))))
         released = data.draw(st.permutations(range(len(ivs))))
@@ -191,13 +193,11 @@ class TestRelease:
 
 
 def contents(tl):
-    """A timeline's intervals, both float lists and live NumPy prefix."""
+    """A timeline's three views: its intervals and both float lists."""
     return (
         [(iv.start, iv.end, iv.tag) for iv in tl.intervals],
         list(tl._starts),
         list(tl._ends),
-        tl._starts_a[: len(tl)].tolist(),
-        tl._ends_a[: len(tl)].tolist(),
     )
 
 
@@ -317,7 +317,7 @@ class TestSlotSearchOracle:
     @given(
         resources=st.lists(
             resource(
-                min_intervals=_SCAN_VECTOR_MIN + 12,
+                min_intervals=LONG_TAIL + 12,
                 max_intervals=120,
                 # Mostly short gaps, so the first few rarely fit and the
                 # search reaches the long tail.
@@ -330,9 +330,8 @@ class TestSlotSearchOracle:
         not_before=st.integers(0, 10),
     )
     def test_long_timelines_match_brute_force(self, resources, duration, not_before):
-        # A plain Timeline here holds more than _SCAN_VECTOR_MIN
-        # reservations past not_before, so its earliest_slot takes the
-        # vectorised tail scan.
+        # A plain Timeline here holds more than LONG_TAIL reservations
+        # past not_before, so the walk can run far down the tail.
         busy = [iv for _, ivs in resources for iv in ivs]
         got = earliest_common_slot([r for r, _ in resources], duration, not_before)
         assert got == brute_force_slot(busy, duration, not_before)

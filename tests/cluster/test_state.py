@@ -17,6 +17,15 @@ def setup():
     return platform, ClusterState.initial(platform, batch)
 
 
+def evict_from_node_0(state):
+    """Make node 0's cache evict; it reports each victim to ``note_evicted``."""
+    return state.caches[0].ensure_space(
+        200.0,
+        victim_order=lambda cands: list(cands),
+        on_evict=lambda fid: state.note_evicted(0, fid),
+    )
+
+
 class TestPlacement:
     def test_initially_storage_only(self, setup):
         _, state = setup
@@ -40,14 +49,16 @@ class TestPlacement:
     def test_drop(self, setup):
         _, state = setup
         state.place(0, "a")
-        state.drop(0, "a")
-        assert state.holders("a") == frozenset()
+        state.place(1, "a")
+        assert evict_from_node_0(state) == ["a"]
+        assert state.holders("a") == frozenset({1})
         assert not state.has_file(0, "a")
+        state.check_consistency()
 
     def test_evict_records_stats(self, setup):
         _, state = setup
         state.place(0, "a")
-        state.evict(0, "a")
+        evict_from_node_0(state)
         assert state.stats.evictions == 1
         assert state.stats.evicted_volume_mb == 50.0
 

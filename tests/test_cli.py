@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+FAULT_SPEC = (
+    Path(__file__).resolve().parent.parent
+    / "examples" / "faults" / "crash-and-flaky.json"
+)
+
+
+def scheme_row(out, scheme):
+    """The run table's row for ``scheme``, without the wall-clock column."""
+    line = next(row for row in out.splitlines() if row.startswith(scheme))
+    cells = line.split()
+    return cells[:2] + cells[3:]
 
 
 class TestParser:
@@ -112,6 +125,44 @@ class TestCommands:
         assert rc == 0
         doc = json.loads(trace_file.read_text())
         assert doc["traceEvents"]
+
+    def test_run_gantt_prints_the_same_schedule(self, capsys):
+        # Disk pressure: the driver evicts between BiPartition's sub-batches.
+        args = [
+            "run", "--tasks", "40", "--disk-gb", "1.0",
+            "--schemes", "bipartition",
+        ]
+        assert main(args) == 0
+        plain = scheme_row(capsys.readouterr().out, "bipartition")
+        assert main([*args, "--gantt"]) == 0
+        out = capsys.readouterr().out
+        assert "x=transfer" in out
+        assert scheme_row(out, "bipartition") == plain
+
+    def test_run_trace_under_faults(self, tmp_path, capsys):
+        trace_file = tmp_path / "trace.json"
+        rc = main(
+            [
+                "run", "--tasks", "12", "--schemes", "bipartition",
+                "--faults", str(FAULT_SPEC), "--trace", str(trace_file),
+                "--gantt",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "fault injection:" in out
+        assert "x=transfer" in out
+        assert json.loads(trace_file.read_text())["traceEvents"]
+
+    @pytest.mark.parametrize("command", ["metrics", "profile"])
+    def test_obs_commands_validate_the_fault_spec(self, command, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"transfer_failure_rate": 2.0}))
+        with pytest.raises(SystemExit, match="invalid fault spec"):
+            main([command, "fig5b", "--tasks", "8", "--faults", str(bad)])
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="cannot read fault spec"):
+            main([command, "fig5b", "--tasks", "8", "--faults", str(missing)])
 
     def test_profile_shows_work_counters(self, capsys):
         rc = main(["profile", "fig6b", "--tasks", "12", "--scheme", "minmin"])
