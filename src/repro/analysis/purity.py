@@ -23,14 +23,12 @@ plain-function calls resolved through imports; method dispatch and class
 instantiation are not traversed (the runtime's own state is per-cell by
 construction).
 
-Two escapes are deliberate:
-
-* ``telemetry`` (``repro.obs.core``) may be reset/enabled inside a worker —
-  the telemetry flag is excluded from the cache key by design, so its
-  process-local state is not cache-semantic.
-* ``REPRO_TELEMETRY`` may be read for the same reason; extend with
-  ``--allow-env NAME`` if another variable joins the cache key's exclusion
-  list, or suppress single findings with ``# repro: noqa[RPR009]``.
+One escape is deliberate: ``telemetry`` (``repro.obs.core``) may be
+reset/enabled inside a worker (``run_batch(telemetry=True)`` toggles it) —
+the telemetry flag is excluded from the cache key by design, so its
+process-local state is not cache-semantic.  No environment variable may be
+read; name one with ``--allow-env NAME`` if it cannot change a cached
+Record, or suppress single findings with ``# repro: noqa[RPR009]``.
 """
 
 from __future__ import annotations
@@ -70,9 +68,6 @@ def iter_rules() -> tuple[Rule, ...]:
     """The purity rules, in code order."""
     return _RULES
 
-
-#: Env vars a worker may read: excluded from the result-cache key by design.
-DEFAULT_ALLOWED_ENV = frozenset({"REPRO_TELEMETRY"})
 
 #: Imported objects whose mutating methods are cache-key-neutral by design.
 SANCTIONED_OBJECTS = frozenset({("repro.obs.core", "telemetry")})
@@ -559,8 +554,7 @@ def _run_check(
     entries: Sequence[str] | None,
     allow_env: Iterable[str] | None,
 ) -> list[Finding]:
-    allowed = DEFAULT_ALLOWED_ENV | frozenset(allow_env or ())
-    auditor = _Auditor(modules, allowed, SANCTIONED_OBJECTS)
+    auditor = _Auditor(modules, frozenset(allow_env or ()), SANCTIONED_OBJECTS)
     for mod in modules.values():
         for name in _discover_entries(mod):
             auditor.enqueue(mod, name, f"{mod.name}:{name}")
@@ -636,7 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--allow-env", action="append", metavar="NAME", default=None,
-        help="extra env var a worker may read (default allows REPRO_TELEMETRY)",
+        help="env var a worker may read (one that cannot change a cached Record)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rules and exit"

@@ -569,14 +569,10 @@ def _cmd_run_parallel(args) -> int:
 
 def _cmd_run(args) -> int:
     # The parallel/cached path covers the common cell-shaped invocations;
-    # trace, Gantt, saved batches, synthetic workloads and I/O-overlap runs
-    # need the in-process run_batch calls below.
+    # trace, Gantt, saved batches and I/O-overlap runs need the in-process
+    # run_batch calls below.
     parallelisable = not (
-        args.load
-        or args.gantt
-        or args.trace
-        or args.overlap_io
-        or args.workload == "synthetic"
+        args.load or args.gantt or args.trace or args.overlap_io
     )
     if parallelisable and (
         args.workers > 1 or args.cache or args.clear_cache or args.json
@@ -584,8 +580,8 @@ def _cmd_run(args) -> int:
         return _cmd_run_parallel(args)
     if not parallelisable and (args.workers > 1 or args.cache or args.json):
         print(
-            "note: --workers/--cache/--json need generated sat/image workloads "
-            "without --load/--gantt/--trace/--overlap-io; running serially\n"
+            "note: --workers/--cache/--json do not apply with "
+            "--load/--gantt/--trace/--overlap-io; running serially\n"
         )
     platform = _platform(args)
     if args.load:

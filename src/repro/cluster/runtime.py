@@ -613,7 +613,7 @@ class Runtime:
             cache.ensure_space(
                 needed,
                 victim_order=lambda cands: victim_order(node, cands),
-                on_evict=lambda fid: self._on_evict(node, fid),
+                on_evict=lambda fid: self.on_evict(node, fid),
             )
 
         for tl, iv in tent.reservations:
@@ -690,9 +690,14 @@ class Runtime:
             if self.probe is not None:
                 self.probe.on_retry(node, f, fails[0][4], len(fails))
 
-    def _on_evict(self, node: int, file_id: str) -> None:
-        # ensure_space has already dropped the cache entry; mirror the global
-        # holder map, availability table and statistics.
+    def on_evict(self, node: int, file_id: str) -> None:
+        """Record that ``file_id`` was evicted from ``node``'s disk.
+
+        The cache has already dropped the entry; this mirrors the global
+        holder map, availability table and statistics, the audit trail and
+        the probe. The driver's between-sub-batch eviction reports through
+        it too.
+        """
         if self.trail is not None:
             self.trail.record_eviction(node, file_id, self.state.size_of(file_id))
         self.state.note_evicted(node, file_id)
@@ -751,7 +756,7 @@ class Runtime:
             self.state.caches[node].shrink(
                 loss.lost_mb,
                 victim_order=lambda cands: victim_order(node, cands),
-                on_evict=lambda fid: self._on_evict(node, fid),
+                on_evict=lambda fid: self.on_evict(node, fid),
             )
             faults.stats.disk_losses += 1
         for node in range(self.platform.num_compute):
@@ -775,7 +780,7 @@ class Runtime:
             cache.ensure_space(
                 size,
                 victim_order=lambda cands: victim_order(dest, cands),
-                on_evict=lambda fid: self._on_evict(dest, fid),
+                on_evict=lambda fid: self.on_evict(dest, fid),
             )
         except CacheFullError:
             return  # skip the push rather than fail the run

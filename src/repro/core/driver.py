@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import partial
 
 from ..batch import Batch
-from ..cluster.events import AuditTrail
 from ..cluster.platform import Platform
 from ..cluster.runtime import Runtime
 from ..cluster.state import ClusterState
 from ..faults import FaultModel, FaultSpec, resolve_spec
 from ..obs.core import telemetry as tele
-from ..obs.timeseries import ProbeConfig, TimeSeriesProbe, resolve_timeseries
+from ..obs.timeseries import TimeSeriesProbe
 from .base import Scheduler, make_scheduler
 from .eviction import EvictionPolicy
 from .plan import BatchResult, SubBatchPlan, SubBatchResult
@@ -47,15 +47,15 @@ def _pre_evict(
     batch: Batch,
     state: ClusterState,
     policy: EvictionPolicy,
-    trail: AuditTrail | None = None,
-    probe: TimeSeriesProbe | None = None,
+    on_evict: Callable[[int, str], None],
 ) -> None:
     """Between-sub-batch eviction (Section 4.3).
 
     Frees enough space on every node for the files its incoming tasks need,
     never evicting a file the sub-batch itself will use on that node (or a
     planned push target). Victims are chosen by the scheduler's policy —
-    increasing popularity for the proposed schemes, LRU for JDP.
+    increasing popularity for the proposed schemes, LRU for JDP — and each
+    one is reported as ``on_evict(node, file_id)``.
     """
     protect: dict[int, set[str]] = {}
     for t in plan.task_ids:
@@ -93,14 +93,9 @@ def _pre_evict(
             victims = [f for f in cands if f not in _keep]
             return policy.order(state, _node, victims)
 
-        def on_evict(fid: str, _node: int = node) -> None:
-            if trail is not None:
-                trail.record_eviction(_node, fid, state.size_of(fid))
-            state.note_evicted(_node, fid)
-            if probe is not None:
-                probe.on_evict(_node, state.size_of(fid))
-
-        cache.ensure_space(incoming, victim_order=order, on_evict=on_evict)
+        cache.ensure_space(
+            incoming, victim_order=order, on_evict=partial(on_evict, node)
+        )
 
 
 def run_batch(
@@ -111,13 +106,12 @@ def run_batch(
     allow_replication: bool = True,
     candidate_limit: int | None = None,
     scheduler_kwargs: dict | None = None,
-    max_subbatches: int | None = None,
     eviction_policy: EvictionPolicy | None = None,
     ordering: str = "ect",
     overlap_io_compute: bool = False,
     audit: bool = False,
     telemetry: bool = False,
-    timeseries: bool | ProbeConfig | dict | None = None,
+    timeseries: bool = False,
     faults: FaultSpec | dict | None = None,
     state: ClusterState | None = None,
     fault_model: FaultModel | None = None,
@@ -134,8 +128,6 @@ def run_batch(
         (the *No Replication* configuration of Fig. 5a).
     candidate_limit:
         Cap on per-commit ECT evaluations in the runtime (exact when None).
-    max_subbatches:
-        Safety valve for tests; raises if exceeded.
     eviction_policy:
         Override the scheduler's default eviction policy (ablations).
     ordering:
@@ -157,18 +149,16 @@ def run_batch(
         records, and attaches ``result.metrics`` (derived resource metrics,
         Eqs. 9–13), ``result.decision_log`` and ``result.telemetry`` (the
         counters/gauges/spans snapshot). Scalar metrics are also published
-        as ``metrics/*`` gauges so parallel workers' per-cell snapshots
-        carry them. ``result.runtime``, the executed runtime (for Gantt
-        charts and trace export), is attached on every run.
+        as ``metrics/*`` gauges, so that snapshot and the run manifest
+        built from it carry them. ``result.runtime``, the executed runtime
+        (for Gantt charts and trace export), is attached on every run.
     timeseries:
         Attach simulated-time series probes (:mod:`repro.obs.timeseries`):
         samples per-node disk occupancy, eviction pressure, port busy
         seconds, ready-queue and in-flight-transfer depth, and cumulative
         remote/replicated/cache-hit bytes at every commit point, with fault
-        events overlaid as markers. Accepts ``True`` (default budget), a
-        :class:`~repro.obs.timeseries.ProbeConfig`, or its dict form; every
-        null form (``None``/``False``/``{}``) keeps the allocation-free
-        fast path, exactly like a null fault spec. The block is attached as
+        events overlaid as markers. ``False`` builds no probe and keeps the
+        allocation-free fast path. The block is attached as
         ``result.timeseries`` and exported under the manifest's
         ``timeseries`` key. Independent of ``telemetry``.
     faults:
@@ -214,13 +204,12 @@ def run_batch(
             scheduler,
             allow_replication=allow_replication,
             candidate_limit=candidate_limit,
-            max_subbatches=max_subbatches,
             eviction_policy=eviction_policy,
             ordering=ordering,
             overlap_io_compute=overlap_io_compute,
             audit=audit,
             telemetry=telemetry,
-            probe_config=resolve_timeseries(timeseries),
+            timeseries=timeseries,
             fault_spec=resolve_spec(faults),
             state=state,
             fault_model=fault_model,
@@ -237,13 +226,12 @@ def _run_batch_inner(
     *,
     allow_replication: bool,
     candidate_limit: int | None,
-    max_subbatches: int | None,
     eviction_policy: EvictionPolicy | None,
     ordering: str,
     overlap_io_compute: bool,
     audit: bool,
     telemetry: bool,
-    probe_config: ProbeConfig | None,
+    timeseries: bool,
     fault_spec: FaultSpec | None,
     state: ClusterState | None = None,
     fault_model: FaultModel | None = None,
@@ -282,9 +270,8 @@ def _run_batch_inner(
         faults=fault_model,
     )
     probe: TimeSeriesProbe | None = None
-    if probe_config is not None:
+    if timeseries:
         probe = TimeSeriesProbe(
-            probe_config,
             num_compute=platform.num_compute,
             state=state,
             fault_spec=fault_spec,
@@ -295,12 +282,9 @@ def _run_batch_inner(
     result = BatchResult(scheduler=scheduler.name, makespan=0.0, scheduling_seconds=0.0)
 
     with tele.span("driver"):
+        # Every pass completes at least one pending task or crashes a node
+        # (checked below), so the loop ends by construction.
         while pending:
-            if max_subbatches is not None and len(result.sub_batches) >= max_subbatches:
-                raise RuntimeError(
-                    f"exceeded max_subbatches={max_subbatches} with "
-                    f"{len(pending)} tasks still pending"
-                )
             policy.update_pending(_pending_counts(batch, pending))
 
             t0 = time.perf_counter()
@@ -309,15 +293,19 @@ def _run_batch_inner(
             sched_seconds = time.perf_counter() - t0
             if not plan.task_ids:
                 raise RuntimeError(f"scheduler {scheduler.name} made no progress")
+            planned = set(plan.task_ids)
+            stray = planned.difference(pending)
+            if stray:
+                raise RuntimeError(
+                    f"scheduler {scheduler.name} planned task(s) that are not "
+                    f"pending: {', '.join(sorted(stray))}"
+                )
 
             # Between-sub-batch eviction only applies to sub-batching schemes;
             # whole-batch baselines rely on on-demand eviction at runtime.
             if scheduler.uses_subbatches:
                 with tele.span("pre-evict"):
-                    _pre_evict(
-                        plan, batch, state, policy,
-                        trail=runtime.trail, probe=probe,
-                    )
+                    _pre_evict(plan, batch, state, policy, runtime.on_evict)
 
             tasks = [batch.task(t) for t in plan.task_ids]
             dead_before = len(state.dead_nodes)
@@ -339,7 +327,7 @@ def _run_batch_inner(
             tele.count("driver/sub_batches")
             tele.count("driver/tasks", len(plan.task_ids))
             failed = set(execution.failed_tasks)
-            done = set(plan.task_ids) - failed
+            done = planned - failed
             if failed:
                 # Dynamic rescheduling: tasks from a crashed node rejoin
                 # the pending pool (keeping submission order) and the next

@@ -16,7 +16,6 @@ __all__ = [
     "ExperimentConfig",
     "default_scheduler_kwargs",
     "run_config",
-    "run_config_cell",
     "run_config_result",
 ]
 
@@ -113,13 +112,10 @@ def run_config_result(cfg: ExperimentConfig) -> BatchResult:
     )
 
 
-def run_config_cell(
-    cfg: ExperimentConfig, x: float | str | None = None
-) -> tuple[Record, dict | None]:
-    """Execute one cell; returns the :class:`Record` summary plus the
-    run's ``timeseries`` block (``None`` unless ``cfg.timeseries``)."""
+def run_config(cfg: ExperimentConfig, x: float | str | None = None) -> Record:
+    """Execute one experiment cell and summarise it as a :class:`Record`."""
     result: BatchResult = run_config_result(cfg)
-    record = Record(
+    return Record(
         experiment=cfg.experiment,
         workload=cfg.workload,
         scheme=cfg.scheme if cfg.allow_replication else f"{cfg.scheme}-norep",
@@ -133,9 +129,3 @@ def run_config_cell(
         evictions=result.stats.evictions,
         sub_batches=result.num_sub_batches,
     )
-    return record, result.timeseries
-
-
-def run_config(cfg: ExperimentConfig, x: float | str | None = None) -> Record:
-    """Execute one experiment cell and summarise it as a :class:`Record`."""
-    return run_config_cell(cfg, x)[0]

@@ -30,7 +30,6 @@ from .export import (
     build_stream_manifest,
     load_schema,
     manifest_to_ndjson,
-    merge_snapshots,
     merged_chrome_trace,
     validate_manifest,
     write_manifest,
@@ -39,13 +38,7 @@ from .export import (
 from .metrics import RunMetrics, compute_metrics, conservation_residual_mb
 from .report import render_report, write_report
 from .schema import SchemaError, check, validate
-from .timeseries import (
-    ProbeConfig,
-    TimeSeriesProbe,
-    merge_timeseries,
-    resolve_timeseries,
-    stitch_timeseries,
-)
+from .timeseries import TimeSeriesProbe, stitch_timeseries
 
 __all__ = [
     "MANIFEST_KIND",
@@ -54,7 +47,6 @@ __all__ = [
     "DecisionLog",
     "DecisionReplay",
     "ManifestDiff",
-    "ProbeConfig",
     "ReplayedDecision",
     "RunMetrics",
     "SchemaError",
@@ -71,11 +63,8 @@ __all__ = [
     "load_run",
     "load_schema",
     "manifest_to_ndjson",
-    "merge_snapshots",
-    "merge_timeseries",
     "merged_chrome_trace",
     "render_report",
-    "resolve_timeseries",
     "stitch_timeseries",
     "telemetry",
     "validate",

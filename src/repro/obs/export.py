@@ -20,9 +20,7 @@ Exports:
   span, metric and decision — greppable and stream-appendable);
 * :func:`merged_chrome_trace` — the simulated-time Gantt trace
   (:func:`~repro.cluster.trace.to_chrome_trace`) merged with the
-  wall-clock telemetry span events as a second Perfetto process;
-* :func:`merge_snapshots` — aggregate per-cell telemetry snapshots from
-  parallel workers into one (counters sum, span stats merge).
+  wall-clock telemetry span events as a second Perfetto process.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import platform as _platform
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -49,7 +47,6 @@ __all__ = [
     "build_stream_manifest",
     "load_schema",
     "manifest_to_ndjson",
-    "merge_snapshots",
     "merged_chrome_trace",
     "validate_manifest",
     "write_manifest",
@@ -312,39 +309,6 @@ def write_ndjson(manifest: Mapping[str, Any], path: str | Path) -> Path:
         for line in manifest_to_ndjson(manifest):
             fh.write(line + "\n")
     return path
-
-
-def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Aggregate telemetry snapshots (e.g. per-cell, across workers).
-
-    Counters sum; span stats merge (counts and totals sum, min/max extend);
-    gauges keep the last seen value (they are point-in-time readings, so a
-    cross-cell aggregate has no single meaningful reduction — consumers
-    needing per-cell gauges should read the per-cell manifests instead).
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    spans: dict[str, dict[str, float]] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + float(value)
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = float(value)
-        for path, stats in snap.get("spans", {}).items():
-            agg = spans.get(path)
-            if agg is None:
-                spans[path] = dict(stats)
-                continue
-            agg["count"] += stats["count"]
-            agg["total_s"] += stats["total_s"]
-            agg["min_s"] = min(agg["min_s"], stats["min_s"])
-            agg["max_s"] = max(agg["max_s"], stats["max_s"])
-            agg["mean_s"] = agg["total_s"] / agg["count"] if agg["count"] else 0.0
-    return {
-        "counters": counters,
-        "gauges": gauges,
-        "spans": {p: spans[p] for p in sorted(spans)},
-    }
 
 
 def merged_chrome_trace(runtime: Runtime, registry: Telemetry) -> str:

@@ -15,11 +15,10 @@ twice its budget, adjacent point pairs merge keeping the later point
 (last-value semantics — every series here is cumulative or a state gauge),
 halving the series. No RNG, no wall clock: two runs of the same config
 produce byte-identical ``timeseries`` blocks, which is what makes the
-golden-fixture and workers=1-vs-2 merge tests in ``tests/obs/`` exact.
+golden-fixture test in ``tests/obs/`` exact.
 
-Null handling mirrors :func:`repro.faults.resolve_spec`:
-:func:`resolve_timeseries` maps every null form (``None``, ``False``, the
-empty dict) to ``None``, and the runtime's hooks are guarded by a single
+Probes are a plain on/off toggle (``run_batch(timeseries=True)``). When it
+is off no probe is built, and the runtime's hooks are guarded by a single
 ``probe is not None`` attribute test — the disabled path allocates nothing,
 preserving the <2% telemetry-off overhead guarantee.
 """
@@ -27,7 +26,6 @@ preserving the <2% telemetry-off overhead guarantee.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,61 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFAULT_BUDGET",
     "TIMESERIES_VERSION",
-    "ProbeConfig",
     "TimeSeriesProbe",
-    "merge_timeseries",
-    "resolve_timeseries",
     "stitch_timeseries",
 ]
 
 #: Schema version of the manifest ``timeseries`` block.
 TIMESERIES_VERSION = 1
 
-#: Default per-series point budget (the downsampler's fixed bound).
+#: Per-series point budget (the downsampler's fixed bound). A series never
+#: holds more than ``2 * budget - 1`` points, and compacts back to
+#: ``budget`` whenever it reaches twice the budget.
 DEFAULT_BUDGET = 512
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Validated probe settings.
-
-    ``budget`` bounds every series: a series never holds more than
-    ``2 * budget - 1`` points, and compacts back to ``budget`` whenever it
-    reaches twice the budget.
-    """
-
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.budget < 2:
-            raise ValueError(f"timeseries budget must be >= 2, got {self.budget}")
-
-
-def resolve_timeseries(
-    value: bool | ProbeConfig | Mapping[str, Any] | None,
-) -> ProbeConfig | None:
-    """Map every null form of the probe toggle to ``None`` (no probe).
-
-    Mirrors :func:`repro.faults.resolve_spec`: ``None``, ``False`` and the
-    empty dict all mean "no probes", so :func:`~repro.core.driver.run_batch`
-    keeps the shared allocation-free fast path; ``True`` enables the default
-    :class:`ProbeConfig`; a non-empty dict or an explicit config enables
-    probes with those settings.
-    """
-    if value is None or value is False:
-        return None
-    if value is True:
-        return ProbeConfig()
-    if isinstance(value, ProbeConfig):
-        return value
-    if isinstance(value, Mapping):
-        if not value:
-            return None
-        return ProbeConfig(**dict(value))
-    raise TypeError(
-        "timeseries must be bool, dict, ProbeConfig or None, "
-        f"got {type(value).__name__}"
-    )
 
 
 class _Series:
@@ -117,13 +71,13 @@ class TimeSeriesProbe:
 
     def __init__(
         self,
-        config: ProbeConfig,
         *,
         num_compute: int,
         state: ClusterState,
         fault_spec: FaultSpec | None = None,
+        budget: int = DEFAULT_BUDGET,
     ) -> None:
-        self.config = config
+        self.budget = budget
         self.state = state
         self.num_compute = num_compute
         self.samples = 0
@@ -155,7 +109,7 @@ class TimeSeriesProbe:
             s = self._series[name] = _Series(unit)
         pts = s.points
         pts.append((t, value))
-        if len(pts) >= 2 * self.config.budget:
+        if len(pts) >= 2 * self.budget:
             # Merge-adjacent downsampling: keep the later point of every
             # adjacent pair. Last-value is lossless for the pair's right
             # edge on cumulative/state series, and the rule is pure — no
@@ -266,7 +220,7 @@ class TimeSeriesProbe:
         )
         return {
             "version": TIMESERIES_VERSION,
-            "budget": self.config.budget,
+            "budget": self.budget,
             "samples": self.samples,
             "compactions": self.compactions,
             "series": series,
@@ -334,16 +288,3 @@ def stitch_timeseries(
         "events": events,
     }
 
-
-def merge_timeseries(
-    blocks: Mapping[str, Mapping[str, Any]],
-) -> dict[str, dict[str, Any]]:
-    """Merge per-cell ``timeseries`` blocks keyed by config digest.
-
-    Each cell's block is complete and deterministic on its own (probes run
-    inside the cell's simulation), so the cross-worker merge is a
-    key-sorted union — byte-identical no matter how cells were distributed
-    across workers, mirroring how manifest fragments aggregate in
-    :func:`repro.parallel.pool.aggregate_cells`.
-    """
-    return {digest: dict(blocks[digest]) for digest in sorted(blocks)}

@@ -37,7 +37,7 @@ from ..cluster.platform import Platform
 from ..cluster.state import ClusterState, TransferStats
 from ..core.driver import run_batch
 from ..faults import FaultModel, FaultSpec, FaultStats, resolve_spec
-from ..obs.timeseries import ProbeConfig, stitch_timeseries
+from ..obs.timeseries import stitch_timeseries
 from .arrivals import JobStream
 from .queue import AdmissionPolicy, FIFOWindow, QueuedJob
 
@@ -303,8 +303,7 @@ class ClusterSession:
         scheduler_kwargs: dict | None = None,
         audit: bool = False,
         faults: FaultSpec | dict | None = None,
-        timeseries: bool | ProbeConfig | dict | None = None,
-        max_batches: int | None = None,
+        timeseries: bool = False,
     ) -> None:
         self.platform = platform
         self.stream = stream
@@ -317,7 +316,6 @@ class ClusterSession:
         self.audit = audit
         self.fault_spec = resolve_spec(faults)
         self.timeseries = timeseries
-        self.max_batches = max_batches
 
     def run(self) -> StreamResult:
         """Drain the stream; returns the per-job/per-batch/aggregate result."""
@@ -341,6 +339,8 @@ class ClusterSession:
         queue: list[QueuedJob] = []
         idx = 0
         now = 0.0
+        # Every window holds the oldest queued job (checked below), so each
+        # pass shrinks the queue and the loop ends by construction.
         while idx < len(stream.arrivals) or queue:
             if not queue:
                 # Idle cluster, empty queue: jump to the next arrival.
@@ -351,11 +351,6 @@ class ClusterSession:
                 idx += 1
 
             batch_index = len(result.batches)
-            if self.max_batches is not None and batch_index >= self.max_batches:
-                raise RuntimeError(
-                    f"exceeded max_batches={self.max_batches} with "
-                    f"{len(queue) + len(stream.arrivals) - idx} job(s) left"
-                )
             selected = self.policy.select(queue, stream.batch, now)
             if not selected:
                 raise RuntimeError(

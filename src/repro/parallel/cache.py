@@ -125,18 +125,9 @@ class ResultCache:
         return record
 
     def put(
-        self,
-        cfg: ExperimentConfig,
-        x: float | str | None,
-        record: Record,
-        manifest: dict | None = None,
+        self, cfg: ExperimentConfig, x: float | str | None, record: Record
     ) -> Path:
-        """Persist one finished cell; returns the entry's path.
-
-        ``manifest`` is the cell's per-run manifest fragment (timing plus an
-        optional telemetry snapshot, see :mod:`repro.parallel.pool`), stored
-        alongside the record for post-hoc aggregation.
-        """
+        """Persist one finished cell; returns the entry's path."""
         key = config_key(cfg, x)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -146,7 +137,6 @@ class ResultCache:
             "salt": CACHE_SALT,
             "config": _jsonable(asdict(cfg)),
             "x": _jsonable(x),
-            "manifest": manifest,
             "record": asdict(record),
         }
         tmp = path.with_suffix(".tmp")

@@ -7,13 +7,8 @@ deterministically from its config hash (so results never depend on which
 worker ran a cell, or in what order), consults an optional
 :class:`~repro.parallel.cache.ResultCache` before simulating anything, and
 falls back to plain serial execution when ``workers <= 1``, only one cell
-is pending, or the platform cannot fork.
-
-Each freshly simulated cell carries a *manifest fragment* (its config
-digest, wall-clock time and — when collection is on, via ``collect=True``
-or the ``REPRO_TELEMETRY`` environment variable — the worker's telemetry
-snapshot); :func:`aggregate_cells` merges the fragments of a whole sweep
-into one summary the figure drivers and CI fold into the run manifest.
+is pending, or the platform cannot fork. A cell's one product is its
+:class:`~repro.experiments.report.Record`.
 """
 
 from __future__ import annotations
@@ -21,30 +16,21 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
 from ..experiments.report import Record
-from ..experiments.runner import ExperimentConfig, run_config_cell
-from ..obs.core import telemetry
-from ..obs.export import merge_snapshots
-from ..obs.timeseries import merge_timeseries
+from ..experiments.runner import ExperimentConfig, run_config
 from .cache import ResultCache, config_key
 
 __all__ = [
-    "CellResult",
-    "aggregate_cells",
     "configure",
     "default_cache",
     "default_workers",
     "fork_available",
     "map_configs",
-    "run_cells",
 ]
 
 # Module-wide defaults, used when callers pass ``workers=None``/``cache=None``
@@ -94,36 +80,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """One executed (or replayed) experiment cell.
-
-    ``manifest`` is the cell's manifest fragment (config digest, timing and
-    optional telemetry snapshot); replayed cells have ``manifest=None``.
-    """
-
-    record: Record
-    cached: bool
-    manifest: dict[str, Any] | None = None
-
-    @property
-    def elapsed_s(self) -> float:
-        """Fresh simulation wall-clock seconds (0.0 for cache replays)."""
-        if self.manifest is None:
-            return 0.0
-        return float(self.manifest.get("elapsed_s", 0.0))
-
-
-def _collect_default() -> bool:
-    """Whether workers should snapshot telemetry (``REPRO_TELEMETRY`` env)."""
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
 def _seed_cell(cfg: ExperimentConfig, x: float | str | None):
     """Deterministically seed global RNGs from the cell's content hash.
 
@@ -138,33 +94,9 @@ def _seed_cell(cfg: ExperimentConfig, x: float | str | None):
     np.random.seed(seed)  # repro: noqa[RPR009]
 
 
-def _run_cell(payload: tuple[ExperimentConfig, float | str | None, bool]):
-    cfg, x, collect = payload
+def _run_cell(cfg: ExperimentConfig, x: float | str | None) -> Record:
     _seed_cell(cfg, x)
-    was_enabled = telemetry.enabled
-    if collect:
-        telemetry.reset()
-        telemetry.enable()
-    t0 = time.perf_counter()
-    try:
-        record, timeseries = run_config_cell(cfg, x)
-        elapsed = time.perf_counter() - t0
-        snapshot = telemetry.snapshot() if collect else None
-    finally:
-        if collect:
-            # Leave the process-wide registry as we found it: the serial
-            # fallback runs cells in the caller's process.
-            telemetry.reset()
-            if not was_enabled:
-                telemetry.disable()
-    manifest = {
-        "config_digest": config_key(cfg, x),
-        "elapsed_s": elapsed,
-        "cached": False,
-        "telemetry": snapshot,
-        "timeseries": timeseries,
-    }
-    return record, manifest
+    return run_config(cfg, x)
 
 
 def _resolve_cache(cache) -> ResultCache | None:
@@ -175,88 +107,6 @@ def _resolve_cache(cache) -> ResultCache | None:
     if cache is False:
         return None
     return cache
-
-
-def run_cells(
-    configs: Sequence[ExperimentConfig],
-    xs: Sequence[float | str | None] | None = None,
-    *,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
-    collect: bool | None = None,
-) -> list[CellResult]:
-    """Run every cell, returning per-cell records and manifest fragments.
-
-    Results come back in input order. Cached cells are never dispatched;
-    fresh results are written back to the cache as they arrive. ``collect``
-    makes each worker snapshot its telemetry registry into the cell's
-    manifest fragment (default: the ``REPRO_TELEMETRY`` environment
-    variable).
-    """
-    configs = list(configs)
-    xs = list(xs) if xs is not None else [None] * len(configs)
-    if len(xs) != len(configs):
-        raise ValueError(f"got {len(configs)} configs but {len(xs)} x values")
-    workers = default_workers() if workers is None else max(1, int(workers))
-    collect = _collect_default() if collect is None else collect
-    store = _resolve_cache(cache)
-
-    results: list[CellResult | None] = [None] * len(configs)
-    pending: list[int] = []
-    for i, (cfg, x) in enumerate(zip(configs, xs, strict=True)):
-        hit = store.get(cfg, x) if store is not None else None
-        if hit is not None:
-            results[i] = CellResult(hit, cached=True)
-        else:
-            pending.append(i)
-
-    if pending:
-        payloads = [(configs[i], xs[i], collect) for i in pending]
-        if workers > 1 and len(pending) > 1 and fork_available():
-            import multiprocessing
-
-            nworkers = min(workers, len(pending))
-            chunksize = max(1, math.ceil(len(pending) / (nworkers * 4)))
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx) as pool:
-                outputs = list(pool.map(_run_cell, payloads, chunksize=chunksize))
-        else:
-            outputs = [_run_cell(p) for p in payloads]
-        for i, (record, manifest) in zip(pending, outputs, strict=True):
-            results[i] = CellResult(record, cached=False, manifest=manifest)
-            if store is not None:
-                store.put(configs[i], xs[i], record, manifest)
-
-    return [r for r in results if r is not None]
-
-
-def aggregate_cells(cells: Sequence[CellResult]) -> dict[str, Any]:
-    """Merge a sweep's per-cell manifest fragments into one summary.
-
-    Counters sum across cells, gauges keep their last value, and span
-    statistics merge; cells without a snapshot (cache replays, collection
-    off) contribute only to the counts and timing totals.
-    """
-    snapshots = [
-        c.manifest["telemetry"]
-        for c in cells
-        if c.manifest is not None and c.manifest.get("telemetry") is not None
-    ]
-    # Timeseries blocks are per-cell artifacts keyed by config digest; the
-    # merge is a key-sorted union, so workers=1 and workers=N aggregate to
-    # byte-identical results (each cell's block is computed in its own run).
-    blocks = {
-        c.manifest["config_digest"]: c.manifest["timeseries"]
-        for c in cells
-        if c.manifest is not None and c.manifest.get("timeseries") is not None
-    }
-    return {
-        "cells": len(cells),
-        "cached": sum(1 for c in cells if c.cached),
-        "elapsed_s": sum(c.elapsed_s for c in cells),
-        "telemetry": merge_snapshots(snapshots) if snapshots else None,
-        "timeseries": merge_timeseries(blocks) if blocks else None,
-    }
 
 
 def map_configs(
@@ -271,5 +121,41 @@ def map_configs(
     Drop-in replacement for ``[run_config(c, x) for c, x in zip(...)]``:
     returns the same :class:`Record` list, in the same order, with the same
     values — just computed in parallel and/or replayed from the cache.
+    Cached cells are never dispatched, and fresh records are written back
+    to the cache.
     """
-    return [cell.record for cell in run_cells(configs, xs, workers=workers, cache=cache)]
+    configs = list(configs)
+    xs = list(xs) if xs is not None else [None] * len(configs)
+    if len(xs) != len(configs):
+        raise ValueError(f"got {len(configs)} configs but {len(xs)} x values")
+    workers = default_workers() if workers is None else max(1, int(workers))
+    store = _resolve_cache(cache)
+
+    records: list[Record | None] = [None] * len(configs)
+    pending: list[int] = []
+    for i, (cfg, x) in enumerate(zip(configs, xs, strict=True)):
+        hit = store.get(cfg, x) if store is not None else None
+        if hit is not None:
+            records[i] = hit
+        else:
+            pending.append(i)
+
+    if pending:
+        todo = [configs[i] for i in pending]
+        todo_xs = [xs[i] for i in pending]
+        if workers > 1 and len(pending) > 1 and fork_available():
+            import multiprocessing
+
+            nworkers = min(workers, len(pending))
+            chunksize = max(1, math.ceil(len(pending) / (nworkers * 4)))
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx) as pool:
+                fresh = list(pool.map(_run_cell, todo, todo_xs, chunksize=chunksize))
+        else:
+            fresh = list(map(_run_cell, todo, todo_xs))
+        for i, record in zip(pending, fresh, strict=True):
+            records[i] = record
+            if store is not None:
+                store.put(configs[i], xs[i], record)
+
+    return [r for r in records if r is not None]

@@ -9,6 +9,7 @@ from repro.core import (
     MinMinScheduler,
     run_batch,
 )
+from repro.core.plan import SubBatchPlan
 from repro.workloads import generate_synthetic_batch
 
 
@@ -104,12 +105,18 @@ class TestRunBatch:
         assert res.num_sub_batches == 1
         assert res.stats.evictions > 0  # 1.2 GB through 500 MB of cache
 
-    def test_max_subbatches_guard(self):
-        platform = osc_xio(num_compute=2, num_storage=2)
-        with pytest.raises(RuntimeError):
-            run_batch(
-                shared_batch(), platform, "bipartition", max_subbatches=0
-            )
+    def test_plan_naming_a_non_pending_task_raises(self):
+        # Re-planning the finished first task would re-run it on every
+        # pass; the driver refuses the plan instead of looping forever.
+        class Replanner(MinMinScheduler):
+            name = "replanner"
+
+            def next_subbatch(self, batch, pending, platform, state):
+                first = batch.tasks[0].task_id
+                return SubBatchPlan([first], {first: 0})
+
+        with pytest.raises(RuntimeError, match="replanner planned .* not pending: t0"):
+            run_batch(shared_batch(), osc_xio(2, 2), Replanner())
 
     def test_candidate_limit_passes_through(self):
         res = run_batch(

@@ -62,7 +62,7 @@ def driver_scenario(draw):
 @given(driver_scenario(), st.sampled_from(HEURISTICS))
 def test_batch_always_drains(sc, scheme):
     platform, batch = sc
-    res = run_batch(batch, platform, scheme, max_subbatches=200)
+    res = run_batch(batch, platform, scheme)
     executed = [
         r.task_id for sb in res.sub_batches for r in sb.execution.records
     ]
@@ -73,7 +73,7 @@ def test_batch_always_drains(sc, scheme):
 @given(driver_scenario(), st.sampled_from(HEURISTICS))
 def test_stats_self_consistent(sc, scheme):
     platform, batch = sc
-    res = run_batch(batch, platform, scheme, max_subbatches=200)
+    res = run_batch(batch, platform, scheme)
     s = res.stats
     assert s.remote_transfers >= 0
     assert s.remote_volume_mb >= 0
@@ -102,7 +102,7 @@ def test_schemes_agree_on_singleton_problems(sc):
         )
     spans = []
     for scheme in ("minmin", "jdp", "bipartition"):
-        res = run_batch(batch, platform, scheme, max_subbatches=200)
+        res = run_batch(batch, platform, scheme)
         spans.append(res.makespan)
     # Task order may differ, but single-node work conservation bounds the
     # spread tightly unless eviction patterns diverge. Tight-disk scenarios
@@ -116,7 +116,5 @@ def test_schemes_agree_on_singleton_problems(sc):
 @given(driver_scenario(), st.sampled_from(HEURISTICS))
 def test_no_replication_flag_respected(sc, scheme):
     platform, batch = sc
-    res = run_batch(
-        batch, platform, scheme, allow_replication=False, max_subbatches=200
-    )
+    res = run_batch(batch, platform, scheme, allow_replication=False)
     assert res.stats.replications == 0

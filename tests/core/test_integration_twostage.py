@@ -27,12 +27,7 @@ def pressured_setup():
 class TestPresenceCreditAcrossSubBatches:
     def test_ip_reuses_copies(self):
         platform, batch = pressured_setup()
-        res = run_batch(
-            batch,
-            platform,
-            IPScheduler(time_limit=30.0),
-            max_subbatches=10,
-        )
+        res = run_batch(batch, platform, IPScheduler(time_limit=30.0))
         assert res.num_tasks == 4
         # 6 distinct files; without reuse 8 transfers would be needed (each
         # task stages both inputs). With presence credit / dynamic reuse at

@@ -14,7 +14,6 @@ from repro.obs import (
     build_manifest,
     load_schema,
     manifest_to_ndjson,
-    merge_snapshots,
     merged_chrome_trace,
     validate_manifest,
     write_manifest,
@@ -131,32 +130,6 @@ class TestNdjson:
         lines = [json.loads(s) for s in manifest_to_ndjson(manifest)]
         names = {ln["name"] for ln in lines if ln["type"] == "counter"}
         assert names == set(manifest["telemetry"]["counters"])
-
-
-class TestMergeSnapshots:
-    def test_counters_sum_spans_merge(self):
-        a = {
-            "counters": {"n": 2},
-            "gauges": {"g": 1.0},
-            "spans": {"s": {"count": 1, "total_s": 1.0, "mean_s": 1.0,
-                            "min_s": 1.0, "max_s": 1.0}},
-        }
-        b = {
-            "counters": {"n": 3, "m": 1},
-            "gauges": {"g": 2.0},
-            "spans": {"s": {"count": 3, "total_s": 3.0, "mean_s": 1.0,
-                            "min_s": 0.5, "max_s": 2.0}},
-        }
-        merged = merge_snapshots([a, b])
-        assert merged["counters"] == {"n": 5.0, "m": 1.0}
-        assert merged["gauges"]["g"] == 2.0  # last wins
-        span = merged["spans"]["s"]
-        assert span["count"] == 4 and span["total_s"] == 4.0
-        assert span["min_s"] == 0.5 and span["max_s"] == 2.0
-        assert span["mean_s"] == pytest.approx(1.0)
-
-    def test_empty_is_empty(self):
-        assert merge_snapshots([]) == {"counters": {}, "gauges": {}, "spans": {}}
 
 
 class TestMergedChromeTrace:

@@ -1,11 +1,11 @@
-"""Simulated-time series probes: determinism, schema, merge, null object.
+"""Simulated-time series probes: determinism, schema, null object.
 
 The probe layer (:mod:`repro.obs.timeseries`) samples the cluster at commit
 points in *simulated* time only, so its output is a pure function of the
 run's decisions — exact golden comparison, not tolerance bands. These tests
-pin that: a checked-in golden block, byte-identical aggregation across
-worker counts, schema rejection of mutated blocks, and the allocation-free
-disabled path (``timeseries=None``/``False`` must never construct a probe).
+pin that: a checked-in golden block, schema rejection of mutated blocks,
+and the allocation-free disabled path (``timeseries=False`` must never
+construct a probe).
 """
 
 import json
@@ -19,13 +19,7 @@ from repro.experiments import ExperimentConfig
 from repro.obs import validate_manifest
 from repro.obs.core import telemetry
 from repro.obs.export import build_manifest
-from repro.obs.timeseries import (
-    ProbeConfig,
-    TimeSeriesProbe,
-    merge_timeseries,
-    resolve_timeseries,
-)
-from repro.parallel import run_cells
+from repro.obs.timeseries import TimeSeriesProbe
 from repro.workloads.image import generate_image_batch
 
 GOLDEN_PATH = Path(__file__).with_name("golden_timeseries.json")
@@ -48,29 +42,10 @@ def golden_run(**overrides):
     return run_batch(batch, platform, "minmin", **kwargs)
 
 
-class TestResolve:
-    def test_null_forms_disable(self):
-        assert resolve_timeseries(None) is None
-        assert resolve_timeseries(False) is None
-        assert resolve_timeseries({}) is None
-
-    def test_true_and_mapping_enable(self):
-        assert resolve_timeseries(True) == ProbeConfig()
-        cfg = resolve_timeseries({"budget": 64})
-        assert cfg == ProbeConfig(budget=64)
-        assert resolve_timeseries(cfg) is cfg
-
-    def test_bad_values_raise(self):
-        with pytest.raises(TypeError):
-            resolve_timeseries(512)
-        with pytest.raises(ValueError):
-            ProbeConfig(budget=1)
-
-
 class TestDisabledPath:
     """``timeseries`` off must be allocation-free, not merely empty."""
 
-    @pytest.mark.parametrize("value", [None, False, {}])
+    @pytest.mark.parametrize("value", [None, False])
     def test_no_probe_constructed(self, monkeypatch, value):
         def boom(self, *a, **k):
             raise AssertionError("TimeSeriesProbe constructed while disabled")
@@ -153,7 +128,7 @@ class TestSchema:
 
 class TestDownsampling:
     def test_merge_adjacent_keeps_later_points(self):
-        probe = TimeSeriesProbe(ProbeConfig(budget=4), num_compute=0, state=None)
+        probe = TimeSeriesProbe(budget=4, num_compute=0, state=None)
         for i in range(8):
             probe._point("x", "u", float(i), float(i))
         series = probe.to_dict()["series"]["x"]
@@ -161,7 +136,7 @@ class TestDownsampling:
         assert probe.to_dict()["compactions"] == 1
 
     def test_bounded_at_twice_budget(self):
-        probe = TimeSeriesProbe(ProbeConfig(budget=8), num_compute=0, state=None)
+        probe = TimeSeriesProbe(budget=8, num_compute=0, state=None)
         for i in range(10_000):
             probe._point("x", "u", float(i), float(i))
         points = probe.to_dict()["series"]["x"]["points"]
@@ -170,47 +145,21 @@ class TestDownsampling:
 
 
 class TestWorkerMerge:
-    """workers=1 and workers=N must aggregate byte-identical blocks."""
+    """Probes only observe, so the toggle stays out of a sweep cell's key."""
 
-    def configs(self):
-        base = dict(
+    def test_timeseries_not_in_cache_key(self):
+        import dataclasses
+
+        from repro.parallel.cache import config_key
+
+        cfg_on = ExperimentConfig(
             experiment="test",
             workload="image",
             overlap="high",
             num_tasks=8,
             storage="xio",
-            seed=0,
+            scheme="minmin",
             timeseries=True,
         )
-        return [
-            ExperimentConfig(scheme=s, **base)
-            for s in ("minmin", "jdp", "bipartition")
-        ]
-
-    def aggregate(self, workers):
-        from repro.parallel import aggregate_cells
-
-        cells = run_cells(self.configs(), workers=workers, cache=False)
-        return aggregate_cells(cells)
-
-    def test_identical_across_worker_counts(self):
-        serial = self.aggregate(1)
-        parallel = self.aggregate(2)
-        assert serial["timeseries"] is not None
-        assert json.dumps(serial["timeseries"], sort_keys=True) == json.dumps(
-            parallel["timeseries"], sort_keys=True
-        )
-
-    def test_merge_is_key_sorted_union(self):
-        merged = merge_timeseries({"b": {"x": 2}, "a": {"x": 1}})
-        assert list(merged) == ["a", "b"]
-        assert merged["a"] == {"x": 1}
-
-    def test_timeseries_not_in_cache_key(self):
-        from repro.parallel.cache import config_key
-
-        cfg_on = self.configs()[0]
-        import dataclasses
-
         cfg_off = dataclasses.replace(cfg_on, timeseries=False)
         assert config_key(cfg_on) == config_key(cfg_off)

@@ -104,10 +104,6 @@ class TestRecords:
                 _platform(), _stream(), "minmin", policy=Starver()
             ).run()
 
-    def test_max_batches_guard(self):
-        with pytest.raises(RuntimeError, match="max_batches"):
-            _session("minmin", warm=True, max_batches=1).run()
-
 
 class TestManifest:
     @pytest.mark.parametrize("warm", [True, False])

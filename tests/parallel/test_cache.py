@@ -86,7 +86,7 @@ class TestResultCache:
         assert cache.stats.misses == 1
 
         record = run_config(c, "high")
-        cache.put(c, "high", record, manifest={"elapsed_s": 0.5})
+        cache.put(c, "high", record)
         assert cache.stats.stores == 1
 
         replayed = cache.get(c, "high")
@@ -104,13 +104,12 @@ class TestResultCache:
     def test_entry_records_provenance(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         c = cfg()
-        manifest = {"config_digest": config_key(c, "high"), "elapsed_s": 1.25}
-        path = cache.put(c, "high", run_config(c, "high"), manifest=manifest)
+        path = cache.put(c, "high", run_config(c, "high"))
         doc = json.loads(path.read_text())
         assert doc["salt"] == CACHE_SALT
         assert doc["config"]["scheme"] == "bipartition"
-        assert doc["manifest"]["elapsed_s"] == 1.25
         assert doc["key"] == config_key(c, "high")
+        assert "manifest" not in doc
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

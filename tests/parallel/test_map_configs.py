@@ -6,7 +6,7 @@ import pytest
 
 from repro import parallel
 from repro.experiments import ExperimentConfig, fig5b_batch_size
-from repro.parallel import ResultCache, map_configs, run_cells
+from repro.parallel import ResultCache, map_configs
 from repro.parallel import pool as pool_module
 
 
@@ -71,49 +71,42 @@ class TestCacheIntegration:
     def test_second_run_is_all_hits_and_no_simulation(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
         configs, xs = cells()
-        first = run_cells(configs, xs, cache=cache)
-        assert [c.cached for c in first] == [False, False, False]
+        first = map_configs(configs, xs, cache=cache)
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (0, 3, 3)
 
         calls = []
-        real = pool_module.run_config_cell
+        real = pool_module.run_config
 
         def counting(cfg, x=None):
             calls.append(cfg)
             return real(cfg, x)
 
-        monkeypatch.setattr(pool_module, "run_config_cell", counting)
-        second = run_cells(configs, xs, cache=cache)
-        assert [c.cached for c in second] == [True, True, True]
+        monkeypatch.setattr(pool_module, "run_config", counting)
+        second = map_configs(configs, xs, cache=cache)
+        assert (cache.stats.hits, cache.stats.stores) == (3, 3)
         assert calls == []  # zero simulations on the replay
-        assert [c.record for c in second] == [c.record for c in first]
+        assert second == first
 
     def test_changed_field_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         configs, xs = cells()
-        run_cells(configs, xs, cache=cache)
+        map_configs(configs, xs, cache=cache)
         changed = [dataclasses.replace(c, num_tasks=9) for c in configs]
-        again = run_cells(changed, xs, cache=cache)
-        assert all(not c.cached for c in again)
+        cache.stats.reset()
+        map_configs(changed, xs, cache=cache)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 3)
 
     def test_cache_false_disables_configured_default(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         parallel.configure(cache=cache)
         try:
             configs, xs = cells(schemes=("jdp",))
-            run_cells(configs, xs)  # populates the default cache
+            map_configs(configs, xs)  # populates the default cache
             assert len(cache) == 1
-            replay = run_cells(configs, xs, cache=False)
-            assert not replay[0].cached
+            map_configs(configs, xs, cache=False)
+            assert (cache.stats.hits, cache.stats.misses) == (0, 1)
         finally:
             parallel.configure(workers=None, cache=None)
-
-    def test_per_cell_timing_recorded(self, tmp_path):
-        configs, xs = cells(schemes=("jdp",))
-        cache = ResultCache(tmp_path / "cache")
-        fresh = run_cells(configs, xs, cache=cache)
-        assert fresh[0].elapsed_s > 0
-        replay = run_cells(configs, xs, cache=cache)
-        assert replay[0].elapsed_s == 0.0
 
 
 class TestDefaults:
@@ -157,7 +150,7 @@ class TestFigureIntegration:
         def boom(cfg, x=None):  # any simulation on the replay is a failure
             raise AssertionError(f"re-simulated {cfg}")
 
-        monkeypatch.setattr(pool_module, "run_config_cell", boom)
+        monkeypatch.setattr(pool_module, "run_config", boom)
         second = fig5b_batch_size(**kwargs)
         assert second.records == first.records
         assert cache.stats.hits == 2

@@ -69,6 +69,16 @@ class TestCommands:
         assert "jdp" in out
         assert "makespan" in out
 
+    def test_run_synthetic_takes_the_parallel_path(self, capsys):
+        argv = ["run", "--workload", "synthetic", "--tasks", "12",
+                "--schemes", "minmin"]
+        assert main(argv + ["--workers", "2"]) == 0
+        fanned = capsys.readouterr().out
+        assert main(argv + ["--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert "note:" not in fanned
+        assert scheme_row(fanned, "minmin") == scheme_row(serial, "minmin")
+
     def test_run_no_replication(self, capsys):
         rc = main(
             [
