@@ -12,9 +12,11 @@ interpreter with ``PYTHONHASHSEED=0`` (as perfbench pins it) imports
 from the seed with the tree's own ``perfbench/bench_workloads.py``. It then
 runs every job once and records every batch the job ran: each
 ``TaskRecord`` in commit order, the batch's ``TransferStats`` and fault
-statistics, and for an online session also each job record and the
-session's totals. Floats are compared by ``repr``, so a difference in the
-last bit counts.
+statistics, its ``timeseries`` block and its audit's
+``[checked_events, violations]`` (both ``None`` unless the job runs with
+them, as the ``stream`` jobs do), and for an online session also each job
+record and the session's totals. Floats are compared exactly, so a
+difference in the last bit counts.
 
 The report goes to standard output. The exit status is 0 when every job
 matches, 1 when any differs and 2 when a tree cannot be run.
@@ -66,6 +68,11 @@ def batch(result):
         "makespan": repr(result.makespan),
         "stats": fields(result.stats),
         "fault_stats": fields(result.fault_stats),
+        "timeseries": result.timeseries,
+        "audit": None if result.audit_report is None else [
+            result.audit_report.checked_events,
+            [str(v) for v in result.audit_report.violations],
+        ],
     }
 
 batches = []

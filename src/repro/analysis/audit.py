@@ -6,8 +6,8 @@ run time, so a bug in replaying tentative reservations, cache mirroring or
 transfer source selection would silently produce traces that break the
 paper's cost model.
 The auditor re-derives the execution-time invariants from the recorded
-timelines and the :class:`~repro.cluster.events.AuditTrail` and reports
-every breach:
+timelines and the commit-ordered :class:`~repro.cluster.events.EventLog`
+and reports every breach:
 
 E1. no two busy intervals overlap on any resource timeline — the
     single-port model (Section 2; every transfer serialises on both of its
@@ -33,10 +33,10 @@ E8. cross-batch cache-hit attribution is exact: a hit counted as
     (held at batch start, neither evicted, crashed away nor re-staged in
     between), and every hit on such a copy *is* counted cross-batch
     (online multi-batch sessions, ``docs/online.md``; skipped when the
-    trail carries no cache-hit events).
+    log carries no cache-hit events).
 
 Use :func:`repro.core.driver.run_batch` with ``audit=True`` to execute a
-batch with the trail enabled and fail fast on any violation; the test
+batch with the event log enabled and fail fast on any violation; the test
 suite uses the same path as an oracle over randomized workloads.
 """
 
@@ -47,11 +47,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..cluster.events import (
-    AuditTrail,
     CacheHitEvent,
     CrashEvent,
+    EventLog,
     EvictionEvent,
     ExecEvent,
+    FailedTransferEvent,
+    SubBatchEvent,
     TransferEvent,
 )
 from ..cluster.gantt import Interval, Timeline
@@ -124,15 +126,20 @@ def _audit_timelines(timelines: Iterable[Timeline], report: AuditReport) -> None
                 )
 
 
-def _audit_staging_before_exec(trail: AuditTrail, report: AuditReport) -> None:
+def _audit_staging_before_exec(
+    log: EventLog,
+    transfers: list[TransferEvent],
+    execs: list[ExecEvent],
+    report: AuditReport,
+) -> None:
     """E2 — every consumed file arrives before its task starts executing."""
     first_arrival: dict[tuple[int, str], float] = {}
-    for tr in trail.transfers:
+    for tr in transfers:
         key = (tr.dest, tr.file_id)
         if key not in first_arrival or tr.end < first_arrival[key]:
             first_arrival[key] = tr.end
-    for ev in trail.execs:
-        initial = trail.initial_holdings.get(ev.node, {})
+    for ev in execs:
+        initial = log.initial_holdings.get(ev.node, {})
         for f in ev.files:
             if f in initial:
                 continue
@@ -153,14 +160,14 @@ def _audit_staging_before_exec(trail: AuditTrail, report: AuditReport) -> None:
 
 
 def _audit_disk_occupancy(
-    runtime: Runtime, trail: AuditTrail, report: AuditReport
+    runtime: Runtime, log: EventLog, report: AuditReport
 ) -> None:
     """E3 — replay transfers/evictions; occupancy never exceeds capacity."""
     resident: dict[int, dict[str, float]] = {
-        node: dict(files) for node, files in trail.initial_holdings.items()
+        node: dict(files) for node, files in log.initial_holdings.items()
     }
     flagged: set[int] = set()
-    for event in trail.in_commit_order():
+    for event in log.events:
         if isinstance(event, TransferEvent):
             node_files = resident.setdefault(event.dest, {})
             node_files[event.file_id] = event.size_mb
@@ -179,7 +186,7 @@ def _audit_disk_occupancy(
                 report.add(
                     "E3",
                     f"eviction of {event.file_id} from node {event.node} "
-                    "but the trail never staged it there",
+                    "but the log never staged it there",
                 )
         elif isinstance(event, CrashEvent):
             # The node's disk is gone; everything it held vanishes from the
@@ -217,10 +224,10 @@ def _audit_no_staging_during_exec(
 
 
 def _exec_intervals_by_task(
-    runtime: Runtime, trail: AuditTrail
+    runtime: Runtime, execs: list[ExecEvent]
 ) -> dict[str, list[Interval]]:
     by_task: dict[str, list[Interval]] = {}
-    nodes = {ev.node for ev in trail.execs}
+    nodes = {ev.node for ev in execs}
     for node in nodes:
         for iv in _exec_timeline(runtime, node).intervals:
             if iv.tag.startswith("exec:"):
@@ -230,13 +237,13 @@ def _exec_intervals_by_task(
 
 def _audit_records(
     runtime: Runtime,
-    trail: AuditTrail,
+    execs: list[ExecEvent],
     results: Iterable[ExecutionResult],
     report: AuditReport,
 ) -> None:
     """E5 — reported task records agree with the trace."""
-    by_task = _exec_intervals_by_task(runtime, trail)
-    events = {ev.task_id: ev for ev in trail.execs}
+    by_task = _exec_intervals_by_task(runtime, execs)
+    events = {ev.task_id: ev for ev in execs}
     for result in results:
         for rec in result.records:
             ev = events.get(rec.task_id)
@@ -244,7 +251,7 @@ def _audit_records(
                 report.add(
                     "E5",
                     f"record for task {rec.task_id} has no matching "
-                    "execution event in the trail",
+                    "execution event in the log",
                 )
                 continue
             reserved = any(
@@ -273,7 +280,12 @@ def _audit_records(
                 )
 
 
-def _audit_node_crashes(runtime: Runtime, trail: AuditTrail, report: AuditReport) -> None:
+def _audit_node_crashes(
+    runtime: Runtime,
+    transfers: list[TransferEvent],
+    execs: list[ExecEvent],
+    report: AuditReport,
+) -> None:
     """E6 — nothing touches a compute node after its injected crash time."""
     if runtime.faults is None:
         return
@@ -296,7 +308,7 @@ def _audit_node_crashes(runtime: Runtime, trail: AuditTrail, report: AuditReport
                         f"{iv.tag!r} occupies [{iv.start:.3f}, {iv.end:.3f}) "
                         "on its timeline",
                     )
-    for tr in trail.transfers:
+    for tr in transfers:
         for endpoint in (tr.dest, tr.source_node):
             if endpoint is None:
                 continue
@@ -307,7 +319,7 @@ def _audit_node_crashes(runtime: Runtime, trail: AuditTrail, report: AuditReport
                     f"transfer of {tr.file_id} touching node {endpoint} ends "
                     f"at {tr.end:.3f}, after its crash at {crash_at:.3f}",
                 )
-    for ev in trail.execs:
+    for ev in execs:
         crash_at = crash_times.get(ev.node, float("inf"))
         if ev.end > crash_at + AUDIT_EPS:
             report.add(
@@ -317,21 +329,28 @@ def _audit_node_crashes(runtime: Runtime, trail: AuditTrail, report: AuditReport
             )
 
 
-def _audit_failed_transfers(trail: AuditTrail, report: AuditReport) -> None:
+def _audit_failed_transfers(
+    runtime: Runtime, log: EventLog, report: AuditReport
+) -> None:
     """E7 — every injected transfer failure is retried to success."""
-    if not trail.failed_transfers:
-        return
-    crashed = {c.node for c in trail.crashes}
+    if runtime.faults is None:
+        return  # no fault model, no injected failures
+    crashed: set[int] = set()
+    # (file, dest) -> log position of its last successful transfer
     recovered: dict[tuple[str, int], int] = {}
-    for tr in trail.transfers:
-        key = (tr.file_id, tr.dest)
-        if key not in recovered or tr.seq > recovered[key]:
-            recovered[key] = tr.seq
-    for fail in trail.failed_transfers:
+    failures: list[tuple[int, FailedTransferEvent]] = []
+    for pos, event in enumerate(log.events):
+        if isinstance(event, TransferEvent):
+            recovered[(event.file_id, event.dest)] = pos
+        elif isinstance(event, FailedTransferEvent):
+            failures.append((pos, event))
+        elif isinstance(event, CrashEvent):
+            crashed.add(event.node)
+    for pos, fail in failures:
         if fail.dest in crashed:
             continue  # the destination died; its tasks were rescheduled
-        success_seq = recovered.get((fail.file_id, fail.dest))
-        if success_seq is None or success_seq < fail.seq:
+        success = recovered.get((fail.file_id, fail.dest))
+        if success is None or success < pos:
             report.add(
                 "E7",
                 f"transfer of {fail.file_id} to node {fail.dest} failed "
@@ -339,23 +358,23 @@ def _audit_failed_transfers(trail: AuditTrail, report: AuditReport) -> None:
             )
 
 
-def _audit_cross_batch(trail: AuditTrail, report: AuditReport) -> None:
+def _audit_cross_batch(log: EventLog, report: AuditReport) -> None:
     """E8 — cross-batch hit attribution matches the replayed residency.
 
-    Replays the commit-ordered trail maintaining the set of copies resident
+    Replays the commit-ordered log maintaining the set of copies resident
     *continuously* since the batch started (the prior batch's committed
     contents, per ``initial_holdings``): an eviction, a crash or a re-stage
     of the pair removes it. Every cache-hit event must agree with the set —
     counted cross-batch iff the consumed copy is still in it.
     """
-    if not trail.cache_hits:
+    if not any(isinstance(e, CacheHitEvent) for e in log.events):
         return  # not an online session: nothing was attributed
     resident: set[tuple[int, str]] = {
         (node, f)
-        for node, files in trail.initial_holdings.items()
+        for node, files in log.initial_holdings.items()
         for f in files
     }
-    for event in trail.in_commit_order():
+    for event in log.events:
         if isinstance(event, CacheHitEvent):
             key = (event.node, event.file_id)
             if event.cross_batch and key not in resident:
@@ -398,32 +417,30 @@ def audit_runtime(
 ) -> AuditReport:
     """Verify an executed runtime's trace; returns the full report.
 
-    The runtime must have been constructed with ``audit=True`` so the
-    commit-ordered :class:`~repro.cluster.events.AuditTrail` exists; pass
+    The runtime must have been constructed with ``events=True`` so the
+    commit-ordered :class:`~repro.cluster.events.EventLog` exists; pass
     the per-sub-batch :class:`~repro.cluster.stats.ExecutionResult` values
     to additionally cross-check the reported records (E5).
+    ``checked_events`` counts every logged event but the sub-batch markers.
     """
-    trail = runtime.trail
-    if trail is None:
+    log = runtime.events
+    if log is None:
         raise ValueError(
-            "runtime has no audit trail; construct it with audit=True"
+            "runtime has no event log; construct it with events=True"
         )
+    transfers = [e for e in log.events if isinstance(e, TransferEvent)]
+    execs = [e for e in log.events if isinstance(e, ExecEvent)]
     report = AuditReport()
     _audit_timelines(_all_timelines(runtime), report)
-    _audit_staging_before_exec(trail, report)
-    _audit_disk_occupancy(runtime, trail, report)
+    _audit_staging_before_exec(log, transfers, execs, report)
+    _audit_disk_occupancy(runtime, log, report)
     _audit_no_staging_during_exec(runtime, report)
-    _audit_node_crashes(runtime, trail, report)
-    _audit_failed_transfers(trail, report)
-    _audit_cross_batch(trail, report)
+    _audit_node_crashes(runtime, transfers, execs, report)
+    _audit_failed_transfers(runtime, log, report)
+    _audit_cross_batch(log, report)
     if results is not None:
-        _audit_records(runtime, trail, results, report)
-    report.checked_events = (
-        len(trail.transfers)
-        + len(trail.execs)
-        + len(trail.evictions)
-        + len(trail.failed_transfers)
-        + len(trail.crashes)
-        + len(trail.cache_hits)
+        _audit_records(runtime, execs, results, report)
+    report.checked_events = sum(
+        1 for e in log.events if not isinstance(e, SubBatchEvent)
     )
     return report

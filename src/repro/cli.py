@@ -87,6 +87,7 @@ from .batch import Batch, overlap_fraction, pairwise_overlap
 from .cluster import Runtime, render_ascii, to_chrome_trace
 from .experiments import (
     ExperimentConfig,
+    default_scheduler_kwargs,
     fig3_image_overlap,
     fig4_sat_overlap,
     fig5a_replication_benefit,
@@ -500,9 +501,7 @@ def _cmd_run_parallel(args) -> int:
     faults = _load_faults(args.faults) if args.faults else None
     configs = []
     for scheme in args.schemes:
-        kwargs = {}
-        if scheme == "ip":
-            kwargs = {"time_limit": args.ip_time_limit, "mip_rel_gap": 0.05}
+        kwargs = default_scheduler_kwargs(scheme, args.ip_time_limit)
         configs.append(
             ExperimentConfig(
                 experiment="cli-run",
@@ -606,9 +605,7 @@ def _cmd_run(args) -> int:
     last_runtime: Runtime | None = None
     fault_lines: list[str] = []
     for scheme in args.schemes:
-        kwargs = {}
-        if scheme == "ip":
-            kwargs = {"time_limit": args.ip_time_limit, "mip_rel_gap": 0.05}
+        kwargs = default_scheduler_kwargs(scheme, args.ip_time_limit)
         result = run_batch(
             batch,
             platform,
@@ -958,9 +955,7 @@ def _cmd_audit(args) -> int:
     print(f"{batch} on {platform.name} ({platform.num_compute} compute nodes)\n")
     failures = 0
     for scheme in args.schemes:
-        kwargs = {}
-        if scheme == "ip":
-            kwargs = {"time_limit": args.ip_time_limit, "mip_rel_gap": 0.05}
+        kwargs = default_scheduler_kwargs(scheme, args.ip_time_limit)
         try:
             result = run_batch(
                 batch,

@@ -8,7 +8,7 @@ task-ordering/file-staging runtime.
 """
 
 from .cache import CacheFullError, DiskCache
-from .events import AuditTrail, EvictionEvent, ExecEvent, TransferEvent
+from .events import EventLog, EvictionEvent, ExecEvent, TransferEvent
 from .gantt import Interval, Timeline, earliest_common_slot
 from .platform import (
     MBPS_8GBIT,
@@ -44,7 +44,7 @@ __all__ = [
     "PlannedSource",
     "ExecutionResult",
     "TaskRecord",
-    "AuditTrail",
+    "EventLog",
     "TransferEvent",
     "ExecEvent",
     "EvictionEvent",

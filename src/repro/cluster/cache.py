@@ -71,10 +71,6 @@ class DiskCache:
     def last_use(self, file_id: str) -> Seconds:
         return self._entries[file_id].last_use
 
-    def is_pinned(self, file_id: str) -> bool:
-        e = self._entries.get(file_id)
-        return e is not None and e.pin_count > 0
-
     # -- mutation ----------------------------------------------------------------
     def add(self, file_id: str, size_mb: MB, now: Seconds = 0.0) -> None:
         """Record a staged file; caller must have ensured space first."""

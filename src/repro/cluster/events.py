@@ -1,28 +1,48 @@
-"""Execution event log recorded by the runtime when auditing is enabled.
+"""Commit-ordered event log of one runtime's execution.
 
 The Gantt timelines alone cannot answer every post-hoc question — evictions
 are instantaneous cache decisions with no busy interval, and an interval's
 tag does not say which task consumed a transferred file.  When a
-:class:`~repro.cluster.runtime.Runtime` is constructed with ``audit=True``
-it appends one event here per committed transfer, push, execution and
-eviction, in *commit order* (the causal order of cache mutations).  The
-schedule auditor (:mod:`repro.analysis.audit`) replays this trail against
-the timelines to re-verify the paper's execution-time invariants.
+:class:`~repro.cluster.runtime.Runtime` is constructed with ``events=True``
+it appends one event here per sub-batch start, committed transfer, push,
+failed attempt, execution, eviction and crash, in *commit order* (the causal
+order of cache mutations).  Two readers fold this one list: the schedule
+auditor (:mod:`repro.analysis.audit`) replays it against the timelines to
+re-verify the paper's execution-time invariants, and
+:class:`~repro.obs.timeseries.TimeSeriesProbe` samples it into the
+manifest's time series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Union
+
+from .state import ClusterState, TransferStats
 
 __all__ = [
+    "SubBatchEvent",
     "TransferEvent",
     "FailedTransferEvent",
     "ExecEvent",
     "EvictionEvent",
     "CrashEvent",
     "CacheHitEvent",
-    "AuditTrail",
+    "Event",
+    "EventLog",
 ]
+
+
+@dataclass(frozen=True)
+class SubBatchEvent:
+    """The start of one sub-batch (one :meth:`Runtime.execute` call).
+
+    ``ready[n]`` is the number of tasks mapped to compute node ``n`` once
+    the tasks on already-dead nodes are dropped.
+    """
+
+    time: float
+    ready: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -33,15 +53,18 @@ class TransferEvent:
     staging (DLL) as opposed to on-demand staging for a committed task.
     """
 
-    seq: int
     file_id: str
     size_mb: float
     kind: str
     source_node: int | None
     dest: int
     start: float
-    end: float
+    duration: float
     push: bool = False
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
 
 
 @dataclass(frozen=True)
@@ -54,7 +77,6 @@ class FailedTransferEvent:
     followed by a successful transfer of the same file to the same node.
     """
 
-    seq: int
     file_id: str
     size_mb: float
     kind: str
@@ -69,7 +91,6 @@ class FailedTransferEvent:
 class ExecEvent:
     """One committed task execution with the input files it consumed."""
 
-    seq: int
     task_id: str
     node: int
     files: tuple[str, ...]
@@ -81,7 +102,6 @@ class ExecEvent:
 class EvictionEvent:
     """One file dropped from a node's disk cache to make room."""
 
-    seq: int
     node: int
     file_id: str
     size_mb: float
@@ -93,12 +113,11 @@ class CacheHitEvent:
 
     Recorded only while the cluster state's cross-batch carryover tracking
     is armed (online multi-batch sessions, :mod:`repro.online`), keeping
-    single-batch audit trails unchanged. ``cross_batch`` marks hits the
-    state attributed to a copy resident since the prior batch boundary; the
-    auditor's E8 invariant replays the trail to verify that attribution.
+    single-batch logs unchanged. ``cross_batch`` marks hits the state
+    attributed to a copy resident since the prior batch boundary; the
+    auditor's E8 invariant replays the log to verify that attribution.
     """
 
-    seq: int
     node: int
     file_id: str
     size_mb: float
@@ -110,123 +129,55 @@ class CrashEvent:
     """A compute node's permanent failure (fault model).
 
     ``lost_files`` lists the ``(file_id, size_mb)`` cache contents dropped
-    with the node; the auditor clears the node's replayed disk occupancy
-    here and E6 rejects any later activity touching the node.
+    with the node, in the order they were dropped; the auditor clears the
+    node's replayed disk occupancy here and E6 rejects any later activity
+    touching the node.
     """
 
-    seq: int
     node: int
     time: float
     lost_files: tuple[tuple[str, float], ...] = ()
 
 
-@dataclass
-class AuditTrail:
-    """Commit-ordered event log of one runtime's whole batch execution.
+Event = Union[
+    SubBatchEvent,
+    TransferEvent,
+    FailedTransferEvent,
+    ExecEvent,
+    EvictionEvent,
+    CacheHitEvent,
+    CrashEvent,
+]
 
-    ``initial_holdings`` snapshots files already cached per node (with their
-    sizes) when the runtime was created — normally empty, as the paper
-    starts all files on the storage cluster — so the auditor knows which
-    files need no transfer and what they occupy.
+
+@dataclass
+class EventLog:
+    """Commit-ordered events of one runtime's whole batch execution.
+
+    A list index is the event's commit position. The snapshot fields
+    describe the cluster when the runtime was built: the files already
+    cached per node (with their sizes), each disk's ``used_mb`` and the
+    cumulative :class:`~repro.cluster.state.TransferStats`. They are empty
+    or zero unless an online session starts the batch on a warm cluster.
     """
 
-    transfers: list[TransferEvent] = field(default_factory=list)
-    execs: list[ExecEvent] = field(default_factory=list)
-    evictions: list[EvictionEvent] = field(default_factory=list)
-    failed_transfers: list[FailedTransferEvent] = field(default_factory=list)
-    crashes: list[CrashEvent] = field(default_factory=list)
-    cache_hits: list[CacheHitEvent] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
     initial_holdings: dict[int, dict[str, float]] = field(default_factory=dict)
-    _seq: int = 0
+    initial_used_mb: tuple[float, ...] = ()
+    initial_stats: TransferStats = field(default_factory=TransferStats)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def record_transfer(
-        self,
-        file_id: str,
-        size_mb: float,
-        kind: str,
-        source_node: int | None,
-        dest: int,
-        start: float,
-        end: float,
-        push: bool = False,
-    ) -> None:
-        self.transfers.append(
-            TransferEvent(
-                self._next_seq(), file_id, size_mb, kind, source_node,
-                dest, start, end, push,
-            )
+    @classmethod
+    def of(cls, state: ClusterState) -> EventLog:
+        """An empty log with a snapshot of ``state``."""
+        return cls(
+            initial_holdings={
+                n: {f: state.size_of(f) for f in cache.files}
+                for n, cache in enumerate(state.caches)
+                if cache.files
+            },
+            initial_used_mb=tuple(cache.used_mb for cache in state.caches),
+            initial_stats=replace(state.stats),
         )
 
-    def record_exec(
-        self, task_id: str, node: int, files: tuple[str, ...],
-        start: float, end: float,
-    ) -> None:
-        self.execs.append(
-            ExecEvent(self._next_seq(), task_id, node, files, start, end)
-        )
-
-    def record_eviction(self, node: int, file_id: str, size_mb: float) -> None:
-        self.evictions.append(
-            EvictionEvent(self._next_seq(), node, file_id, size_mb)
-        )
-
-    def record_failed_transfer(
-        self,
-        file_id: str,
-        size_mb: float,
-        kind: str,
-        source_node: int | None,
-        dest: int,
-        start: float,
-        end: float,
-        attempt: int = 0,
-    ) -> None:
-        self.failed_transfers.append(
-            FailedTransferEvent(
-                self._next_seq(), file_id, size_mb, kind, source_node,
-                dest, start, end, attempt,
-            )
-        )
-
-    def record_crash(
-        self, node: int, time: float, lost_files: tuple[tuple[str, float], ...]
-    ) -> None:
-        self.crashes.append(
-            CrashEvent(self._next_seq(), node, time, lost_files)
-        )
-
-    def record_cache_hit(
-        self, node: int, file_id: str, size_mb: float, cross_batch: bool
-    ) -> None:
-        self.cache_hits.append(
-            CacheHitEvent(self._next_seq(), node, file_id, size_mb, cross_batch)
-        )
-
-    def in_commit_order(
-        self,
-    ) -> list[
-        TransferEvent
-        | ExecEvent
-        | EvictionEvent
-        | FailedTransferEvent
-        | CrashEvent
-        | CacheHitEvent
-    ]:
-        """All events merged back into their global commit order."""
-        merged: list[
-            TransferEvent
-            | ExecEvent
-            | EvictionEvent
-            | FailedTransferEvent
-            | CrashEvent
-            | CacheHitEvent
-        ] = [
-            *self.transfers, *self.execs, *self.evictions,
-            *self.failed_transfers, *self.crashes, *self.cache_hits,
-        ]
-        merged.sort(key=lambda e: e.seq)
-        return merged
+    def append(self, event: Event) -> None:
+        self.events.append(event)

@@ -41,21 +41,26 @@ import heapq
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from ..analysis.dims import MB, Seconds
 from ..batch import Task
 from ..faults import FaultModel
 from ..obs.core import telemetry
 from .cache import CacheFullError
-from .events import AuditTrail
+from .events import (
+    CacheHitEvent,
+    CrashEvent,
+    EventLog,
+    EvictionEvent,
+    ExecEvent,
+    FailedTransferEvent,
+    SubBatchEvent,
+    TransferEvent,
+)
 from .gantt import _EPS, Interval, Timeline, earliest_common_slot
 from .platform import Platform
 from .state import ClusterState
 from .stats import ExecutionResult, TaskRecord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.timeseries import TimeSeriesProbe
 
 __all__ = ["PlannedSource", "StagingPlan", "Runtime"]
 
@@ -160,7 +165,7 @@ class Runtime:
         candidate_limit: int | None = None,
         ordering: str = "ect",
         overlap_io_compute: bool = False,
-        audit: bool = False,
+        events: bool = False,
         faults: FaultModel | None = None,
     ) -> None:
         if ordering not in ("ect", "fifo"):
@@ -199,26 +204,10 @@ class Runtime:
         # of the same file draw fresh failure outcomes. Only advanced at
         # commit time, keeping speculative ECT evaluations consistent.
         self._xfer_instance: dict[tuple[str, int], int] = {}
-        # Commit-ordered event log for the schedule auditor
-        # (repro.analysis.audit); None keeps the hot path allocation-free.
-        self.trail: AuditTrail | None = None
-        if audit:
-            self.trail = AuditTrail(
-                initial_holdings={
-                    n: {f: state.size_of(f) for f in state.files_on(n)}
-                    for n in range(platform.num_compute)
-                    if state.files_on(n)
-                }
-            )
-        # Simulated-time series probe (repro.obs.timeseries), assigned by
-        # the driver when run_batch(timeseries=...) is enabled. None keeps
-        # every hook a single attribute test: the disabled path allocates
-        # nothing, mirroring the null audit trail above.
-        self.probe: TimeSeriesProbe | None = None
-        # Ready-task depth of the sub-batch currently executing (tasks
-        # mapped but not yet committed); maintained unconditionally so the
-        # probe's ready-queue gauge costs only integer arithmetic.
-        self._ready_count: int = 0
+        # Commit-ordered event log, read by the schedule auditor
+        # (repro.analysis.audit) and the time series (repro.obs.timeseries);
+        # None keeps the hot path allocation-free.
+        self.events: EventLog | None = EventLog.of(state) if events else None
         # Work of the least-ECT search over this runtime's life: (task,
         # node) pairs it was given, pairs skipped as copies of an earlier
         # pair of the same search, pairs it evaluated, the common-slot
@@ -601,11 +590,11 @@ class Runtime:
                 cache.pin(f)
                 size = self.state.size_of(f)
                 carried = self.state.record_cache_hit(size, node, f)
-                if self.trail is not None and self.state.carryover_active:
+                if self.events is not None and self.state.carryover_active:
                     # Online sessions only: log every hit with its
                     # cross-batch attribution so the auditor's E8 replay
-                    # can verify it; single-batch trails stay unchanged.
-                    self.trail.record_cache_hit(node, f, size, carried)
+                    # can verify it; single-batch logs stay unchanged.
+                    self.events.append(CacheHitEvent(node, f, size, carried))
 
         # Make room for the incoming files, evicting per policy.
         needed = sum(self.state.size_of(f) for f in incoming_ids)
@@ -629,19 +618,18 @@ class Runtime:
                 self.state.record_remote(size)
             else:
                 self.state.record_replication(size)
-            if self.trail is not None:
-                self.trail.record_transfer(
-                    f, size, kind, src, node, start, start + duration
+            if self.events is not None:
+                self.events.append(
+                    TransferEvent(f, size, kind, src, node, start, duration)
                 )
         for f in tent.task.files:
             cache.touch(f, tent.ect)
-        if self.trail is not None:
-            self.trail.record_exec(
-                tent.task.task_id, node, tuple(tent.task.files),
-                tent.exec_start, tent.ect,
+        if self.events is not None:
+            self.events.append(
+                ExecEvent(
+                    tent.task.task_id, node, tent.task.files, tent.exec_start, tent.ect
+                )
             )
-        if self.probe is not None:
-            self.probe.on_commit(self, tent)
         return TaskRecord(
             task_id=tent.task.task_id,
             node=node,
@@ -651,7 +639,7 @@ class Runtime:
         )
 
     def _commit_fault_accounting(self, tent: _Tentative) -> None:
-        """Fold a committed task's fault history into stats and the trail.
+        """Fold a committed task's fault history into stats and the log.
 
         Runs at commit time only, so speculative evaluations never touch
         counters. Failed attempts are recorded before their file's
@@ -682,28 +670,27 @@ class Runtime:
             stats.failovers += sum(
                 1 for a, b in zip(sources, sources[1:]) if a != b
             )
-            if self.trail is not None:
+            if self.events is not None:
                 for file_id, size, kind, src, start, end, attempt in fails:
-                    self.trail.record_failed_transfer(
-                        file_id, size, kind, src, node, start, end, attempt
+                    self.events.append(
+                        FailedTransferEvent(
+                            file_id, size, kind, src, node, start, end, attempt
+                        )
                     )
-            if self.probe is not None:
-                self.probe.on_retry(node, f, fails[0][4], len(fails))
 
     def on_evict(self, node: int, file_id: str) -> None:
         """Record that ``file_id`` was evicted from ``node``'s disk.
 
         The cache has already dropped the entry; this mirrors the global
-        holder map, availability table and statistics, the audit trail and
-        the probe. The driver's between-sub-batch eviction reports through
-        it too.
+        holder map, availability table and statistics, and the event log.
+        The driver's between-sub-batch eviction reports through it too.
         """
-        if self.trail is not None:
-            self.trail.record_eviction(node, file_id, self.state.size_of(file_id))
+        if self.events is not None:
+            self.events.append(
+                EvictionEvent(node, file_id, self.state.size_of(file_id))
+            )
         self.state.note_evicted(node, file_id)
         self._avail.pop((node, file_id), None)
-        if self.probe is not None:
-            self.probe.on_evict(node, self.state.size_of(file_id))
 
     def _release(self, task: Task, node: int) -> None:
         if self.faults is not None and node in self.state.dead_nodes:
@@ -723,10 +710,8 @@ class Runtime:
         faults.stats.lost_mb += sum(size for _, size in lost)
         for key in [k for k in self._avail if k[0] == node]:
             del self._avail[key]
-        if self.trail is not None:
-            self.trail.record_crash(node, time, tuple(lost))
-        if self.probe is not None:
-            self.probe.on_crash(node, time, len(lost))
+        if self.events is not None:
+            self.events.append(CrashEvent(node, time, tuple(lost)))
 
     def _apply_timed_faults(
         self, victim_order: Callable[[int, Iterable[str]], list[str]]
@@ -798,12 +783,12 @@ class Runtime:
             self.state.record_remote(size)
         else:
             self.state.record_replication(size)
-        if self.trail is not None:
-            self.trail.record_transfer(
-                file_id, size, kind, src, dest, start, tct, push=True
+        if self.events is not None:
+            self.events.append(
+                TransferEvent(
+                    file_id, size, kind, src, dest, start, duration, push=True
+                )
             )
-        if self.probe is not None:
-            self.probe.on_push(self, dest, kind, src, start, tct)
 
     # -- main loop ---------------------------------------------------------------------
     def execute(
@@ -836,11 +821,6 @@ class Runtime:
             n = mapping[t.task_id]
             if not 0 <= n < self.platform.num_compute:
                 raise ValueError(f"task {t.task_id} mapped to bad node {n}")
-        self._ready_count = len(tasks)
-
-        if plan is not None:
-            for file_id, dest in plan.pushes:
-                self._stage_push(file_id, dest, victim_order)
 
         groups: dict[int, list[Task]] = {}
         for t in tasks:
@@ -851,13 +831,19 @@ class Runtime:
             # hand them straight back to the driver for rescheduling.
             for node in [n for n in groups if n in self.state.dead_nodes]:
                 failed.extend(t.task_id for t in groups.pop(node))
-        self._ready_count = sum(len(g) for g in groups.values())
+        if self.events is not None:
+            ready = tuple(len(groups.get(n, ())) for n in range(self.platform.num_compute))
+            self.events.append(SubBatchEvent(start_time, ready))
+
+        if plan is not None:
+            for file_id, dest in plan.pushes:
+                self._stage_push(file_id, dest, victim_order)
 
         base_stats = replace(self.state.stats)
 
         records: list[TaskRecord] = []
-        events: list[tuple[float, int, int, Task]] = []  # (ect, seq, node, task)
-        seq = 0
+        # (ect, commit number, node, task) of each committed task
+        completions: list[tuple[float, int, int, Task]] = []
 
         def candidates(node: int) -> list[Task]:
             pend = groups[node]
@@ -875,7 +861,6 @@ class Runtime:
             return sorted(pend, key=missing_mb)[: self.candidate_limit]
 
         def commit(tent: _Tentative) -> None:
-            nonlocal seq
             node = tent.node
             if self.faults is not None and tent.ect > self.faults.crash_time(node):
                 # The node dies before its next-best task could complete:
@@ -884,17 +869,15 @@ class Runtime:
                 # same guard), so E6 holds; the unfinished remainder of the
                 # group goes back to the driver's pending pool.
                 self._kill_node(node, self.faults.crash_time(node))
-                dropped = groups.pop(node)
-                failed.extend(t.task_id for t in dropped)
-                self._ready_count -= len(dropped)
+                failed.extend(t.task_id for t in groups.pop(node))
                 return
             groups[node].remove(tent.task)
-            self._ready_count -= 1
             if not groups[node]:
                 del groups[node]
             records.append(self._commit(tent, victim_order))
-            heapq.heappush(events, (tent.ect, seq, node, tent.task))
-            seq += 1
+            heapq.heappush(
+                completions, (tent.ect, len(records), node, tent.task)
+            )
 
         # Initial commits: globally best first, then each remaining group's
         # best in ECT order (re-evaluated after every commit). Ties go to
@@ -911,8 +894,8 @@ class Runtime:
 
         # Event loop: when a task completes, schedule that group's next task.
         makespan = start_time
-        while events:
-            ect, _, node, task = heapq.heappop(events)
+        while completions:
+            ect, _, node, task = heapq.heappop(completions)
             makespan = max(makespan, ect)
             self._release(task, node)
             if node in groups:

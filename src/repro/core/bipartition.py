@@ -160,17 +160,9 @@ class BiPartitionScheduler(Scheduler):
         state: ClusterState,
     ) -> list[list[str]]:
         tasks = [batch.task(t) for t in pending]
-        if state.dead_nodes:
-            # Fault injection: the BINW bound shrinks to the surviving
-            # cluster's aggregate disk (crashed disks are gone).
-            bound = float(
-                sum(
-                    platform.compute_nodes[n].disk_space_mb
-                    for n in state.alive_nodes()
-                )
-            )
-        else:
-            bound = platform.aggregate_disk_space
+        # The BINW bound is the surviving disks' current capacity: crashed
+        # disks are gone and disk losses shrink the rest (fault injection).
+        bound = float(sum(state.caches[n].capacity_mb for n in state.alive_nodes()))
         if math.isinf(bound) or batch.subset(pending).distinct_file_mb <= bound:
             return [list(pending)]
         h = self._build_hypergraph(batch, tasks, platform)
@@ -232,7 +224,7 @@ class BiPartitionScheduler(Scheduler):
         h = self._build_hypergraph(batch, tasks, platform)
         parts = kway_partition(h, k, self.rng, epsilon=self.epsilon)
         mapping = {t.task_id: nodes[int(parts[v])] for v, t in enumerate(tasks)}
-        deferred = self._repair_disk(batch, tasks, mapping, platform)
+        deferred = self._repair_disk(batch, tasks, mapping, state)
         for t in deferred:
             del mapping[t]
         return mapping, deferred
@@ -242,14 +234,14 @@ class BiPartitionScheduler(Scheduler):
         batch: Batch,
         tasks: list[Task],
         mapping: dict[str, int],
-        platform: Platform,
+        state: ClusterState,
     ) -> list[str]:
         """Section 5.3 heuristic: fix per-node disk-space violations.
 
         For an over-full node, files are removed from its staging list in
         increasing order of the number of sub-batch tasks sharing them
-        (``s_j``), until the remaining files fit; tasks that lose a file are
-        deferred to a later sub-batch.
+        (``s_j``), until the remaining files fit the node's current disk;
+        tasks that lose a file are deferred to a later sub-batch.
         """
         sharers: dict[str, int] = {}
         for t in tasks:
@@ -261,7 +253,7 @@ class BiPartitionScheduler(Scheduler):
         for t in tasks:
             by_node.setdefault(mapping[t.task_id], []).append(t)
         for node, node_tasks in by_node.items():
-            cap = platform.compute_nodes[node].disk_space_mb
+            cap = state.caches[node].capacity_mb
             if math.isinf(cap):
                 continue
             needed = {f for t in node_tasks for f in t.files}
@@ -310,8 +302,7 @@ class BiPartitionScheduler(Scheduler):
             # the paper assumes any single task's files fit on a node.
             forced = ids[0]
             target = max(
-                state.alive_nodes(),
-                key=lambda i: platform.compute_nodes[i].disk_space_mb,
+                state.alive_nodes(), key=lambda i: state.caches[i].capacity_mb
             )
             kept = [forced]
             mapping = {forced: target}

@@ -112,9 +112,8 @@ def run_batch(
     audit: bool = False,
     telemetry: bool = False,
     timeseries: bool = False,
-    faults: FaultSpec | dict | None = None,
+    faults: FaultSpec | dict | FaultModel | None = None,
     state: ClusterState | None = None,
-    fault_model: FaultModel | None = None,
 ) -> BatchResult:
     """Run a whole batch under one scheduler; returns the end-to-end result.
 
@@ -137,7 +136,7 @@ def run_batch(
         Relax the paper's no-staging-during-execution assumption by giving
         each node a dedicated CPU timeline (future-work ablation).
     audit:
-        Record a commit-ordered audit trail during execution and verify
+        Record a commit-ordered event log during execution and verify
         the finished trace with :func:`repro.analysis.audit.audit_runtime`
         (invariants E1–E8 of ``docs/invariants.md``).  The report is
         attached as ``result.audit_report``; any violation raises
@@ -153,13 +152,14 @@ def run_batch(
         built from it carry them. ``result.runtime``, the executed runtime
         (for Gantt charts and trace export), is attached on every run.
     timeseries:
-        Attach simulated-time series probes (:mod:`repro.obs.timeseries`):
-        samples per-node disk occupancy, eviction pressure, port busy
-        seconds, ready-queue and in-flight-transfer depth, and cumulative
+        Attach the simulated-time series (:mod:`repro.obs.timeseries`),
+        folded from the run's event log after the last sub-batch: per-node
+        disk occupancy, eviction pressure, port busy seconds, ready-queue
+        and in-flight-transfer depth, and cumulative
         remote/replicated/cache-hit bytes at every commit point, with fault
-        events overlaid as markers. ``False`` builds no probe and keeps the
-        allocation-free fast path. The block is attached as
-        ``result.timeseries`` and exported under the manifest's
+        events overlaid as markers. With ``audit`` also off the runtime
+        keeps no log and the fast path allocates nothing. The block is
+        attached as ``result.timeseries`` and exported under the manifest's
         ``timeseries`` key. Independent of ``telemetry``.
     faults:
         Fault-injection spec (:class:`~repro.faults.FaultSpec`, its JSON
@@ -168,7 +168,10 @@ def run_batch(
         surviving platform; transient transfer failures are retried with
         exponential backoff and source failover inside the runtime. A null
         spec is equivalent to ``None``: the simulation is bit-identical to
-        a fault-free run. See ``docs/faults.md``.
+        a fault-free run. See ``docs/faults.md``. Online sessions pass a
+        live :class:`~repro.faults.FaultModel` shared across successive
+        batches instead, so recovery counters accumulate and each injected
+        disk loss applies once per stream.
     state:
         A pre-existing :class:`~repro.cluster.state.ClusterState` to run
         against instead of the paper's cold start (all files on the storage
@@ -176,18 +179,16 @@ def run_batch(
         state into successive calls so disk-cache contents, dead nodes and
         transfer statistics carry across batches; the batch's file catalog
         is registered into it. Must have been built for ``platform``.
-    fault_model:
-        A live :class:`~repro.faults.FaultModel` shared across successive
-        batches (online sessions): recovery counters accumulate and each
-        injected disk loss applies once per stream. Mutually exclusive
-        with ``faults``.
     """
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler, **(scheduler_kwargs or {}))
     scheduler.reset()
 
-    if fault_model is not None and faults is not None:
-        raise ValueError("pass either faults or fault_model, not both")
+    if isinstance(faults, FaultModel):
+        fault_model: FaultModel | None = faults
+    else:
+        spec = resolve_spec(faults)
+        fault_model = FaultModel(spec) if spec is not None else None
     if state is not None and state.platform is not platform:
         raise ValueError(
             "the provided cluster state was built for a different platform"
@@ -210,9 +211,8 @@ def run_batch(
             audit=audit,
             telemetry=telemetry,
             timeseries=timeseries,
-            fault_spec=resolve_spec(faults),
+            faults=fault_model,
             state=state,
-            fault_model=fault_model,
         )
     finally:
         if telemetry and not was_enabled:
@@ -232,9 +232,8 @@ def _run_batch_inner(
     audit: bool,
     telemetry: bool,
     timeseries: bool,
-    fault_spec: FaultSpec | None,
-    state: ClusterState | None = None,
-    fault_model: FaultModel | None = None,
+    faults: FaultModel | None,
+    state: ClusterState | None,
 ) -> BatchResult:
 
     # The paper assumes every single task's files fit on a compute node
@@ -255,10 +254,6 @@ def _run_batch_inner(
         # Warm start (online sessions): keep resident copies, dead nodes
         # and cumulative statistics; only the catalog grows.
         state.register_files(batch.files)
-    if fault_model is None and fault_spec is not None:
-        fault_model = FaultModel(fault_spec)
-    if fault_model is not None and fault_spec is None:
-        fault_spec = fault_model.spec
     runtime = Runtime(
         platform,
         state,
@@ -266,17 +261,9 @@ def _run_batch_inner(
         candidate_limit=candidate_limit,
         ordering=ordering,
         overlap_io_compute=overlap_io_compute,
-        audit=audit,
-        faults=fault_model,
+        events=audit or timeseries,
+        faults=faults,
     )
-    probe: TimeSeriesProbe | None = None
-    if timeseries:
-        probe = TimeSeriesProbe(
-            num_compute=platform.num_compute,
-            state=state,
-            fault_spec=fault_spec,
-        )
-        runtime.probe = probe
     policy = eviction_policy if eviction_policy is not None else scheduler.eviction_policy(batch)
     pending: list[str] = [t.task_id for t in batch.tasks]
     result = BatchResult(scheduler=scheduler.name, makespan=0.0, scheduling_seconds=0.0)
@@ -309,8 +296,6 @@ def _run_batch_inner(
 
             tasks = [batch.task(t) for t in plan.task_ids]
             dead_before = len(state.dead_nodes)
-            if probe is not None:
-                probe.on_subbatch(len(result.sub_batches), runtime.clock)
             with tele.span("execute"):
                 execution = runtime.execute(
                     tasks,
@@ -333,8 +318,8 @@ def _run_batch_inner(
                 # the pending pool (keeping submission order) and the next
                 # loop iteration re-invokes the scheduler against the
                 # surviving platform.
-                assert fault_model is not None
-                fault_model.stats.tasks_rescheduled += len(failed)
+                assert faults is not None
+                faults.stats.tasks_rescheduled += len(failed)
                 tele.count("faults/tasks_rescheduled", len(failed))
                 if not done and len(state.dead_nodes) == dead_before:
                     raise RuntimeError(
@@ -351,12 +336,16 @@ def _run_batch_inner(
     result.makespan = runtime.clock
     result.stats = state.stats
     result.runtime = runtime
-    if probe is not None:
-        result.timeseries = probe.to_dict()
-    if fault_model is not None:
-        result.fault_stats = fault_model.stats
+    if timeseries:
+        assert runtime.events is not None
+        result.timeseries = TimeSeriesProbe(
+            runtime.events,
+            fault_spec=faults.spec if faults is not None else None,
+        ).to_dict()
+    if faults is not None:
+        result.fault_stats = faults.stats
         if telemetry:
-            for key, value in fault_model.stats.to_dict().items():
+            for key, value in faults.stats.to_dict().items():
                 tele.gauge(f"faults/{key}", float(value))
     if telemetry:
         from ..obs.metrics import compute_metrics

@@ -153,9 +153,9 @@ class IPScheduler(Scheduler):
             for i in range(c):
                 for f in t.files:
                     m.add_constr(tvar[(t.task_id, i)] <= xvar[(f, i)])
-        # Eq. 16: per-node disk capacity.
+        # Eq. 16: per-node disk capacity (as shrunk by disk losses).
         for i in range(c):
-            cap = platform.compute_nodes[i].disk_space_mb
+            cap = state.caches[i].capacity_mb
             usage = LinExpr.from_terms(
                 (xvar[(f, i)], batch.file_size(f)) for f in files
             )
@@ -214,15 +214,7 @@ class IPScheduler(Scheduler):
         state: ClusterState,
     ) -> list[Task]:
         """Capacity-only fallback: pack tasks by increasing footprint."""
-        if state.dead_nodes:
-            budget = float(
-                sum(
-                    platform.compute_nodes[n].disk_space_mb
-                    for n in state.alive_nodes()
-                )
-            )
-        else:
-            budget = platform.aggregate_disk_space
+        budget = float(sum(state.caches[n].capacity_mb for n in state.alive_nodes()))
         chosen: list[Task] = []
         used: set[str] = set()
         used_mb = 0.0
@@ -331,9 +323,10 @@ class IPScheduler(Scheduler):
                     sum(rvar[(f, i)] for i in range(c)) >= 1,
                     name=f"fetch[{f}]",
                 )
-        # Eq. 21: per-node disk capacity (limited case only).
+        # Eq. 21: per-node disk capacity (limited case only; as shrunk by
+        # disk losses).
         for i in range(c):
-            cap = platform.compute_nodes[i].disk_space_mb
+            cap = state.caches[i].capacity_mb
             if math.isinf(cap):
                 continue
             usage = sum(xvar[(f, i)] * batch.file_size(f) for f in files)
@@ -400,6 +393,11 @@ class IPScheduler(Scheduler):
             needed_on[mapping[t.task_id]].update(t.files)
         for f in files:
             for i in range(c):
+                # Eq. 4 is an inequality and Eq. 21 budgets only X, so a
+                # transfer into a node without a placement is never
+                # budgeted: plan none.
+                if sol.value(inst.xvars[(f, i)]) <= 0.5:
+                    continue
                 src: PlannedSource | None = None
                 if sol.value(inst.rvars[(f, i)]) > 0.5:
                     src = PlannedSource("remote")

@@ -31,7 +31,6 @@ from .runner import GB, default_scheduler_kwargs
 __all__ = [
     "StreamConfig",
     "StreamRecord",
-    "build_stream",
     "render_stream_table",
     "run_stream_config",
     "stream_config_from_dict",
@@ -103,11 +102,6 @@ def stream_config_from_dict(spec: Mapping[str, Any]) -> StreamConfig:
     if unknown:
         raise ValueError(f"unknown stream spec keys: {unknown}")
     return StreamConfig(**data)
-
-
-def build_stream(cfg: StreamConfig) -> JobStream:
-    """The configured job stream (workload batch + arrival times)."""
-    return cfg.stream()
 
 
 def run_stream_config(cfg: StreamConfig, *, warm: bool = True) -> StreamResult:

@@ -82,9 +82,6 @@ class FaultModel:
         """When ``node`` dies (``inf`` if it never does)."""
         return self._crash_times.get(node, math.inf)
 
-    def crashed_by(self, node: int, time: Seconds) -> bool:
-        return time >= self._crash_times.get(node, math.inf)
-
     # -- transient transfer failures ---------------------------------------
 
     def transfer_fails(
@@ -126,11 +123,3 @@ class FaultModel:
             if window.start <= time < window.end:
                 factor *= window.factor
         return factor
-
-    # -- disk losses -------------------------------------------------------
-
-    def disk_losses_through(self, time: Seconds) -> list[tuple[int, float]]:
-        """All ``(node, lost_mb)`` losses with event time <= ``time``."""
-        return [
-            (d.node, d.lost_mb) for d in self.spec.disk_losses if d.time <= time
-        ]

@@ -1,4 +1,4 @@
-"""Simulated-time series probes over the executing runtime.
+"""Simulated-time series of one run, folded from its event log.
 
 The run manifest (:mod:`repro.obs.export`) collapses a whole batch run into
 scalar metrics; this module keeps the *trajectory*: per-node disk occupancy
@@ -8,6 +8,13 @@ all sampled in **simulated seconds** at commit points, with fault events
 (crashes, retries, slowdown windows) and sub-batch boundaries overlaid as
 markers.
 
+The runtime records nothing for the series itself: :class:`TimeSeriesProbe`
+folds the commit-ordered :class:`~repro.cluster.events.EventLog` the runtime
+keeps for the auditor, in one pass after the run. It starts from the log's
+snapshot of the disks and transfer statistics and replays each event's
+change in the order the runtime made it, so every sampled value equals what
+the runtime's state held at that commit.
+
 Determinism is the design constraint. Samples are taken at task commits and
 proactive pushes (both simulated-time events), never from the wall clock,
 and the fixed-budget downsampler is *merge-adjacent*: when a series reaches
@@ -15,22 +22,30 @@ twice its budget, adjacent point pairs merge keeping the later point
 (last-value semantics — every series here is cumulative or a state gauge),
 halving the series. No RNG, no wall clock: two runs of the same config
 produce byte-identical ``timeseries`` blocks, which is what makes the
-golden-fixture test in ``tests/obs/`` exact.
+golden-fixture tests in ``tests/obs/`` exact.
 
-Probes are a plain on/off toggle (``run_batch(timeseries=True)``). When it
-is off no probe is built, and the runtime's hooks are guarded by a single
-``probe is not None`` attribute test — the disabled path allocates nothing,
-preserving the <2% telemetry-off overhead guarantee.
+The series is a plain on/off toggle (``run_batch(timeseries=True)``). When
+it and the audit are both off the runtime keeps no log and no probe is
+built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
+from ..cluster.events import (
+    CacheHitEvent,
+    CrashEvent,
+    EventLog,
+    EvictionEvent,
+    ExecEvent,
+    FailedTransferEvent,
+    SubBatchEvent,
+    TransferEvent,
+)
+
 if TYPE_CHECKING:  # pragma: no cover
-    from ..cluster.runtime import Runtime, _Tentative
-    from ..cluster.state import ClusterState
     from ..faults import FaultSpec
 
 __all__ = [
@@ -60,47 +75,54 @@ class _Series:
 
 
 class TimeSeriesProbe:
-    """Samples cluster/runtime state at commit points in simulated time.
+    """Folds a runtime's event log into the manifest ``timeseries`` block.
 
-    The :class:`~repro.cluster.runtime.Runtime` calls the ``on_*`` hooks;
-    every hook site is guarded by ``if self.probe is not None`` so a run
-    without probes never pays more than one attribute test. Points are kept
-    in commit order (commit ECTs are not globally monotone across nodes);
-    consumers that need time-sorted points sort on render.
+    :meth:`to_dict` runs the fold on its first call; ``on_*`` are its
+    steps. Each committed task and each proactive push is one sample,
+    timestamped at its end. Points are kept in commit order (commit ECTs
+    are not globally monotone across nodes); consumers that need
+    time-sorted points sort on render.
     """
 
     def __init__(
         self,
+        log: EventLog,
         *,
-        num_compute: int,
-        state: ClusterState,
         fault_spec: FaultSpec | None = None,
         budget: int = DEFAULT_BUDGET,
     ) -> None:
+        self.log = log
         self.budget = budget
-        self.state = state
-        self.num_compute = num_compute
         self.samples = 0
         self.compactions = 0
         self._series: dict[str, _Series] = {}
         self._events: list[dict[str, Any]] = []
+        self._folded = False
+        # What the runtime's state held at the event being folded: disk
+        # occupancy and volume counters, starting from the log's snapshot.
+        num_compute = len(log.initial_used_mb)
+        self._used_mb = list(log.initial_used_mb)
+        stats = log.initial_stats
+        self._remote_mb = stats.remote_volume_mb
+        self._replicated_mb = stats.replication_volume_mb
+        self._cache_hit_mb = stats.cache_hit_volume_mb
+        self._evicted_total_mb = stats.evicted_volume_mb
+        # Sizes of the files staged so far (held files: the snapshot).
+        self._sizes: dict[str, float] = {}
+        # Tasks of the current sub-batch not yet committed, per node.
+        self._ready = [0] * num_compute
+        self._subbatches = 0
         # Cumulative per-compute-node accounting, folded into samples.
         self._busy_s = [0.0] * num_compute
         self._evicted_mb = [0.0] * num_compute
-        # Open transfer intervals (start, end) for the in-flight depth
-        # gauge; pruned at sub-batch boundaries.
+        # Transfer intervals (start, end) for the in-flight depth gauge;
+        # pruned at sub-batch boundaries.
         self._inflight: list[tuple[float, float]] = []
         if fault_spec is not None:
             for w in fault_spec.link_slowdowns:
                 detail = f"x{w.factor:g} ({w.scope})"
-                self._events.append(
-                    {"t": float(w.start), "kind": "slowdown-start",
-                     "node": None, "detail": detail}
-                )
-                self._events.append(
-                    {"t": float(w.end), "kind": "slowdown-end",
-                     "node": None, "detail": detail}
-                )
+                self._mark(w.start, "slowdown-start", None, detail)
+                self._mark(w.end, "slowdown-end", None, detail)
 
     # -- point recording ------------------------------------------------------
     def _point(self, name: str, unit: str, t: float, value: float) -> None:
@@ -117,94 +139,147 @@ class TimeSeriesProbe:
             s.points = pts[1::2]
             self.compactions += 1
 
-    def _inflight_at(self, t: float) -> int:
-        return sum(1 for start, end in self._inflight if start <= t < end)
-
-    def _sample(self, runtime: Runtime, node: int, t: float) -> None:
-        state = runtime.state
-        stats = state.stats
-        self._point(
-            f"disk_used_mb/compute{node}", "MB", t, state.caches[node].used_mb
+    def _mark(self, t: float, kind: str, node: int | None, detail: str) -> None:
+        self._events.append(
+            {"t": float(t), "kind": kind, "node": node, "detail": detail}
         )
+
+    def _sample(self, node: int, t: float) -> None:
+        self._point(f"disk_used_mb/compute{node}", "MB", t, self._used_mb[node])
         self._point(f"port_busy_s/compute{node}", "s", t, self._busy_s[node])
         self._point(
             f"evicted_mb/compute{node}", "MB", t, self._evicted_mb[node]
         )
-        self._point("ready_tasks", "tasks", t, float(runtime._ready_count))
-        self._point(
-            "inflight_transfers", "transfers", t, float(self._inflight_at(t))
-        )
-        self._point("remote_mb", "MB", t, stats.remote_volume_mb)
-        self._point("replicated_mb", "MB", t, stats.replication_volume_mb)
-        self._point("cache_hit_mb", "MB", t, stats.cache_hit_volume_mb)
-        self._point("evicted_mb", "MB", t, stats.evicted_volume_mb)
+        self._point("ready_tasks", "tasks", t, float(sum(self._ready)))
+        inflight = sum(1 for start, end in self._inflight if start <= t < end)
+        self._point("inflight_transfers", "transfers", t, float(inflight))
+        self._point("remote_mb", "MB", t, self._remote_mb)
+        self._point("replicated_mb", "MB", t, self._replicated_mb)
+        self._point("cache_hit_mb", "MB", t, self._cache_hit_mb)
+        self._point("evicted_mb", "MB", t, self._evicted_total_mb)
         self.samples += 1
 
-    # -- runtime hooks --------------------------------------------------------
-    def on_commit(self, runtime: Runtime, tent: _Tentative) -> None:
-        """One sample per committed task, timestamped at the task's ECT."""
-        node = tent.node
+    def _place(self, tr: TransferEvent) -> None:
+        """A transfer lands: the destination disk and volume counters grow."""
+        self._used_mb[tr.dest] += tr.size_mb
+        self._sizes[tr.file_id] = tr.size_mb
+        if tr.kind == "remote":
+            self._remote_mb += tr.size_mb
+        else:
+            self._replicated_mb += tr.size_mb
+
+    # -- the fold ---------------------------------------------------------------
+    def _fold(self) -> None:
+        """One pass over the log; a commit's staging precedes its execution."""
+        staged: list[TransferEvent] = []
+        failed: list[FailedTransferEvent] = []
+        for event in self.log.events:
+            if isinstance(event, CacheHitEvent):
+                continue  # cache-hit volume is derived from executions
+            if isinstance(event, TransferEvent):
+                if event.push:
+                    self.on_push(event)
+                else:
+                    staged.append(event)
+            elif isinstance(event, ExecEvent):
+                self.on_commit(event, staged, failed)
+                staged, failed = [], []
+            elif isinstance(event, FailedTransferEvent):
+                failed.append(event)
+            elif isinstance(event, EvictionEvent):
+                self.on_evict(event)
+            elif isinstance(event, CrashEvent):
+                self.on_crash(event)
+            elif isinstance(event, SubBatchEvent):
+                self.on_subbatch(event)
+
+    def on_commit(
+        self,
+        ev: ExecEvent,
+        staged: Sequence[TransferEvent],
+        failed: Sequence[FailedTransferEvent],
+    ) -> None:
+        """One sample per committed task, timestamped at its completion.
+
+        ``staged`` and ``failed`` are the commit's transfers and failed
+        attempts. Busy seconds accrue for the execution, then the
+        transfers, then the failed attempts; each input not staged by the
+        commit is a cache hit.
+        """
+        node = ev.node
         busy = self._busy_s
         inflight = self._inflight
-        busy[node] += tent.ect - tent.exec_start
-        for _f, kind, src, start, duration in tent.transfers:
-            busy[node] += duration
-            if kind == "replica" and src is not None:
-                busy[src] += duration
-            inflight.append((start, start + duration))
-        for _f, _size, kind, src, start, end, _attempt in tent.failed_attempts:
-            busy[node] += end - start
-            if kind == "replica" and src is not None:
-                busy[src] += end - start
-            inflight.append((start, end))
-        self._sample(runtime, node, tent.ect)
+        busy[node] += ev.end - ev.start
+        for tr in staged:
+            self._place(tr)
+            busy[node] += tr.duration
+            if tr.kind == "replica" and tr.source_node is not None:
+                busy[tr.source_node] += tr.duration
+            inflight.append((tr.start, tr.end))
+        chains: dict[str, list[FailedTransferEvent]] = {}
+        for fa in failed:
+            busy[node] += fa.end - fa.start
+            if fa.kind == "replica" and fa.source_node is not None:
+                busy[fa.source_node] += fa.end - fa.start
+            inflight.append((fa.start, fa.end))
+            chains.setdefault(fa.file_id, []).append(fa)
+        for file_id, fails in chains.items():
+            self._mark(
+                fails[0].start, "retry", node,
+                f"{file_id}: {len(fails)} failed attempt(s)",
+            )
+        staged_ids = {tr.file_id for tr in staged}
+        held = self.log.initial_holdings.get(node, {})
+        for f in ev.files:
+            if f not in staged_ids:
+                size = self._sizes[f] if f in self._sizes else held[f]
+                self._cache_hit_mb += size
+        self._ready[node] -= 1
+        self._sample(node, ev.end)
 
-    def on_push(
-        self,
-        runtime: Runtime,
-        dest: int,
-        kind: str,
-        source: int | None,
-        start: float,
-        end: float,
-    ) -> None:
-        """One sample per committed proactive push (DLL replication)."""
-        self._busy_s[dest] += end - start
-        if kind == "replica" and source is not None:
-            self._busy_s[source] += end - start
-        self._inflight.append((start, end))
-        self._sample(runtime, dest, end)
+    def on_push(self, ev: TransferEvent) -> None:
+        """One sample per proactive push (DLL replication), at its end."""
+        self._place(ev)
+        # A push is charged ``end - start``, which can differ from its
+        # ``duration`` in the last bit; the published series have always
+        # used it.
+        self._busy_s[ev.dest] += ev.end - ev.start
+        if ev.kind == "replica" and ev.source_node is not None:
+            self._busy_s[ev.source_node] += ev.end - ev.start
+        self._inflight.append((ev.start, ev.end))
+        self._sample(ev.dest, ev.end)
 
-    def on_evict(self, node: int, size_mb: float) -> None:
+    def on_evict(self, ev: EvictionEvent) -> None:
         """Accumulate eviction pressure; surfaced at the next sample."""
-        if 0 <= node < self.num_compute:
-            self._evicted_mb[node] += size_mb
+        self._used_mb[ev.node] -= ev.size_mb
+        self._evicted_mb[ev.node] += ev.size_mb
+        self._evicted_total_mb += ev.size_mb
 
-    def on_crash(self, node: int, t: float, files_lost: int) -> None:
-        self._events.append(
-            {"t": float(t), "kind": "crash", "node": node,
-             "detail": f"{files_lost} file(s) lost"}
+    def on_crash(self, ev: CrashEvent) -> None:
+        """The node's disk empties and its uncommitted tasks leave."""
+        for _file_id, size in ev.lost_files:
+            self._used_mb[ev.node] -= size
+        self._ready[ev.node] = 0
+        self._mark(
+            ev.time, "crash", ev.node, f"{len(ev.lost_files)} file(s) lost"
         )
 
-    def on_retry(self, node: int, file_id: str, t: float, attempts: int) -> None:
-        self._events.append(
-            {"t": float(t), "kind": "retry", "node": node,
-             "detail": f"{file_id}: {attempts} failed attempt(s)"}
-        )
-
-    def on_subbatch(self, index: int, t: float) -> None:
+    def on_subbatch(self, ev: SubBatchEvent) -> None:
         """Mark a sub-batch boundary; prunes finished transfer intervals."""
-        self._events.append(
-            {"t": float(t), "kind": "subbatch", "node": None,
-             "detail": f"#{index}"}
-        )
+        self._mark(ev.time, "subbatch", None, f"#{self._subbatches}")
+        self._subbatches += 1
+        self._ready = list(ev.ready)
         # Later samples are timestamped at or after the new sub-batch's
         # start, so intervals that ended before it can never count again.
-        self._inflight = [(s, e) for s, e in self._inflight if e > t]
+        self._inflight = [(s, e) for s, e in self._inflight if e > ev.time]
 
     # -- export ---------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """The manifest ``timeseries`` block (see run-manifest.schema.json)."""
+        """The manifest ``timeseries`` block (see run-manifest.schema.json);
+        the first call folds the log."""
+        if not self._folded:
+            self._fold()
+            self._folded = True
         series = {
             name: {"unit": s.unit, "points": [[t, v] for t, v in s.points]}
             for name, s in sorted(self._series.items())

@@ -362,6 +362,12 @@ class ClusterSession:
                     f"job {queue[0].task_id}"
                 )
             arrivals_of = {q.task_id: q.arrival for q in queue}
+            stray = set(selected).difference(arrivals_of)
+            if stray:
+                raise RuntimeError(
+                    f"policy {self.policy.name} selected job(s) that are not "
+                    f"queued: {', '.join(sorted(stray))}"
+                )
             dispatch = now
             window = stream.batch.subset(selected)
 
@@ -379,7 +385,7 @@ class ClusterSession:
                     audit=self.audit,
                     timeseries=self.timeseries,
                     state=state,
-                    fault_model=fault_model,
+                    faults=fault_model,
                 )
                 delta = batch_result.stats.minus(before)
             else:

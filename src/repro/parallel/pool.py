@@ -17,7 +17,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -121,8 +121,9 @@ def map_configs(
     Drop-in replacement for ``[run_config(c, x) for c, x in zip(...)]``:
     returns the same :class:`Record` list, in the same order, with the same
     values — just computed in parallel and/or replayed from the cache.
-    Cached cells are never dispatched, and fresh records are written back
-    to the cache.
+    Cached cells are never dispatched, and each fresh record is written
+    back to the cache as its cell returns, so a failing cell (or an
+    interrupt) keeps every cell that finished before it.
     """
     configs = list(configs)
     xs = list(xs) if xs is not None else [None] * len(configs)
@@ -140,6 +141,12 @@ def map_configs(
         else:
             pending.append(i)
 
+    def keep(fresh: Iterator[Record]) -> None:
+        for i, record in zip(pending, fresh, strict=True):
+            records[i] = record
+            if store is not None:
+                store.put(configs[i], xs[i], record)
+
     if pending:
         todo = [configs[i] for i in pending]
         todo_xs = [xs[i] for i in pending]
@@ -150,12 +157,8 @@ def map_configs(
             chunksize = max(1, math.ceil(len(pending) / (nworkers * 4)))
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx) as pool:
-                fresh = list(pool.map(_run_cell, todo, todo_xs, chunksize=chunksize))
+                keep(pool.map(_run_cell, todo, todo_xs, chunksize=chunksize))
         else:
-            fresh = list(map(_run_cell, todo, todo_xs))
-        for i, record in zip(pending, fresh, strict=True):
-            records[i] = record
-            if store is not None:
-                store.put(configs[i], xs[i], record)
+            keep(map(_run_cell, todo, todo_xs))
 
     return [r for r in records if r is not None]

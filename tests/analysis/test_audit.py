@@ -15,9 +15,16 @@ from repro.cluster import (
     StorageNode,
     TaskRecord,
 )
+from repro.cluster.events import (
+    EvictionEvent,
+    ExecEvent,
+    FailedTransferEvent,
+    TransferEvent,
+)
 from repro.cluster.gantt import Interval
 from repro.core import run_batch
 from repro.experiments import ExperimentConfig, run_config
+from repro.faults import FaultModel, FaultSpec
 from repro.workloads import generate_synthetic_batch
 
 
@@ -43,7 +50,7 @@ def small_run(disk_space_mb=math.inf):
         {"a": FileInfo("a", 100.0, 0), "b": FileInfo("b", 100.0, 1)},
     )
     state = ClusterState.initial(platform, batch)
-    rt = Runtime(platform, state, audit=True)
+    rt = Runtime(platform, state, events=True)
     res = rt.execute(batch.tasks, {"t0": 0, "t1": 1})
     return rt, res
 
@@ -131,8 +138,10 @@ class TestCleanTrace:
         rt, res = small_run()
         report = audit_runtime(rt, [res])
         assert report.ok, str(report)
-        assert report.checked_events == len(rt.trail.transfers) + len(
-            rt.trail.execs
+        # Every logged transfer and execution; the sub-batch marker is not
+        # an audited event.
+        assert report.checked_events == sum(
+            isinstance(e, (TransferEvent, ExecEvent)) for e in rt.events.events
         )
 
     def test_requires_trail(self):
@@ -140,9 +149,9 @@ class TestCleanTrace:
         batch = Batch([Task("t", ("a",), 1.0)],
                       {"a": FileInfo("a", 10.0, 0)})
         state = ClusterState.initial(platform, batch)
-        rt = Runtime(platform, state)  # audit disabled
+        rt = Runtime(platform, state)  # no event log
         rt.execute(batch.tasks, {"t": 0})
-        with pytest.raises(ValueError, match="audit=True"):
+        with pytest.raises(ValueError, match="events=True"):
             audit_runtime(rt)
 
 
@@ -162,17 +171,22 @@ class TestCorruptedTraces:
 
     def test_transfer_after_exec_start_flagged_e2(self):
         rt, _ = small_run()
-        trail = rt.trail
-        tr = trail.transfers[0]
-        trail.transfers[0] = dataclasses.replace(tr, end=tr.end + 1000.0)
+        events = rt.events.events
+        i = next(i for i, e in enumerate(events) if isinstance(e, TransferEvent))
+        events[i] = dataclasses.replace(
+            events[i], duration=events[i].duration + 1000.0
+        )
         report = audit_runtime(rt)
         assert any(v.code == "E2" for v in report.violations), str(report)
 
     def test_missing_transfer_flagged_e2(self):
         rt, _ = small_run()
-        consumed = rt.trail.transfers[0]
-        rt.trail.transfers[:] = [
-            t for t in rt.trail.transfers if t.file_id != consumed.file_id
+        events = rt.events.events
+        consumed = next(e for e in events if isinstance(e, TransferEvent))
+        events[:] = [
+            e for e in events
+            if not (isinstance(e, TransferEvent)
+                    and e.file_id == consumed.file_id)
         ]
         report = audit_runtime(rt)
         assert any(
@@ -182,18 +196,40 @@ class TestCorruptedTraces:
 
     def test_disk_overflow_flagged_e3(self):
         rt, _ = small_run(disk_space_mb=250.0)
-        rt.trail.record_transfer("huge", 10_000.0, "remote", 0, 0, 0.0, 1.0)
+        rt.events.append(
+            TransferEvent("huge", 10_000.0, "remote", 0, 0, 0.0, 1.0)
+        )
         report = audit_runtime(rt)
         assert any(v.code == "E3" for v in report.violations), str(report)
 
     def test_phantom_eviction_flagged_e3(self):
         rt, _ = small_run()
-        rt.trail.record_eviction(1, "never-staged", 50.0)
+        rt.events.append(EvictionEvent(1, "never-staged", 50.0))
         report = audit_runtime(rt)
         assert any(
             v.code == "E3" and "never staged" in v.message
             for v in report.violations
         ), str(report)
+
+    def test_failure_after_the_last_success_flagged_e7(self):
+        platform = make_platform()
+        batch = Batch([Task("t", ("a",), 1.0)],
+                      {"a": FileInfo("a", 10.0, 0)})
+        state = ClusterState.initial(platform, batch)
+        rt = Runtime(platform, state, events=True, faults=FaultModel(FaultSpec()))
+        rt.execute(batch.tasks, {"t": 0})
+        fail = FailedTransferEvent("a", 10.0, "remote", None, 0, 0.0, 0.05)
+        # A failure logged before the file's successful transfer recovered.
+        staged = next(
+            i for i, e in enumerate(rt.events.events)
+            if isinstance(e, TransferEvent)
+        )
+        rt.events.events.insert(staged, fail)
+        assert audit_runtime(rt).ok
+        # One logged after it never did.
+        rt.events.append(fail)
+        report = audit_runtime(rt)
+        assert [v.code for v in report.violations] == ["E7"], str(report)
 
     def test_staging_during_execution_flagged_e4(self):
         rt, _ = small_run()

@@ -2,7 +2,7 @@
 
 Driver-level recovery (rescheduling across surviving nodes) is covered in
 ``tests/core/test_driver_faults.py``; here the Runtime is driven directly
-so individual fault mechanics are observable through the audit trail.
+so individual fault mechanics are observable through the event log.
 """
 
 import math
@@ -11,6 +11,7 @@ import pytest
 
 from repro.batch import Batch, FileInfo, Task
 from repro.cluster import ClusterState, ComputeNode, Platform, Runtime, StorageNode
+from repro.cluster.events import CrashEvent, FailedTransferEvent, TransferEvent
 from repro.faults import DiskLoss, FaultModel, FaultSpec, NodeCrash
 from repro.workloads import generate_image_batch
 
@@ -29,10 +30,15 @@ def make_platform(num_compute=2, num_storage=1, disk_space_mb=math.inf):
     )
 
 
-def make_runtime(platform, batch, spec=None, audit=False):
+def make_runtime(platform, batch, spec=None, events=False):
     state = ClusterState.initial(platform, batch)
     faults = FaultModel(spec) if spec is not None else None
-    return Runtime(platform, state, audit=audit, faults=faults), state
+    return Runtime(platform, state, events=events, faults=faults), state
+
+
+def logged(rt, kind):
+    """The runtime's logged events of one type, in commit order."""
+    return [e for e in rt.events.events if isinstance(e, kind)]
 
 
 class TestNullModel:
@@ -64,7 +70,7 @@ class TestNodeCrash:
         platform = make_platform(num_compute=2)
         mapping = {t.task_id: i % 2 for i, t in enumerate(batch.tasks)}
         spec = FaultSpec(node_crashes=(NodeCrash(1, 5.0),))
-        rt, state = make_runtime(platform, batch, spec, audit=True)
+        rt, state = make_runtime(platform, batch, spec, events=True)
 
         res = rt.execute(batch.tasks, mapping, None)
 
@@ -77,8 +83,8 @@ class TestNodeCrash:
         assert done | set(res.failed_tasks) == {t.task_id for t in batch.tasks}
         for iv in rt.node_tl[1].intervals:
             assert iv.end <= 5.0 + 1e-9
-        assert rt.trail is not None
-        crashes = rt.trail.crashes
+        assert rt.events is not None
+        crashes = logged(rt, CrashEvent)
         assert len(crashes) == 1
         assert crashes[0].node == 1 and crashes[0].time == 5.0
         assert rt.faults is not None
@@ -114,7 +120,7 @@ class TestRetriesAndFailover:
         batch = generate_image_batch(16, "high", 2, seed=0)
         platform = make_platform(num_compute=4, num_storage=2)
         mapping = {t.task_id: i % 4 for i, t in enumerate(batch.tasks)}
-        rt, _ = make_runtime(platform, batch, self.flaky_spec(seed=seed), audit=True)
+        rt, _ = make_runtime(platform, batch, self.flaky_spec(seed=seed), events=True)
         res = rt.execute(batch.tasks, mapping, None)
         return rt, res
 
@@ -125,10 +131,10 @@ class TestRetriesAndFailover:
         assert rt_a.faults.stats.to_dict() == rt_b.faults.stats.to_dict()
         assert [
             (e.file_id, e.dest, e.attempt, e.start)
-            for e in rt_a.trail.failed_transfers
+            for e in logged(rt_a, FailedTransferEvent)
         ] == [
             (e.file_id, e.dest, e.attempt, e.start)
-            for e in rt_b.trail.failed_transfers
+            for e in logged(rt_b, FailedTransferEvent)
         ]
 
     def test_different_fault_seed_changes_outcome(self):
@@ -152,14 +158,18 @@ class TestRetriesAndFailover:
         # E7, asserted directly: each failed (file, dest) attempt is
         # followed (in commit order) by a successful transfer.
         rt, _ = self.run_flaky(seed=4)
-        trail = rt.trail
-        assert trail.failed_transfers  # the scenario actually failed things
-        for fail in trail.failed_transfers:
+        events = rt.events.events
+        fails = [
+            (pos, e) for pos, e in enumerate(events)
+            if isinstance(e, FailedTransferEvent)
+        ]
+        assert fails  # the scenario actually failed things
+        for pos, fail in fails:
             assert any(
-                ev.file_id == fail.file_id
+                isinstance(ev, TransferEvent)
+                and ev.file_id == fail.file_id
                 and ev.dest == fail.dest
-                and ev.seq > fail.seq
-                for ev in trail.transfers
+                for ev in events[pos + 1:]
             )
 
     def test_failover_picks_a_different_source(self):
@@ -173,12 +183,12 @@ class TestRetriesAndFailover:
         )
         platform = make_platform(num_compute=2)
         spec = self.flaky_spec(rate=1.0, attempts=3)
-        rt, _ = make_runtime(platform, batch, spec, audit=True)
+        rt, _ = make_runtime(platform, batch, spec, events=True)
 
         rt.execute([batch.task("t0")], {"t0": 0}, None)
         rt.execute([batch.task("t1")], {"t1": 1}, None)
 
-        fails = [e for e in rt.trail.failed_transfers if e.dest == 1]
+        fails = [e for e in logged(rt, FailedTransferEvent) if e.dest == 1]
         assert [e.attempt for e in fails] == [0, 1]
         # First (cheapest) try is the compute-side replica, the retry
         # fails over to the next-cheapest source: the storage cluster.
@@ -186,7 +196,8 @@ class TestRetriesAndFailover:
         assert fails[1].kind == "remote"
         assert rt.faults.stats.failovers >= 1
         success = [
-            e for e in rt.trail.transfers if e.dest == 1 and e.file_id == "f"
+            e for e in logged(rt, TransferEvent)
+            if e.dest == 1 and e.file_id == "f"
         ]
         assert len(success) == 1
 
@@ -202,12 +213,14 @@ class TestRetriesAndFailover:
             backoff_base_s=2.0,
             backoff_factor=2.0,
         )
-        rt, _ = make_runtime(platform, batch, spec, audit=True)
+        rt, _ = make_runtime(platform, batch, spec, events=True)
         rt.execute(batch.tasks, {"t0": 0}, None)
-        fails = sorted(rt.trail.failed_transfers, key=lambda e: e.attempt)
+        fails = sorted(
+            logged(rt, FailedTransferEvent), key=lambda e: e.attempt
+        )
         assert len(fails) == 2
         assert fails[1].start >= fails[0].end + 2.0 - 1e-9
-        success = rt.trail.transfers[0]
+        success = logged(rt, TransferEvent)[0]
         assert success.start >= fails[1].end + 4.0 - 1e-9
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.cluster import osc_xio
 from repro.core import run_batch
 from repro.faults import FaultSpec, NodeCrash
-from repro.workloads import generate_image_batch
+from repro.workloads import generate_image_batch, make_batch
 
 SCHEMES = ["minmin", "maxmin", "sufferage", "jdp", "bipartition", "ip"]
 
@@ -137,6 +137,26 @@ class TestFailureModes:
                 "minmin",
                 faults={"transfer_failure_rate": 2.0},
             )
+
+
+class TestDiskLossPlans:
+    def test_bipartition_plans_fit_a_shrunk_disk(self):
+        # Node 1 loses 300 of its 1200 MB at t=5: later sub-batches must be
+        # sized for the 900 MB left, not the nominal disk (the driver aborts
+        # an over-capacity sub-batch).
+        batch = make_batch("image", 120, "high", 4, seed=2)
+        result = run_batch(
+            batch,
+            osc_xio(num_compute=4, num_storage=4, disk_space_mb=1200.0),
+            "bipartition",
+            candidate_limit=25,
+            faults={"disk_losses": [{"node": 1, "time": 5.0, "lost_mb": 300.0}]},
+            audit=True,
+        )
+        assert result.audit_report.ok
+        assert result.fault_stats.disk_losses == 1
+        done = {r.task_id for sb in result.sub_batches for r in sb.execution.records}
+        assert done == {t.task_id for t in batch.tasks}
 
 
 class TestCrashStress:

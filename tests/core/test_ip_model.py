@@ -15,7 +15,9 @@ import pytest
 
 from repro.batch import Batch, FileInfo, Task
 from repro.cluster import ClusterState, osc_xio
-from repro.core.ip_scheduler import IPScheduler
+from repro.core.ip_scheduler import IPScheduler, _IpInstance
+from repro.cluster.runtime import PlannedSource
+from repro.mip import Model, Sense, Solution, Status
 
 C = 2  # compute nodes
 
@@ -196,3 +198,48 @@ def test_backends_agree_on_ip_model(name, batch, plat):
         assert scheduler.last_solution is not None
         objectives.append(scheduler.last_solution.objective)
     assert objectives[0] == pytest.approx(objectives[1], rel=1e-6)
+
+
+def test_extract_plan_plans_only_placed_copies():
+    # A hand-built incumbent: task t (needs a) on node 0. Node 1 gets a
+    # remote transfer of a without a placement (R=1, X=0): Eq. 4 is an
+    # inequality and Eq. 21 counts only X, so that copy is unbudgeted and
+    # must not be planned. Node 1's relay copy of b (X=1, replicated from
+    # node 0) is budgeted and stays a push.
+    files = ["a", "b"]
+    m = Model("allocation", Sense.MINIMIZE)
+    tvar = {("t", i): m.binary_var(f"T[t,{i}]") for i in range(C)}
+    xvar = {(f, i): m.binary_var(f"X[{f},{i}]") for f in files for i in range(C)}
+    rvar = {(f, i): m.binary_var(f"R[{f},{i}]") for f in files for i in range(C)}
+    yvar = {
+        (i, j, f): m.binary_var(f"Y[{i},{j},{f}]")
+        for f in files
+        for i in range(C)
+        for j in range(C)
+        if i != j
+    }
+    ones = {
+        v.index
+        for v in (
+            tvar[("t", 0)],
+            xvar[("a", 0)], rvar[("a", 0)],
+            rvar[("a", 1)],
+            xvar[("b", 0)], rvar[("b", 0)],
+            xvar[("b", 1)], yvar[(0, 1, "b")],
+        )
+    }
+    sol = Solution(
+        Status.FEASIBLE,
+        values=[1.0 if k in ones else 0.0 for k in range(m.num_vars)],
+    )
+    plan = IPScheduler()._extract_plan(
+        sol, [Task("t", ("a",), 1.0)], files, C,
+        _IpInstance(m, tvar, xvar, rvar, yvar), {"a": ["t"], "b": []},
+    )
+    assert plan.mapping == {"t": 0}
+    assert plan.staging.sources == {
+        ("a", 0): PlannedSource("remote"),
+        ("b", 0): PlannedSource("remote"),
+        ("b", 1): PlannedSource("replica", source_node=0),
+    }
+    assert plan.staging.pushes == [("b", 0), ("b", 1)]

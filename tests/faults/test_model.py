@@ -2,7 +2,7 @@
 
 import math
 
-from repro.faults import DiskLoss, FaultModel, FaultSpec, LinkSlowdown, NodeCrash
+from repro.faults import FaultModel, FaultSpec, LinkSlowdown, NodeCrash
 
 
 def model(**kwargs) -> FaultModel:
@@ -79,14 +79,11 @@ class TestCrashes:
     def test_crash_time_defaults_to_inf(self):
         m = model()
         assert m.crash_time(0) == math.inf
-        assert not m.crashed_by(0, 1e12)
 
     def test_crash_time_and_crashed_by(self):
         m = model(node_crashes=(NodeCrash(1, 5.0),))
         assert m.crash_time(1) == 5.0
         assert m.crash_time(0) == math.inf
-        assert not m.crashed_by(1, 4.99)
-        assert m.crashed_by(1, 5.0)
 
 
 class TestSlowdowns:
@@ -112,15 +109,3 @@ class TestSlowdowns:
         assert m.slowdown_factor("remote", 7.0) == 6.0
         assert m.slowdown_factor("remote", 12.0) == 3.0
 
-
-class TestDiskLosses:
-    def test_losses_through_time(self):
-        m = model(
-            disk_losses=(
-                DiskLoss(0, 1.0, 100.0),
-                DiskLoss(1, 5.0, 200.0),
-            )
-        )
-        assert m.disk_losses_through(0.5) == []
-        assert m.disk_losses_through(1.0) == [(0, 100.0)]
-        assert m.disk_losses_through(10.0) == [(0, 100.0), (1, 200.0)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.events import EvictionEvent, TransferEvent
 from repro.cluster.platform import osc_xio
 from repro.core.driver import run_batch
 from repro.obs.core import telemetry
@@ -63,19 +64,22 @@ class TestRunMetrics:
         assert m.cache_hit_volume_mb == pytest.approx(s.cache_hit_volume_mb)
 
     def test_metrics_cross_check_audit_trail(self):
-        # The derived metrics and the E1-E5 audit trail are independent
+        # The derived metrics and the audited event log are independent
         # accountings of the same execution; their byte totals must agree.
         result = _fig5b_like(num_tasks=32, scheme="minmin")
-        trail = result.runtime.trail
-        assert trail is not None
+        log = result.runtime.events
+        assert log is not None
         m = result.metrics
-        remote_mb = sum(t.size_mb for t in trail.transfers if t.kind == "remote")
-        replica_mb = sum(t.size_mb for t in trail.transfers if t.kind == "replica")
-        evicted_mb = sum(e.size_mb for e in trail.evictions)
+        transfers = [e for e in log.events if isinstance(e, TransferEvent)]
+        remote_mb = sum(t.size_mb for t in transfers if t.kind == "remote")
+        replica_mb = sum(t.size_mb for t in transfers if t.kind == "replica")
+        evicted_mb = sum(
+            e.size_mb for e in log.events if isinstance(e, EvictionEvent)
+        )
         assert m.remote_volume_mb == pytest.approx(remote_mb)
         assert m.replication_volume_mb == pytest.approx(replica_mb)
-        # Between-sub-batch evictions also land on the trail (the driver
-        # passes it to _pre_evict), so the totals match exactly.
+        # Between-sub-batch evictions are logged too (the driver's
+        # _pre_evict reports through Runtime.on_evict), so the totals match.
         assert m.evicted_volume_mb == pytest.approx(evicted_mb)
 
     def test_compute_metrics_without_decisions(self):

@@ -1,11 +1,12 @@
-"""Simulated-time series probes: determinism, schema, null object.
+"""Simulated-time series: determinism, schema, null object.
 
-The probe layer (:mod:`repro.obs.timeseries`) samples the cluster at commit
-points in *simulated* time only, so its output is a pure function of the
-run's decisions — exact golden comparison, not tolerance bands. These tests
-pin that: a checked-in golden block, schema rejection of mutated blocks,
-and the allocation-free disabled path (``timeseries=False`` must never
-construct a probe).
+The series (:mod:`repro.obs.timeseries`) is folded from the run's event log
+at commit points in *simulated* time only, so its output is a pure function
+of the run's decisions — exact golden comparison, not tolerance bands.
+These tests pin that: two checked-in golden blocks (a fault-free run, and
+one with pushes, evictions, retries, a crash and slowdown markers), schema
+rejection of mutated blocks, and the allocation-free disabled path
+(``timeseries=False`` must never construct a probe).
 """
 
 import json
@@ -19,10 +20,23 @@ from repro.experiments import ExperimentConfig
 from repro.obs import validate_manifest
 from repro.obs.core import telemetry
 from repro.obs.export import build_manifest
+from repro.cluster.events import EventLog
 from repro.obs.timeseries import TimeSeriesProbe
 from repro.workloads.image import generate_image_batch
 
 GOLDEN_PATH = Path(__file__).with_name("golden_timeseries.json")
+FAULTS_GOLDEN_PATH = Path(__file__).with_name("golden_timeseries_faults.json")
+
+#: ``examples/faults/degraded-platform.json`` without its second slowdown.
+FAULTS_SPEC = {
+    "node_crashes": [{"node": 1, "time": 5.0}],
+    "transfer_failure_rate": 0.2,
+    "link_slowdowns": [
+        {"start": 2.0, "end": 8.0, "factor": 2.0, "scope": "all"},
+    ],
+    "disk_losses": [{"node": 0, "time": 1.0, "lost_mb": 500.0}],
+    "seed": 3,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +96,25 @@ class TestGolden:
         b = golden_run().timeseries
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_faults_run_matches_golden_file(self):
+        # JDP on tight disks: DLL pushes, evictions, retries, a crash and a
+        # slowdown window, all folded from one audited event log.
+        result = run_batch(
+            generate_image_batch(24, "high", 4, seed=0),
+            osc_xio(4, 4, disk_space_mb=1200.0),
+            "jdp",
+            candidate_limit=25,
+            faults=FAULTS_SPEC,
+            timeseries=True,
+            audit=True,
+        )
+        got = json.loads(json.dumps(result.timeseries, sort_keys=True))
+        assert got == json.loads(FAULTS_GOLDEN_PATH.read_text())
+        assert result.audit_report.checked_events == 185
+        kinds = {e["kind"] for e in got["events"]}
+        assert {"crash", "retry", "slowdown-start", "subbatch"} <= kinds
+        assert result.stats.evictions > 0
+
     def test_expected_shape(self):
         ts = golden_run().timeseries
         assert ts["version"] == 1
@@ -128,7 +161,7 @@ class TestSchema:
 
 class TestDownsampling:
     def test_merge_adjacent_keeps_later_points(self):
-        probe = TimeSeriesProbe(budget=4, num_compute=0, state=None)
+        probe = TimeSeriesProbe(EventLog(), budget=4)
         for i in range(8):
             probe._point("x", "u", float(i), float(i))
         series = probe.to_dict()["series"]["x"]
@@ -136,7 +169,7 @@ class TestDownsampling:
         assert probe.to_dict()["compactions"] == 1
 
     def test_bounded_at_twice_budget(self):
-        probe = TimeSeriesProbe(budget=8, num_compute=0, state=None)
+        probe = TimeSeriesProbe(EventLog(), budget=8)
         for i in range(10_000):
             probe._point("x", "u", float(i), float(i))
         points = probe.to_dict()["series"]["x"]["points"]

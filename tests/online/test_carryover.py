@@ -10,7 +10,13 @@ import pytest
 
 from repro.analysis.audit import _audit_cross_batch, AuditReport
 from repro.batch import Batch, FileInfo, Task
-from repro.cluster.events import AuditTrail
+from repro.cluster.events import (
+    CacheHitEvent,
+    CrashEvent,
+    EventLog,
+    EvictionEvent,
+    TransferEvent,
+)
 from repro.cluster.platform import osc_xio
 from repro.cluster.state import ClusterState
 from repro.core.driver import run_batch
@@ -148,50 +154,49 @@ class TestWarmDifferential:
 
 
 class TestE8Audit:
-    def _trail(self):
-        trail = AuditTrail()
-        trail.initial_holdings = {1: {"carried": 100.0}}
-        return trail
+    def _log(self, *events):
+        return EventLog(list(events), initial_holdings={1: {"carried": 100.0}})
 
     def test_clean_attribution_passes(self):
-        trail = self._trail()
-        trail.record_cache_hit(1, "carried", 100.0, cross_batch=True)
-        trail.record_cache_hit(1, "fresh", 50.0, cross_batch=False)
+        log = self._log(
+            CacheHitEvent(1, "carried", 100.0, cross_batch=True),
+            CacheHitEvent(1, "fresh", 50.0, cross_batch=False),
+        )
         report = AuditReport()
-        _audit_cross_batch(trail, report)
+        _audit_cross_batch(log, report)
         assert report.ok
 
     def test_false_cross_batch_claim_rejected(self):
-        trail = self._trail()
         # Claimed carried over, but never resident since the prior commit.
-        trail.record_cache_hit(1, "fresh", 50.0, cross_batch=True)
+        log = self._log(CacheHitEvent(1, "fresh", 50.0, cross_batch=True))
         report = AuditReport()
-        _audit_cross_batch(trail, report)
+        _audit_cross_batch(log, report)
         assert not report.ok
         assert report.violations[0].code == "E8"
 
     def test_missed_cross_batch_attribution_rejected(self):
-        trail = self._trail()
-        trail.record_cache_hit(1, "carried", 100.0, cross_batch=False)
+        log = self._log(CacheHitEvent(1, "carried", 100.0, cross_batch=False))
         report = AuditReport()
-        _audit_cross_batch(trail, report)
+        _audit_cross_batch(log, report)
         assert not report.ok
         assert report.violations[0].code == "E8"
 
     def test_eviction_breaks_residency(self):
-        trail = self._trail()
-        trail.record_eviction(1, "carried", 100.0)
-        # Re-staged after eviction: a hit on it is now intra-batch.
-        trail.record_transfer("carried", 100.0, "remote", 0, 1, 0.0, 1.0)
-        trail.record_cache_hit(1, "carried", 100.0, cross_batch=False)
+        log = self._log(
+            EvictionEvent(1, "carried", 100.0),
+            # Re-staged after eviction: a hit on it is now intra-batch.
+            TransferEvent("carried", 100.0, "remote", 0, 1, 0.0, 1.0),
+            CacheHitEvent(1, "carried", 100.0, cross_batch=False),
+        )
         report = AuditReport()
-        _audit_cross_batch(trail, report)
+        _audit_cross_batch(log, report)
         assert report.ok
 
     def test_crash_breaks_residency(self):
-        trail = self._trail()
-        trail.record_crash(1, 1.0, (("carried", 100.0),))
-        trail.record_cache_hit(1, "carried", 100.0, cross_batch=True)
+        log = self._log(
+            CrashEvent(1, 1.0, (("carried", 100.0),)),
+            CacheHitEvent(1, "carried", 100.0, cross_batch=True),
+        )
         report = AuditReport()
-        _audit_cross_batch(trail, report)
+        _audit_cross_batch(log, report)
         assert not report.ok

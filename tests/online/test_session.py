@@ -13,6 +13,7 @@ from repro.cluster.platform import osc_osumed
 from repro.obs import build_stream_manifest, validate_manifest
 from repro.online import (
     ClusterSession,
+    FIFOWindow,
     SizeCappedWindow,
     isolated_service_time,
     poisson_arrivals,
@@ -102,6 +103,26 @@ class TestRecords:
         with pytest.raises(RuntimeError, match="starved"):
             ClusterSession(
                 _platform(), _stream(), "minmin", policy=Starver()
+            ).run()
+
+    def test_dispatched_job_guard(self):
+        # A policy that adds the first job to every later window would
+        # re-run a dispatched job; the session names the policy instead.
+        class Replayer(FIFOWindow):
+            name = "replayer"
+            first = None
+
+            def select(self, queued, batch, now):
+                chosen = super().select(queued, batch, now)
+                if self.first is None:
+                    self.first = chosen[0]
+                elif self.first not in chosen:
+                    chosen.append(self.first)
+                return chosen
+
+        with pytest.raises(RuntimeError, match="replayer.*not queued"):
+            ClusterSession(
+                _platform(), _stream(num_jobs=6), "minmin", policy=Replayer()
             ).run()
 
 

@@ -96,6 +96,20 @@ class TestCacheIntegration:
         map_configs(changed, xs, cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (0, 3)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_cells_are_kept_when_a_later_cell_fails(
+        self, tmp_path, workers
+    ):
+        # The second cell's 1 MB disks cannot hold a task's inputs, so it
+        # raises; the first cell's record must already be in the cache.
+        cache = ResultCache(tmp_path / "cache")
+        (ok,), (x,) = cells(schemes=("minmin",))
+        broken = dataclasses.replace(ok, disk_space_mb=1.0)
+        with pytest.raises(ValueError, match="footprint"):
+            map_configs([ok, broken], [x, x], workers=workers, cache=cache)
+        assert len(cache) == 1
+        assert cache.get(ok, x) is not None
+
     def test_cache_false_disables_configured_default(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         parallel.configure(cache=cache)

@@ -26,6 +26,33 @@ class TestDifferences:
             "job[0].records: length 2 in base, 1 in change",
         ]
 
+    def test_a_last_bit_timeseries_drift_is_located(self):
+        def job(busy):
+            points = [[1.0, busy]]
+            return {"timeseries": {"series": {"port_busy_s/compute0": {
+                "points": points}}}}
+
+        found = compare_decisions.differences(
+            job(0.30000000000000004), job(0.3), "job[0]"
+        )
+        assert found == [
+            "job[0].timeseries.series.port_busy_s/compute0.points[0][1]: "
+            "0.30000000000000004 in base, 0.3 in change"
+        ]
+
+
+def test_stream_batches_carry_timeseries_and_audit():
+    jobs = compare_decisions.run_tree(ROOT, "stream", 1)
+    assert len(jobs) == 64
+    for job in jobs:
+        for batch in job["batches"]:
+            # One sample per committed task: the stream's scheme pushes
+            # nothing.
+            assert batch["timeseries"]["samples"] == len(batch["records"])
+            checked, violations = batch["audit"]
+            assert checked >= 2 * len(batch["records"])
+            assert violations == []
+
 
 def test_a_tree_matches_itself(capsys):
     code = compare_decisions.main(
