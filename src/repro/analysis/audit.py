@@ -194,12 +194,6 @@ def _audit_disk_occupancy(
             resident.pop(event.node, None)
 
 
-def _exec_timeline(runtime: Runtime, node: int) -> Timeline:
-    if runtime.cpu_tl is not None:
-        return runtime.cpu_tl[node]
-    return runtime.node_tl[node]
-
-
 def _audit_no_staging_during_exec(
     runtime: Runtime, report: AuditReport
 ) -> None:
@@ -208,7 +202,7 @@ def _audit_no_staging_during_exec(
         return  # the ablation mode deliberately relaxes this invariant
     for node in range(runtime.platform.num_compute):
         port_ivs = runtime.node_tl[node].intervals
-        execs = [iv for iv in _exec_timeline(runtime, node).intervals
+        execs = [iv for iv in runtime.exec_tl[node].intervals
                  if iv.tag.startswith("exec:")]
         staging = [iv for iv in port_ivs
                    if iv.tag.startswith(("xfer:", "push:", "xfail:"))]
@@ -229,7 +223,7 @@ def _exec_intervals_by_task(
     by_task: dict[str, list[Interval]] = {}
     nodes = {ev.node for ev in execs}
     for node in nodes:
-        for iv in _exec_timeline(runtime, node).intervals:
+        for iv in runtime.exec_tl[node].intervals:
             if iv.tag.startswith("exec:"):
                 by_task.setdefault(iv.tag[len("exec:"):], []).append(iv)
     return by_task
@@ -296,10 +290,9 @@ def _audit_node_crashes(
     for node, crash_at in crash_times.items():
         if crash_at == float("inf"):
             continue
-        timelines = [runtime.node_tl[node]]
-        if runtime.cpu_tl is not None:
-            timelines.append(runtime.cpu_tl[node])
-        for tl in timelines:
+        # Its port and execution timelines, each once.
+        node_tls = (runtime.node_tl[node], runtime.exec_tl[node])
+        for tl in dict.fromkeys(node_tls):
             for iv in tl.intervals:
                 if iv.end > crash_at + AUDIT_EPS:
                     report.add(
@@ -401,16 +394,6 @@ def _audit_cross_batch(log: EventLog, report: AuditReport) -> None:
             resident = {(n, f) for n, f in resident if n != event.node}
 
 
-def _all_timelines(runtime: Runtime) -> list[Timeline]:
-    out = list(runtime.node_tl)
-    if runtime.cpu_tl is not None:
-        out.extend(runtime.cpu_tl)
-    out.extend(runtime.storage_tl)
-    if runtime.link_tl is not None:
-        out.append(runtime.link_tl)
-    return out
-
-
 def audit_runtime(
     runtime: Runtime,
     results: Sequence[ExecutionResult] | None = None,
@@ -431,7 +414,7 @@ def audit_runtime(
     transfers = [e for e in log.events if isinstance(e, TransferEvent)]
     execs = [e for e in log.events if isinstance(e, ExecEvent)]
     report = AuditReport()
-    _audit_timelines(_all_timelines(runtime), report)
+    _audit_timelines(runtime.timelines(), report)
     _audit_staging_before_exec(log, transfers, execs, report)
     _audit_disk_occupancy(runtime, log, report)
     _audit_no_staging_during_exec(runtime, report)

@@ -791,7 +791,9 @@ def _print_manifest_summary(manifest: dict):
         f"{manifest['scheme']}: makespan {res['makespan_s']:.1f}s, "
         f"{res['tasks']} tasks in {res['sub_batches']} sub-batch(es)"
     )
-    metrics = manifest.get("metrics") or {}
+    metrics = manifest.get("metrics")
+    # The derived metrics, with the eviction count from the stats block.
+    shown = {**manifest["stats"], **metrics} if metrics else {}
     for key in (
         "mean_exec_utilization",
         "disk_hit_ratio",
@@ -800,8 +802,8 @@ def _print_manifest_summary(manifest: dict):
         "evictions",
         "conservation_residual_mb",
     ):
-        if key in metrics:
-            value = metrics[key]
+        if key in shown:
+            value = shown[key]
             print(f"  {key:26s} {value:.4f}" if isinstance(value, float)
                   else f"  {key:26s} {value}")
     decisions = manifest.get("decisions")

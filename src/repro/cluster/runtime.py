@@ -175,18 +175,19 @@ class Runtime:
         self.allow_replication = allow_replication
         self.candidate_limit = candidate_limit
         self.ordering = ordering
-        # The paper assumes no file is staged on a node while a task runs
-        # there (Eq. 12): port and CPU share one timeline. Setting
-        # ``overlap_io_compute`` relaxes that (a future-work ablation):
-        # execution moves to a dedicated per-node CPU timeline so staging
-        # for the next task can proceed during computation.
         self.overlap_io_compute = overlap_io_compute
         self.clock: Seconds = 0.0
         self.node_tl = [Timeline(f"compute{i}") for i in range(platform.num_compute)]
-        self.cpu_tl = (
+        # The timeline each node executes on. The paper assumes no file is
+        # staged on a node while a task runs there (Eq. 12): port and CPU
+        # share one timeline, so this is ``node_tl`` itself. Setting
+        # ``overlap_io_compute`` relaxes that (a future-work ablation):
+        # execution moves to a dedicated per-node CPU timeline so staging
+        # for the next task can proceed during computation.
+        self.exec_tl = (
             [Timeline(f"cpu{i}") for i in range(platform.num_compute)]
             if overlap_io_compute
-            else None
+            else self.node_tl
         )
         self.storage_tl = [
             Timeline(f"storage{s}") for s in range(platform.num_storage)
@@ -220,6 +221,16 @@ class Runtime:
         self.slot_reuses = 0
 
     # -- resource helpers -------------------------------------------------------
+    def timelines(self) -> list[Timeline]:
+        """Every resource timeline once, in trace order.
+
+        Compute ports, the dedicated CPUs (overlap mode only), storage
+        nodes, then the shared link (when the platform has one).
+        """
+        cpus = self.exec_tl if self.exec_tl is not self.node_tl else []
+        link = [self.link_tl] if self.link_tl is not None else []
+        return [*self.node_tl, *cpus, *self.storage_tl, *link]
+
     def _avail_time(self, node: int, file_id: str) -> Seconds:
         return self._avail.get((node, file_id), self.clock)
 
@@ -545,14 +556,11 @@ class Runtime:
                 del remaining[f]
 
             # Execution: local read of all inputs plus CPU time, after every
-            # input file is available. Runs on the node timeline (port + CPU
-            # mutually exclusive, the paper's model) or on the dedicated CPU
-            # timeline in overlap mode. Nothing after it searches a slot, so
-            # it is recorded without being placed.
+            # input file is available, on the node's execution timeline.
+            # Nothing after it searches a slot, so it is recorded without
+            # being placed.
             exec_dur = self._exec_duration(task, node)
-            exec_tl = (
-                self.cpu_tl[node] if self.cpu_tl is not None else self.node_tl[node]
-            )
+            exec_tl = self.exec_tl[node]
             exec_start = exec_tl.earliest_slot(exec_dur, max(transfers_done, clock))
             execution = Interval(
                 exec_start, exec_start + exec_dur, f"exec:{task.task_id}"

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .gantt import Timeline
     from .runtime import Runtime
 
 __all__ = ["TraceEvent", "trace_events", "render_ascii", "to_chrome_trace"]
@@ -46,21 +45,11 @@ class TraceEvent:
         return self.end - self.start
 
 
-def _resources(runtime: Runtime) -> list[Timeline]:
-    out = list(runtime.node_tl)
-    if runtime.cpu_tl is not None:
-        out.extend(runtime.cpu_tl)
-    out.extend(runtime.storage_tl)
-    if runtime.link_tl is not None:
-        out.append(runtime.link_tl)
-    return out
-
-
 def trace_events(runtime: Runtime) -> list[TraceEvent]:
     """All reservations across all resources, sorted by start time."""
     events = [
         TraceEvent(tl.name, iv.start, iv.end, iv.tag)
-        for tl in _resources(runtime)
+        for tl in runtime.timelines()
         for iv in tl.intervals
     ]
     events.sort(key=lambda e: (e.start, e.resource))
@@ -72,7 +61,7 @@ def render_ascii(runtime: Runtime, width: int = 72) -> str:
 
     ``x`` marks transfers, ``#`` executions, ``p`` pushes; ``.`` idle.
     """
-    resources = _resources(runtime)
+    resources = runtime.timelines()
     horizon = max((tl.horizon for tl in resources), default=0.0)
     if horizon <= 0:
         return "(empty gantt)"
@@ -105,7 +94,7 @@ def to_chrome_trace(runtime: Runtime) -> str:
     Resources become thread ids; times are exported in microseconds as the
     format requires (simulated seconds * 1e6).
     """
-    resources = _resources(runtime)
+    resources = runtime.timelines()
     tid_of = {tl.name: i for i, tl in enumerate(resources)}
     events: list[dict] = []
     for tl in resources:

@@ -143,14 +143,13 @@ def run_batch(
         :class:`~repro.analysis.audit.AuditError`.
     telemetry:
         Collect run telemetry (:mod:`repro.obs`): enables the process-wide
-        registry for the duration of the run, replays the scheduler's
-        decision log (when the scheme emits one) against the executed task
-        records, and attaches ``result.metrics`` (derived resource metrics,
-        Eqs. 9–13), ``result.decision_log`` and ``result.telemetry`` (the
-        counters/gauges/spans snapshot). Scalar metrics are also published
-        as ``metrics/*`` gauges, so that snapshot and the run manifest
-        built from it carry them. ``result.runtime``, the executed runtime
-        (for Gantt charts and trace export), is attached on every run.
+        registry for the duration of the run and attaches
+        ``result.metrics`` (derived resource metrics, Eqs. 9–13),
+        ``result.decision_log`` (the scheduler's decisions, when the scheme
+        logs them; the run manifest replays it against the executed task
+        records) and ``result.telemetry`` (the counters/gauges/spans
+        snapshot). ``result.runtime``, the executed runtime (for Gantt
+        charts and trace export), is attached on every run.
     timeseries:
         Attach the simulated-time series (:mod:`repro.obs.timeseries`),
         folded from the run's event log after the last sub-batch: per-node
@@ -320,7 +319,6 @@ def _run_batch_inner(
                 # surviving platform.
                 assert faults is not None
                 faults.stats.tasks_rescheduled += len(failed)
-                tele.count("faults/tasks_rescheduled", len(failed))
                 if not done and len(state.dead_nodes) == dead_before:
                     raise RuntimeError(
                         f"scheduler {scheduler.name} made no progress: every "
@@ -344,20 +342,11 @@ def _run_batch_inner(
         ).to_dict()
     if faults is not None:
         result.fault_stats = faults.stats
-        if telemetry:
-            for key, value in faults.stats.to_dict().items():
-                tele.gauge(f"faults/{key}", float(value))
     if telemetry:
         from ..obs.metrics import compute_metrics
 
-        records = [r for sb in result.sub_batches for r in sb.execution.records]
-        decisions = scheduler.decision_log
-        metrics = compute_metrics(runtime, records, decisions)
-        for key, value in metrics.to_dict().items():
-            if isinstance(value, (int, float)):
-                tele.gauge(f"metrics/{key}", float(value))
-        result.metrics = metrics
-        result.decision_log = decisions
+        result.metrics = compute_metrics(runtime)
+        result.decision_log = scheduler.decision_log
         result.telemetry = tele.snapshot()
     if audit:
         # Imported lazily: repro.analysis is tooling layered on top of the

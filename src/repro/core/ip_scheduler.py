@@ -58,8 +58,8 @@ class IPScheduler(Scheduler):
 
     Parameters
     ----------
-    solver / solver_options:
-        Backend name for :func:`repro.mip.get_solver` and its options.
+    solver:
+        Backend name for :func:`repro.mip.get_solver`.
     time_limit:
         Wall-clock budget per solve (seconds). The allocation IP stops at
         the incumbent when exceeded.
@@ -79,24 +79,22 @@ class IPScheduler(Scheduler):
         time_limit: float | None = 60.0,
         mip_rel_gap: float = 0.02,
         balance_threshold: float = 0.5,
-        solver_options: dict | None = None,
     ) -> None:
         super().__init__(seed)
         self.solver_name = solver
         self.time_limit = time_limit
         self.mip_rel_gap = mip_rel_gap
         self.balance_threshold = balance_threshold
-        self.solver_options = dict(solver_options or {})
         self.last_solution: Solution | None = None
 
     # -- helpers ---------------------------------------------------------------
     def _solver(self, time_limit: float | None) -> Any:
-        opts = dict(self.solver_options)
+        opts: dict[str, Any] = {}
         if self.solver_name == "highs":
-            opts.setdefault("mip_rel_gap", self.mip_rel_gap)
-            opts.setdefault("time_limit", time_limit)
+            opts["mip_rel_gap"] = self.mip_rel_gap
+            opts["time_limit"] = time_limit
         elif time_limit is not None:
-            opts.setdefault("time_limit", time_limit)
+            opts["time_limit"] = time_limit
         return get_solver(self.solver_name, **opts)
 
     @staticmethod

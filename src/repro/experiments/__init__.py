@@ -20,11 +20,8 @@ from .runner import (
 from .sensitivity import replication_advantage_sweep
 from .stream import (
     StreamConfig,
-    StreamRecord,
-    render_stream_table,
     run_stream_config,
     stream_config_from_dict,
-    stream_sweep,
 )
 
 __all__ = [
@@ -46,9 +43,6 @@ __all__ = [
     "chaos_sweep",
     "degradation_curve",
     "StreamConfig",
-    "StreamRecord",
     "run_stream_config",
     "stream_config_from_dict",
-    "stream_sweep",
-    "render_stream_table",
 ]

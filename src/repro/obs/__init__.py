@@ -12,8 +12,9 @@ The measurement substrate of the reproduction, in three parts:
   :class:`~repro.cluster.stats.TaskRecord`\\ s to quantify estimation error.
 * :mod:`repro.obs.metrics` / :mod:`repro.obs.export` — paper-facing metrics
   derived from an executed runtime (utilization, port contention, transfer
-  and cache accounting; Eqs. 9–13) and the single-JSON *run manifest*
-  (+ NDJSON and merged Chrome trace exports) that carries everything.
+  and cache ratios; Eqs. 9–13) and the single-JSON *run manifest*
+  (+ NDJSON and merged Chrome trace exports) that carries everything,
+  each number once.
 
 This package sits directly above :mod:`repro.cluster` and below
 :mod:`repro.core`: it may import the simulator's data types but never the

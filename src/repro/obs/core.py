@@ -56,12 +56,6 @@ class SpanStats:
     def mean_s(self) -> float:
         return self.total_s / self.count if self.count else 0.0
 
-    def merge(self, other: SpanStats) -> None:
-        self.count += other.count
-        self.total_s += other.total_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-
     def to_dict(self) -> dict[str, float]:
         return {
             "count": float(self.count),

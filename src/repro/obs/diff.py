@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .export import MANIFEST_KIND, MANIFEST_VERSION
+
 __all__ = [
     "AttributionRow",
     "DEFAULT_FAIL_OVER",
@@ -168,7 +170,7 @@ def load_run(spec: str | Path) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ValueError(f"{path_part}: expected a JSON object")
     kind = doc.get("kind")
-    if kind == "repro-run-manifest":
+    if kind == MANIFEST_KIND:
         if fragment:
             raise ValueError(f"{text}: #cell selectors only apply to repro-bench files")
         return doc
@@ -183,8 +185,8 @@ def load_run(spec: str | Path) -> dict[str, Any]:
             raise KeyError(f"{path_part}: no cell {fragment!r} (have {sorted(cells)})")
         cell = cells[fragment]
         return {
-            "kind": "repro-run-manifest",
-            "manifest_version": 1,
+            "kind": MANIFEST_KIND,
+            "manifest_version": MANIFEST_VERSION,
             "versions": doc.get("versions", {}),
             "config": None,
             "config_digest": f"bench:{fragment}",

@@ -29,6 +29,7 @@ import json
 import math
 import platform as _platform
 from collections.abc import Iterator, Mapping
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 MANIFEST_KIND = "repro-run-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: The checked-in JSON Schema the manifest must validate against.
 SCHEMA_PATH = Path(__file__).with_name("run-manifest.schema.json")
@@ -83,28 +84,38 @@ def load_schema() -> dict[str, Any]:
     return doc
 
 
-def build_manifest(
-    result: BatchResult,
-    *,
-    config: Mapping[str, Any] | None = None,
-    config_digest: str | None = None,
-    telemetry_snapshot: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Assemble the run manifest for one finished batch run.
+#: The :class:`~repro.cluster.state.TransferStats` counters a manifest's
+#: ``stats`` block carries.
+_STATS_FIELDS = (
+    "remote_transfers",
+    "remote_volume_mb",
+    "replications",
+    "replication_volume_mb",
+    "evictions",
+    "evicted_volume_mb",
+    "cache_hits",
+    "cache_hit_volume_mb",
+)
 
-    ``result`` is a :class:`~repro.core.plan.BatchResult`; the attributes
-    filled by ``run_batch(..., telemetry=True)`` (``metrics``,
-    ``decision_log``, ``telemetry``) flow into the manifest when present.
-    ``telemetry_snapshot`` overrides the snapshot attached to the result
-    (used by callers that merge several runs' registries first).
+
+def _manifest(
+    run: Any,
+    *,
+    config: Mapping[str, Any] | None,
+    config_digest: str | None,
+    scheme: str,
+    result: dict[str, Any],
+    **blocks: Any,
+) -> dict[str, Any]:
+    """The envelope every manifest shares around its run-kind ``blocks``.
+
+    The identity header, the ``result`` block and ``run.stats`` as the
+    ``stats`` block lead; ``blocks`` follow in order. ``faults`` and
+    ``timeseries`` exist only on runs that carry them, so fault-free,
+    probe-free manifests stay byte-stable.
     """
     from .. import __version__  # deferred: the package root imports obs' users
 
-    metrics = result.metrics
-    decisions = result.decision_log
-    snapshot = telemetry_snapshot if telemetry_snapshot is not None else result.telemetry
-    stats = result.stats
-    records = [r for sb in result.sub_batches for r in sb.execution.records]
     manifest: dict[str, Any] = {
         "kind": MANIFEST_KIND,
         "manifest_version": MANIFEST_VERSION,
@@ -114,40 +125,52 @@ def build_manifest(
         },
         "config": dict(config) if config is not None else None,
         "config_digest": config_digest,
-        "scheme": result.scheduler,
-        "result": {
-            "makespan_s": result.makespan,
-            "scheduling_seconds": result.scheduling_seconds,
-            "sub_batches": result.num_sub_batches,
-            "tasks": result.num_tasks,
-        },
-        "stats": {
-            "remote_transfers": stats.remote_transfers,
-            "remote_volume_mb": stats.remote_volume_mb,
-            "replications": stats.replications,
-            "replication_volume_mb": stats.replication_volume_mb,
-            "evictions": stats.evictions,
-            "evicted_volume_mb": stats.evicted_volume_mb,
-            "cache_hits": stats.cache_hits,
-            "cache_hit_volume_mb": stats.cache_hit_volume_mb,
-        },
-        "metrics": metrics.to_dict() if isinstance(metrics, RunMetrics) else None,
-        "telemetry": dict(snapshot) if snapshot is not None else None,
-        "decisions": decisions.summary(records) if decisions is not None else None,
+        "scheme": scheme,
+        "result": result,
+        "stats": {key: getattr(run.stats, key) for key in _STATS_FIELDS},
+        **blocks,
     }
-    # Fault-injection runs carry their recovery counters; fault-free runs
-    # omit the key entirely so existing golden manifests stay byte-stable.
-    fault_stats = getattr(result, "fault_stats", None)
+    fault_stats = getattr(run, "fault_stats", None)
     if fault_stats is not None:
         manifest["faults"] = fault_stats.to_dict()
-    # Time-series probes likewise: the key exists only on runs executed
-    # with ``run_batch(timeseries=...)`` enabled (repro.obs.timeseries).
-    timeseries = getattr(result, "timeseries", None)
+    timeseries = getattr(run, "timeseries", None)
     if timeseries is not None:
         manifest["timeseries"] = timeseries
     out = _jsonable(manifest)
     assert isinstance(out, dict)
     return out
+
+
+def build_manifest(
+    result: BatchResult,
+    *,
+    config: Mapping[str, Any] | None = None,
+    config_digest: str | None = None,
+) -> dict[str, Any]:
+    """Assemble the run manifest for one finished batch run.
+
+    ``result`` is a :class:`~repro.core.plan.BatchResult`; the attributes
+    filled by ``run_batch(..., telemetry=True)`` (``metrics``,
+    ``decision_log``, ``telemetry``) flow into the manifest when present.
+    """
+    metrics = result.metrics
+    decisions = result.decision_log
+    records = [r for sb in result.sub_batches for r in sb.execution.records]
+    return _manifest(
+        result,
+        config=config,
+        config_digest=config_digest,
+        scheme=result.scheduler,
+        result={
+            "makespan_s": result.makespan,
+            "scheduling_seconds": result.scheduling_seconds,
+            "sub_batches": result.num_sub_batches,
+            "tasks": result.num_tasks,
+        },
+        metrics=asdict(metrics) if isinstance(metrics, RunMetrics) else None,
+        telemetry=dict(result.telemetry) if result.telemetry is not None else None,
+        decisions=decisions.summary(records) if decisions is not None else None,
+    )
 
 
 def build_stream_manifest(
@@ -166,20 +189,12 @@ def build_stream_manifest(
     (``stream_result.to_dict()``). Validates against the same
     ``run-manifest.schema.json``.
     """
-    from .. import __version__  # deferred: the package root imports obs' users
-
-    stats = stream_result.stats
-    manifest: dict[str, Any] = {
-        "kind": MANIFEST_KIND,
-        "manifest_version": MANIFEST_VERSION,
-        "versions": {
-            "repro": __version__,
-            "python": _platform.python_version(),
-        },
-        "config": dict(config) if config is not None else None,
-        "config_digest": config_digest,
-        "scheme": stream_result.scheme,
-        "result": {
+    return _manifest(
+        stream_result,
+        config=config,
+        config_digest=config_digest,
+        scheme=stream_result.scheme,
+        result={
             "makespan_s": stream_result.total_span_s,
             "scheduling_seconds": sum(
                 b.scheduling_seconds for b in stream_result.batches
@@ -187,30 +202,11 @@ def build_stream_manifest(
             "sub_batches": sum(b.sub_batches for b in stream_result.batches),
             "tasks": stream_result.num_jobs,
         },
-        "stats": {
-            "remote_transfers": stats.remote_transfers,
-            "remote_volume_mb": stats.remote_volume_mb,
-            "replications": stats.replications,
-            "replication_volume_mb": stats.replication_volume_mb,
-            "evictions": stats.evictions,
-            "evicted_volume_mb": stats.evicted_volume_mb,
-            "cache_hits": stats.cache_hits,
-            "cache_hit_volume_mb": stats.cache_hit_volume_mb,
-        },
-        "metrics": None,
-        "telemetry": None,
-        "decisions": None,
-        "online": stream_result.to_dict(),
-    }
-    fault_stats = getattr(stream_result, "fault_stats", None)
-    if fault_stats is not None:
-        manifest["faults"] = fault_stats.to_dict()
-    timeseries = getattr(stream_result, "timeseries", None)
-    if timeseries is not None:
-        manifest["timeseries"] = timeseries
-    out = _jsonable(manifest)
-    assert isinstance(out, dict)
-    return out
+        metrics=None,
+        telemetry=None,
+        decisions=None,
+        online=stream_result.to_dict(),
+    )
 
 
 def validate_manifest(manifest: Mapping[str, Any]) -> list[str]:

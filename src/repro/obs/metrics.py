@@ -11,32 +11,31 @@ bare makespan cannot show, computed post-hoc from a
   contention quantity Eqs. 12–13 bound;
 * **idle-gap histogram** — distribution of idle stretches on the compute
   nodes (where a better schedule could still pack work);
-* **transfer accounting** — bytes moved remotely vs. via compute-to-compute
-  replication, disk-cache hits and evictions, and the file *reuse factor*
-  (bytes consumed per byte staged) that replication is meant to maximize;
+* **transfer ratios** — the disk-cache hit ratio, the file *reuse factor*
+  (bytes consumed per byte staged) that replication is meant to maximize,
+  and the replicated share of the staged bytes; the counters they derive
+  from are the run's :class:`~repro.cluster.state.TransferStats`, which the
+  manifest carries once, as its ``stats`` block;
 * **byte conservation** — every staged megabyte is either still resident on
   a disk cache or was evicted (``residual ≈ 0``), a cross-check of the
   cache bookkeeping.
 
-:func:`compute_metrics` returns a :class:`RunMetrics` whose
-:meth:`~RunMetrics.to_dict` slots straight into the run manifest
+:func:`compute_metrics` returns a :class:`RunMetrics`; its
+:func:`dataclasses.asdict` form is the run manifest's ``metrics`` block
 (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..cluster.trace import TraceEvent
-from .decisions import DecisionLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.gantt import Timeline
     from ..cluster.runtime import Runtime
     from ..cluster.state import ClusterState
-    from ..cluster.stats import TaskRecord
 
 __all__ = [
     "IDLE_GAP_BUCKETS",
@@ -80,44 +79,11 @@ class RunMetrics:
     port_busy_fraction: dict[str, float] = field(default_factory=dict)
     # Histogram of idle gaps on the compute-node timelines.
     idle_gap_histogram: dict[str, int] = field(default_factory=dict)
-    # Transfer / cache accounting (whole run).
-    remote_transfers: int = 0
-    remote_volume_mb: float = 0.0
-    replications: int = 0
-    replication_volume_mb: float = 0.0
-    evictions: int = 0
-    evicted_volume_mb: float = 0.0
-    cache_hits: int = 0
-    cache_hit_volume_mb: float = 0.0
-    # Derived ratios.
+    # Ratios of the run's transfer statistics.
     disk_hit_ratio: float = 0.0  # hits / (hits + transfers)
     file_reuse_factor: float = 1.0  # bytes consumed / bytes staged
     replicated_fraction: float = 0.0  # replicated bytes / staged bytes
     conservation_residual_mb: float = 0.0  # staged - resident - evicted
-    # Scheduler estimation error (when a decision log was replayed).
-    estimation: dict[str, Any] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "makespan_s": self.makespan_s,
-            "node_exec_utilization": dict(self.node_exec_utilization),
-            "mean_exec_utilization": self.mean_exec_utilization,
-            "port_busy_fraction": dict(self.port_busy_fraction),
-            "idle_gap_histogram": dict(self.idle_gap_histogram),
-            "remote_transfers": self.remote_transfers,
-            "remote_volume_mb": self.remote_volume_mb,
-            "replications": self.replications,
-            "replication_volume_mb": self.replication_volume_mb,
-            "evictions": self.evictions,
-            "evicted_volume_mb": self.evicted_volume_mb,
-            "cache_hits": self.cache_hits,
-            "cache_hit_volume_mb": self.cache_hit_volume_mb,
-            "disk_hit_ratio": self.disk_hit_ratio,
-            "file_reuse_factor": self.file_reuse_factor,
-            "replicated_fraction": self.replicated_fraction,
-            "conservation_residual_mb": self.conservation_residual_mb,
-            "estimation": self.estimation,
-        }
 
 
 def conservation_residual_mb(state: ClusterState) -> float:
@@ -146,37 +112,25 @@ def _idle_gaps(tl: Timeline, start: float, end: float) -> list[float]:
     return gaps
 
 
-def compute_metrics(
-    runtime: Runtime,
-    records: Sequence[TaskRecord] | None = None,
-    decisions: DecisionLog | None = None,
-) -> RunMetrics:
-    """Derive :class:`RunMetrics` from an executed runtime.
-
-    ``records`` (the executed :class:`~repro.cluster.stats.TaskRecord`\\ s)
-    and ``decisions`` (a scheduler :class:`DecisionLog`) are optional; when
-    both are present the decision log is replayed to report estimation
-    error alongside the resource metrics.
-    """
+def compute_metrics(runtime: Runtime) -> RunMetrics:
+    """Derive :class:`RunMetrics` from an executed runtime."""
     makespan = max(runtime.clock, *(tl.horizon for tl in runtime.node_tl), 0.0)
     m = RunMetrics(makespan_s=makespan)
     horizon = makespan if makespan > _EPS else 1.0
 
-    exec_busy: dict[str, float] = {}
-    for i, tl in enumerate(runtime.node_tl):
-        exec_tl = runtime.cpu_tl[i] if runtime.cpu_tl is not None else tl
-        busy = sum(
+    exec_busy = {
+        port.name: sum(
             iv.duration
-            for iv in exec_tl.intervals
-            if TraceEvent(exec_tl.name, iv.start, iv.end, iv.tag).kind == "exec"
+            for iv in tl.intervals
+            if TraceEvent(tl.name, iv.start, iv.end, iv.tag).kind == "exec"
         )
-        exec_busy[tl.name] = busy
-
-    port_resources: list[Timeline] = list(runtime.node_tl) + list(runtime.storage_tl)
-    if runtime.link_tl is not None:
-        port_resources.append(runtime.link_tl)
-    for tl in port_resources:
-        m.port_busy_fraction[tl.name] = tl.busy_time() / horizon
+        for port, tl in zip(runtime.node_tl, runtime.exec_tl, strict=True)
+    }
+    # Every timeline but the dedicated CPUs is a single port.
+    cpus = set(runtime.exec_tl).difference(runtime.node_tl)
+    for tl in runtime.timelines():
+        if tl not in cpus:
+            m.port_busy_fraction[tl.name] = tl.busy_time() / horizon
 
     m.node_exec_utilization = {n: b / horizon for n, b in exec_busy.items()}
     if m.node_exec_utilization:
@@ -185,23 +139,12 @@ def compute_metrics(
         )
 
     hist: dict[str, int] = {_bucket_label(i): 0 for i in range(len(IDLE_GAP_BUCKETS) + 1)}
-    for i, tl in enumerate(runtime.node_tl):
-        busy_tls = [tl] if runtime.cpu_tl is None else [tl, runtime.cpu_tl[i]]
-        for busy_tl in busy_tls:
-            for gap in _idle_gaps(busy_tl, 0.0, makespan):
-                hist[_bucket_of(gap)] += 1
+    for tl in dict.fromkeys([*runtime.node_tl, *runtime.exec_tl]):
+        for gap in _idle_gaps(tl, 0.0, makespan):
+            hist[_bucket_of(gap)] += 1
     m.idle_gap_histogram = hist
 
     stats = runtime.state.stats
-    m.remote_transfers = stats.remote_transfers
-    m.remote_volume_mb = stats.remote_volume_mb
-    m.replications = stats.replications
-    m.replication_volume_mb = stats.replication_volume_mb
-    m.evictions = stats.evictions
-    m.evicted_volume_mb = stats.evicted_volume_mb
-    m.cache_hits = stats.cache_hits
-    m.cache_hit_volume_mb = stats.cache_hit_volume_mb
-
     transfers = stats.remote_transfers + stats.replications
     accesses = stats.cache_hits + transfers
     m.disk_hit_ratio = stats.cache_hits / accesses if accesses else 0.0
@@ -210,10 +153,4 @@ def compute_metrics(
         m.file_reuse_factor = (staged_mb + stats.cache_hit_volume_mb) / staged_mb
         m.replicated_fraction = stats.replication_volume_mb / staged_mb
     m.conservation_residual_mb = conservation_residual_mb(runtime.state)
-
-    if decisions is not None:
-        if records is not None:
-            m.estimation = decisions.summary(records)
-        else:
-            m.estimation = decisions.summary()
     return m

@@ -12,7 +12,8 @@ fonts or images. The page carries:
 * a per-node activity strip (a compact Gantt substitute) derived from the
   ``port_busy_s/*`` series — segment shade is the port's busy fraction
   over that sample interval;
-* the scalar metrics / transfer-stats tables;
+* the derived-metrics and transfer-statistics tables (each number in
+  one of them);
 * the ranked :mod:`repro.obs.diff` attribution view when a baseline is
   given.
 

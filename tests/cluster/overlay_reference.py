@@ -155,8 +155,7 @@ def evaluate(rt, task, node, plan=None):
         remaining.remove(f)
 
     exec_dur = rt._exec_duration(task, node)
-    exec_tl = rt.cpu_tl[node] if rt.cpu_tl is not None else rt.node_tl[node]
-    dest_ov = _overlay(overlays, exec_tl)
+    dest_ov = _overlay(overlays, rt.exec_tl[node])
     exec_start = dest_ov.earliest_slot(exec_dur, max(transfers_done, rt.clock))
     dest_ov.reserve(exec_start, exec_dur, tag=f"exec:{task.task_id}")
     reservations = {

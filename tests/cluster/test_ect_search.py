@@ -65,14 +65,9 @@ def outcome(tent):
     )
 
 
-def timelines(rt):
-    shared = [rt.link_tl] if rt.link_tl is not None else []
-    return [*rt.node_tl, *(rt.cpu_tl or ()), *rt.storage_tl, *shared]
-
-
 def snapshot(rt):
     """Every timeline's three views: its intervals and both float lists."""
-    return [(tl.name, contents(tl)) for tl in timelines(rt)]
+    return [(tl.name, contents(tl)) for tl in rt.timelines()]
 
 
 def reservations(tent):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.batch import Batch, FileInfo, Task
-from repro.cluster import ClusterState, Runtime, osc_xio, trace_events
+from repro.cluster import ClusterState, Runtime, osc_osumed, osc_xio, trace_events
 from repro.core import run_batch
 from repro.workloads import generate_synthetic_batch
 
@@ -54,13 +54,34 @@ class TestOverlapRuntime:
         batch, state = make(platform, [Task("t", ("a",), 1.0)], files)
         rt = Runtime(platform, state, overlap_io_compute=True)
         rt.execute(batch.tasks, {"t": 0})
-        assert rt.cpu_tl is not None
+        assert rt.exec_tl is not rt.node_tl
         # Executions land on the cpu timeline, transfers on the port.
         exec_events = [
             e for e in trace_events(rt) if e.kind == "exec"
         ]
         assert exec_events
         assert all(e.resource.startswith("cpu") for e in exec_events)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("make_platform", [osc_xio, osc_osumed])
+    def test_timelines_list_each_resource_once_in_trace_order(
+        self, overlap, make_platform
+    ):
+        platform = make_platform(num_compute=2, num_storage=2)
+        rt = Runtime(
+            platform, ClusterState(platform, {}), overlap_io_compute=overlap
+        )
+        tls = rt.timelines()
+        assert len({id(tl) for tl in tls}) == len(tls)
+        cpus = ["cpu0", "cpu1"] if overlap else []
+        link = ["shared-link"] if platform.shared_link_bw is not None else []
+        assert [tl.name for tl in tls] == [
+            "compute0", "compute1", *cpus, "storage0", "storage1", *link
+        ]
+        # Execution shares the port timeline exactly when the paper's
+        # non-overlap assumption holds.
+        assert (rt.exec_tl is rt.node_tl) == (not overlap)
+        assert all(tl in tls for tl in rt.exec_tl)
 
     def test_overlap_never_slower(self):
         platform = osc_xio(num_compute=2, num_storage=2)

@@ -124,12 +124,5 @@ class TestSpanStats:
         assert s.count == 2 and s.total_s == 4.0 and s.mean_s == 2.0
         assert s.min_s == 1.0 and s.max_s == 3.0
 
-    def test_merge(self):
-        a = SpanStats(count=1, total_s=1.0, min_s=1.0, max_s=1.0)
-        b = SpanStats(count=2, total_s=5.0, min_s=0.5, max_s=4.5)
-        a.merge(b)
-        assert a.count == 3 and a.total_s == 6.0
-        assert a.min_s == 0.5 and a.max_s == 4.5
-
     def test_empty_to_dict_has_no_inf(self):
         assert not any(math.isinf(v) for v in SpanStats().to_dict().values())

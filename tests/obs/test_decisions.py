@@ -97,5 +97,8 @@ class TestSchedulerIntegration:
         log = result.decision_log
         assert all(math.isfinite(d.estimated_completion) for d in log.decisions)
         assert all(d.reason == "max-sufferage" for d in log.decisions)
-        est = result.metrics.estimation
-        assert est is not None and est["replay"]["matched"] == 12
+        records = [
+            r for sb in result.sub_batches for r in sb.execution.records
+        ]
+        est = log.summary(records)
+        assert est["replay"]["matched"] == 12

@@ -8,10 +8,12 @@ import pytest
 
 from repro.cluster.platform import osc_xio
 from repro.core.driver import run_batch
+from repro.experiments import run_stream_config, stream_config_from_dict
 from repro.obs import (
     MANIFEST_KIND,
     MANIFEST_VERSION,
     build_manifest,
+    build_stream_manifest,
     load_schema,
     manifest_to_ndjson,
     merged_chrome_trace,
@@ -24,6 +26,9 @@ from repro.obs.schema import validate
 from repro.workloads import generate_image_batch
 
 GOLDEN_PATH = Path(__file__).with_name("golden_manifest.json")
+STREAM_SPEC = (
+    Path(__file__).resolve().parents[2] / "examples" / "streams" / "trace-smoke.json"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -105,6 +110,43 @@ class TestBuildManifest:
         want = json.loads(GOLDEN_PATH.read_text())
         assert got == want
 
+    def test_each_number_is_stated_once(self):
+        # The stats block carries the transfer counters, the decisions block
+        # the decision-log summary and the faults block the recovery
+        # counters; none reappears in the metrics block or the telemetry.
+        faulted = run_batch(
+            generate_image_batch(16, "high", 4, seed=0),
+            osc_xio(num_compute=4, num_storage=4, disk_space_mb=4000.0),
+            "jdp",
+            candidate_limit=25,
+            telemetry=True,
+            faults={
+                "node_crashes": [{"node": 1, "time": 5.0}],
+                "transfer_failure_rate": 0.2,
+                "seed": 3,
+            },
+        )
+        stream = run_stream_config(
+            stream_config_from_dict(json.loads(STREAM_SPEC.read_text())),
+            warm=True,
+        )
+        manifests = [
+            build_manifest(golden_result()),
+            build_manifest(faulted),
+            build_stream_manifest(stream),
+        ]
+        assert "faults" in manifests[1]
+        for manifest in manifests:
+            assert validate_manifest(manifest) == []
+            metrics = manifest["metrics"] or {}
+            assert not set(manifest["stats"]) & set(metrics)
+            assert "estimation" not in metrics
+            tel = manifest["telemetry"] or {}
+            assert not [
+                name for name in (*tel.get("counters", {}), *tel.get("gauges", {}))
+                if name.startswith(("metrics/", "faults/"))
+            ]
+
     def test_golden_file_itself_validates(self):
         golden = json.loads(GOLDEN_PATH.read_text())
         assert validate(golden, load_schema()) == []
@@ -149,3 +191,14 @@ class TestMergedChromeTrace:
         assert tele_spans, "wall-clock span events missing from merged trace"
         names = {ev["name"] for ev in events if ev.get("ph") == "M"}
         assert "process_name" in names and "thread_name" in names
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            normalize(build_manifest(golden_result(), config_digest="0" * 64)),
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )

@@ -56,6 +56,20 @@ def golden_run(**overrides):
     return run_batch(batch, platform, "minmin", **kwargs)
 
 
+def faults_run():
+    """JDP on tight disks: DLL pushes, evictions, retries, a crash and a
+    slowdown window, all folded from one audited event log."""
+    return run_batch(
+        generate_image_batch(24, "high", 4, seed=0),
+        osc_xio(4, 4, disk_space_mb=1200.0),
+        "jdp",
+        candidate_limit=25,
+        faults=FAULTS_SPEC,
+        timeseries=True,
+        audit=True,
+    )
+
+
 class TestDisabledPath:
     """``timeseries`` off must be allocation-free, not merely empty."""
 
@@ -97,17 +111,7 @@ class TestGolden:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_faults_run_matches_golden_file(self):
-        # JDP on tight disks: DLL pushes, evictions, retries, a crash and a
-        # slowdown window, all folded from one audited event log.
-        result = run_batch(
-            generate_image_batch(24, "high", 4, seed=0),
-            osc_xio(4, 4, disk_space_mb=1200.0),
-            "jdp",
-            candidate_limit=25,
-            faults=FAULTS_SPEC,
-            timeseries=True,
-            audit=True,
-        )
+        result = faults_run()
         got = json.loads(json.dumps(result.timeseries, sort_keys=True))
         assert got == json.loads(FAULTS_GOLDEN_PATH.read_text())
         assert result.audit_report.checked_events == 185
@@ -196,3 +200,12 @@ class TestWorkerMerge:
         )
         cfg_off = dataclasses.replace(cfg_on, timeseries=False)
         assert config_key(cfg_on) == config_key(cfg_off)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(golden_run().timeseries, indent=2, sort_keys=True) + "\n"
+    )
+    FAULTS_GOLDEN_PATH.write_text(
+        json.dumps(faults_run().timeseries, sort_keys=True) + "\n"
+    )
