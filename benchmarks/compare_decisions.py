@@ -5,18 +5,24 @@ Usage, from the repository root::
 
     python3 benchmarks/compare_decisions.py --base ../parent --change . \\
         --workload disk --seed 1
+    python3 benchmarks/compare_decisions.py --base ../parent --change . \\
+        --fig6b 400 16
 
 Each tree is a checkout of this repository. For each tree, a fresh
 interpreter with ``PYTHONHASHSEED=0`` (as perfbench pins it) imports
 ``repro`` from the tree's ``src/`` and builds the perfbench workload's jobs
-from the seed with the tree's own ``perfbench/bench_workloads.py``. It then
-runs every job once and records every batch the job ran: each
-``TaskRecord`` in commit order, the batch's ``TransferStats`` and fault
-statistics, its ``timeseries`` block and its audit's
-``[checked_events, violations]`` (both ``None`` unless the job runs with
-them, as the ``stream`` jobs do), and for an online session also each job
-record and the session's totals. Floats are compared exactly, so a
-difference in the last bit counts.
+from the seed with the tree's own ``perfbench/bench_workloads.py``. With
+``--fig6b N C`` the one job is instead whole-batch MinMin at Fig. 6(b)
+scale: ``generate_image_batch(N, "high", 8, seed=0)`` on ``osc_xio(C, 8)``
+with ``candidate_limit=25``. It then runs every job once and records every
+batch the job ran: each ``TaskRecord`` in commit order, the batch's
+``TransferStats`` and fault statistics, its ``timeseries`` block and its
+audit's ``[checked_events, violations]`` (both ``None`` unless the job
+runs with them, as the ``stream`` jobs do), and for an online session
+also each job record and the session's totals. Floats are compared
+exactly, so a difference in the last bit counts. A ``--fig6b`` run also
+prints each tree's wall time and runtime work counters, which are not
+compared.
 
 The report goes to standard output. The exit status is 0 when every job
 matches, 1 when any differs and 2 when a tree cannot be run.
@@ -36,10 +42,12 @@ from typing import Any
 SHOWN_PER_JOB = 5
 
 # Runs in the tree under test: prints one JSON line per job, each the list
-# of the batches that job ran, and its result's own fields.
+# of the batches that job ran, and its result's own fields. Its arguments
+# are the tree's src and perfbench directories, then the workload and the
+# seed, or "fig6b", N and C.
 _CHILD = r"""
-import dataclasses, json, sys
-src, perfbench, workload, seed = sys.argv[1:5]
+import dataclasses, json, sys, time
+src, perfbench, *job_args = sys.argv[1:]
 sys.path[:0] = [src, perfbench]
 import repro
 from pathlib import Path
@@ -87,27 +95,51 @@ def capturing(run_batch):
 driver.run_batch = capturing(driver.run_batch)
 session.run_batch = capturing(session.run_batch)
 
-for job in bench_workloads.WORKLOADS[workload].build(int(seed)):
+if job_args[0] == "fig6b":
+    from repro.cluster.platform import osc_xio
+    from repro.workloads import generate_image_batch
+    n, c = map(int, job_args[1:])
+    images = generate_image_batch(n, "high", 8, seed=0)
+    platform = osc_xio(num_compute=c, num_storage=8)
+    jobs = [lambda: driver.run_batch(images, platform, "minmin", candidate_limit=25)]
+else:
+    workload, seed = job_args
+    jobs = [
+        lambda job=job: job.run(False)
+        for job in bench_workloads.WORKLOADS[workload].build(int(seed))
+    ]
+
+for run in jobs:
     batches.clear()
-    result = job.run(False)
+    began = time.perf_counter()
+    result = run()
+    seconds = time.perf_counter() - began
     out = {"batches": list(batches)}
     if hasattr(result, "jobs"):  # an online session's StreamResult
         out["jobs"] = [fields(j) for j in result.jobs]
         out["stats"] = fields(result.stats)
         out["fault_stats"] = fields(result.fault_stats)
+    if job_args[0] == "fig6b":
+        rt = result.runtime
+        out["work"] = {"seconds": round(seconds, 2)} | {
+            name: getattr(rt, name)
+            for name in ("evaluations", "first_evaluations", "slot_searches")
+            if hasattr(rt, name)
+        }
     print(json.dumps(out))
 """
 
 
-def run_tree(tree: Path, workload: str, seed: int) -> list[Any]:
-    """Every job's decisions in ``tree``, in job order."""
+def run_tree(tree: Path, *job_args: object) -> list[Any]:
+    """Every job's decisions in ``tree``, in job order: those of a perfbench
+    workload and seed, or with ``"fig6b", N, C`` the Fig. 6(b) batch's."""
     src, perfbench = tree / "src", tree / "perfbench"
     if not (src / "repro" / "__init__.py").is_file():
         raise RuntimeError(f"no program source at {src}")
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(perfbench), workload,
-         str(seed)],
+        [sys.executable, "-c", _CHILD, str(src), str(perfbench),
+         *map(str, job_args)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if out.returncode != 0:
@@ -141,16 +173,36 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument(
+        "--fig6b", nargs=2, type=int, metavar=("N", "C"),
+        help="compare whole-batch MinMin on N Fig. 6(b) tasks and C compute "
+        "nodes instead of a perfbench workload",
+    )
     args = parser.parse_args(argv)
+    if args.fig6b is not None:
+        if args.workload is not None or args.seed is not None:
+            parser.error("--fig6b takes no --workload or --seed")
+        job_args = ["fig6b", *args.fig6b]
+        name = "fig6b n{}c{}".format(*args.fig6b)
+    elif args.workload is None or args.seed is None:
+        parser.error("give --workload and --seed, or --fig6b N C")
+    else:
+        job_args = [args.workload, args.seed]
+        name = f"{args.workload} seed {args.seed}"
 
     try:
-        base = run_tree(args.base.resolve(), args.workload, args.seed)
-        change = run_tree(args.change.resolve(), args.workload, args.seed)
+        base = run_tree(args.base.resolve(), *job_args)
+        change = run_tree(args.change.resolve(), *job_args)
     except RuntimeError as exc:
         print(f"compare_decisions: {exc}")
         return 2
+    for side, jobs in (("base", base), ("change", change)):
+        for job in jobs:
+            work = job.pop("work", None)
+            if work is not None:
+                print(f"{side}: " + ", ".join(f"{k} {v}" for k, v in work.items()))
     differing = 0
     for i, (b, c) in enumerate(zip(base, change)):
         found = differences(b, c, f"job[{i}]")
@@ -165,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         differing += 1
     tasks = sum(len(b["records"]) for job in base for b in job["batches"])
     verdict = "identical" if not differing else f"{differing} differ"
-    print(
-        f"{args.workload} seed {args.seed}: {len(base)} jobs, {tasks} task "
-        f"records: {verdict}"
-    )
+    print(f"{name}: {len(base)} jobs, {tasks} task records: {verdict}")
     return 1 if differing else 0
 
 

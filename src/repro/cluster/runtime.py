@@ -22,8 +22,11 @@ inter-cluster link (when present):
   candidate can beat the best found, so it picks exactly the task an
   evaluation of every candidate would. Candidates that differ only in the
   task id (same node, same ordered inputs, same compute time) are bounded
-  and evaluated once, and within one min-TCT round of an evaluation,
-  identical slot queries share one search.
+  and evaluated once; so are copies of a task on *blank* nodes (nothing
+  reserved, nothing cached) of one speed and local disk. A candidate tied
+  on its bound with an earlier one of the same *shape* (inputs that differ
+  only in name) is not evaluated. Within one min-TCT round of an
+  evaluation, identical slot queries share one search.
 
 Single-port model: a transfer occupies both endpoints' timelines; a compute
 node's timeline also carries task execution, so no file is staged on a node
@@ -112,6 +115,16 @@ _Transfer = tuple[str, str, int | None, float, float]
 #: An injected transfer failure: (file_id, size, kind, source_node, start,
 #: end, attempt).
 _FailedAttempt = tuple[str, float, str, int | None, float, float, int]
+#: A node as the least-ECT search tells nodes apart: its id, or
+#: ``("blank", speed, local_disk_bw)`` for a blank one (:meth:`Runtime._node_key`).
+_NodeKey = int | tuple[str, float, float]
+#: What evaluating a task reads of one input: ``(size, availability time)``
+#: when it is on the node, else ``(size, storage node, ((holder, ready
+#: time), ...))``.
+_InputShape = tuple[float, float] | tuple[float, int, tuple[tuple[int, float], ...]]
+#: A pair's shape (:meth:`Runtime._shape_key`): (node key, compute time,
+#: each input's shape in order).
+_Shape = tuple[_NodeKey, float, tuple[_InputShape, ...]]
 
 #: Relative slack of :meth:`Runtime.ect_bound` that absorbs the rounding of
 #: its gap walk and of ``is_free``'s ``_EPS`` comparisons.
@@ -120,7 +133,8 @@ _BOUND_REL_SLACK = 1e-9
 #: The least-ECT search's work counters: ``Runtime`` attributes, reported
 #: per :meth:`Runtime.execute` call as ``runtime/<name>`` telemetry counters.
 _WORK_COUNTERS = (
-    "candidates", "duplicates", "evaluations", "slot_searches", "slot_reuses"
+    "candidates", "duplicates", "shape_skips", "evaluations",
+    "first_evaluations", "slot_searches", "slot_reuses",
 )
 
 #: Every transfer and execution must last longer than this. Then
@@ -210,13 +224,19 @@ class Runtime:
         # None keeps the hot path allocation-free.
         self.events: EventLog | None = EventLog.of(state) if events else None
         # Work of the least-ECT search over this runtime's life: (task,
-        # node) pairs it was given, pairs skipped as copies of an earlier
-        # pair of the same search, pairs it evaluated, the common-slot
-        # searches that costed their transfers, and the slot queries
-        # answered by an identical query earlier in the same round.
+        # node) pairs it was given; pairs skipped as copies of an earlier
+        # pair of the same search (same ordered inputs and compute time on
+        # the same node, or on two blank nodes of one speed and local
+        # disk); candidates skipped for having the bound and shape of an
+        # earlier one; pairs it evaluated, and how many of those the first
+        # commits of a sub-batch made; the common-slot searches that costed
+        # their transfers, and the slot queries answered by an identical
+        # query earlier in the same round.
         self.candidates = 0
         self.duplicates = 0
+        self.shape_skips = 0
         self.evaluations = 0
+        self.first_evaluations = 0
         self.slot_searches = 0
         self.slot_reuses = 0
 
@@ -461,6 +481,49 @@ class Runtime:
             )
         return ready + self._exec_duration(task, node)
 
+    def _node_key(self, node: int) -> _NodeKey:
+        """``node``, or what evaluating a task reads of it if it is blank.
+
+        A blank node has no reservation on its port or execution timeline
+        and no file in its cache, so every input is missing, every transfer
+        onto it and its execution search empty timelines, and no source is
+        on it. An evaluation on it then reads only its speed and local disk
+        bandwidth, as long as nothing is keyed by the destination node: no
+        fault draws and no planned sources.
+        """
+        if (
+            len(self.node_tl[node])
+            or len(self.exec_tl[node])
+            or self.state.caches[node].files
+        ):
+            return node
+        spec = self.platform.compute_nodes[node]
+        return ("blank", spec.speed, spec.local_disk_bw)
+
+    def _shape_key(self, task: Task, node: int) -> _Shape:
+        """Everything :meth:`ect_bound` and :meth:`evaluate` read of ``task``
+        on ``node`` but the file and task ids, when nothing is keyed by
+        file id or node (no fault draws, no planned sources).
+
+        Of an input on the node they read its size and availability time;
+        of a missing one its size, its storage node (timeline and
+        bandwidth) and every other holder with the time its copy is ready,
+        in :meth:`ClusterState.holders` order, which is the order sources
+        are costed and ties kept in.
+        """
+        state = self.state
+        inputs: list[_InputShape] = []
+        for f in task.files:
+            size = state.size_of(f)
+            if state.has_file(node, f):
+                inputs.append((size, self._avail_time(node, f)))
+            else:
+                holders = tuple(
+                    (h, self._avail_time(h, f)) for h in state.holders(f) if h != node
+                )
+                inputs.append((size, state.storage_node_of(f), holders))
+        return (self._node_key(node), task.compute_time, tuple(inputs))
+
     def _least_ect(
         self, pairs: Sequence[tuple[Task, int]], plan: StagingPlan | None
     ) -> _Tentative:
@@ -469,29 +532,60 @@ class Runtime:
         Pairs with the same node, ordered inputs and compute time are one
         class: :meth:`ect_bound` and :meth:`evaluate` read nothing else of
         a task but its id, which only tags the execution, so a class shares
-        one bound and one ECT. Only each class's first pair is bounded and
+        one bound and one ECT. Without a fault model or planned sources,
+        all blank nodes of one speed and local disk count as one node
+        (:meth:`_node_key`). Only each class's first pair is bounded and
         evaluated; the others, at later indices, cannot beat its
         ``(ect, index)`` key. The order of the inputs is part of the class
-        because the min-TCT rule breaks ties in that order.
+        because the min-TCT rule breaks ties in that order. A single class
+        is evaluated without a bound.
 
         Candidates are evaluated in ``(bound, index)`` order, and the search
         stops at the first whose key exceeds the best ``(ect, index)`` so
         far: every later candidate has a larger ECT, or an equal one at a
-        later index. The result is what ``min`` over every evaluation
-        returns.
+        later index. Under the same conditions as blank nodes, a candidate
+        whose bound is bit for bit an earlier one's is skipped when its
+        :meth:`_shape_key` is too: equal shapes give equal ECTs, and the
+        earlier one has the lower index. Equal shapes give equal bounds, so
+        only candidates tied on their bound need a shape. The result is
+        what ``min`` over every evaluation returns.
         """
         self.candidates += len(pairs)
-        first: dict[tuple[int, tuple[str, ...], float], int] = {}
+        # Fault draws and planned sources are keyed by file and destination.
+        shapes = self.faults is None and (plan is None or not plan.sources)
+        node_keys = {
+            node: self._node_key(node) if shapes else node
+            for node in {node for _, node in pairs}
+        }
+        first: dict[tuple[_NodeKey, tuple[str, ...], float], int] = {}
         for i, (task, node) in enumerate(pairs):
-            first.setdefault((node, task.files, task.compute_time), i)
+            first.setdefault((node_keys[node], task.files, task.compute_time), i)
         self.duplicates += len(pairs) - len(first)
+        if len(first) == 1:
+            self.evaluations += 1
+            return self.evaluate(*pairs[0], plan)
         order = sorted((self.ect_bound(*pairs[i]), i) for i in first.values())
         best: _Tentative | None = None
         best_key = (float("inf"), len(pairs))
+        # The first candidate reached at the current bound, and the shapes
+        # reached at it once a second candidate ties.
+        tied_bound, tied_first = float("-inf"), 0
+        tied: set[_Shape] | None = None
         for bound, i in order:
             if (bound, i) > best_key:
                 break
             task, node = pairs[i]
+            if shapes:
+                if bound > tied_bound:
+                    tied_bound, tied_first, tied = bound, i, None
+                else:
+                    if tied is None:
+                        tied = {self._shape_key(*pairs[tied_first])}
+                    shape = self._shape_key(task, node)
+                    if shape in tied:
+                        self.shape_skips += 1
+                        continue
+                    tied.add(shape)
             tent = self.evaluate(task, node, plan)
             self.evaluations += 1
             if (tent.ect, i) < best_key:
@@ -890,6 +984,7 @@ class Runtime:
         # Initial commits: globally best first, then each remaining group's
         # best in ECT order (re-evaluated after every commit). Ties go to
         # the first node in iteration order.
+        evaluated = self.evaluations
         uncommitted = set(groups)
         while uncommitted:
             tent = self._least_ect(
@@ -899,6 +994,7 @@ class Runtime:
             commit(tent)
             uncommitted.discard(tent.node)
             uncommitted &= set(groups)
+        self.first_evaluations += self.evaluations - evaluated
 
         # Event loop: when a task completes, schedule that group's next task.
         makespan = start_time

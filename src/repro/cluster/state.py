@@ -73,10 +73,15 @@ class ClusterState:
         # file id -> set of compute nodes currently holding it
         self._holders: dict[str, set[int]] = {}
         # Frozen snapshots handed out by :meth:`holders`, dropped whenever
-        # the underlying set mutates. A frozenset's iteration order is a
-        # pure function of its contents, so reusing the snapshot between
-        # mutations yields byte-identical enumeration to rebuilding it,
-        # without a fresh frozenset per source enumeration.
+        # the underlying set mutates, so there is no fresh frozenset per
+        # source enumeration. A snapshot's iteration order, like its set's,
+        # is not a function of its contents alone: where two ids collide
+        # in the hash table (past 8 compute nodes, e.g. 3 and 35), the one
+        # inserted first comes first. So the order in which
+        # replica sources are costed follows the run's placement history,
+        # which a (config, seed) still fixes. The runtime's shape key
+        # (``Runtime._shape_key``) records holders in this order, so two
+        # equal keys cost their sources in the same order.
         self._holders_cache: dict[str, frozenset[int]] = {}
         self.stats = TransferStats()
         # Compute nodes lost to injected crashes (empty without faults).

@@ -13,7 +13,9 @@ the overlay-based reference in ``overlay_reference.py``. Each evaluation
 must also leave every timeline exactly as it found it, including when a
 reservation fails midway. The problems include exact copies of tasks,
 which the search evaluates once per class, and near-copies, which it must
-keep apart.
+keep apart; and shape-heavy problems, whose tasks read distinct files of
+one size on nodes that are still blank, which the search evaluates once
+per shape.
 """
 
 import contextlib
@@ -118,14 +120,62 @@ def checked_evaluate(rt, task, node, plan, fail_at):
     return got
 
 
+def keyed_by_node(rt, plan):
+    """Whether a fault model or planned sources read file and node ids."""
+    return rt.faults is not None or (plan is not None and bool(plan.sources))
+
+
+def node_key(rt, node, plan):
+    """The node as the search tells nodes apart: all blank nodes (nothing
+    reserved, nothing cached) of one speed and local disk are one, unless
+    something is keyed by node."""
+    if (
+        keyed_by_node(rt, plan)
+        or rt.node_tl[node].intervals
+        or rt.exec_tl[node].intervals
+        or rt.state.files_on(node)
+    ):
+        return node
+    spec = rt.platform.compute_nodes[node]
+    return ("blank", spec.speed, spec.local_disk_bw)
+
+
+def shape(rt, task, node, plan):
+    """What evaluating ``task`` on ``node`` reads, file and task ids aside.
+
+    Of an input on the node: its size and availability time; of a missing
+    one: its size, storage node, and every other holder with its ready
+    time, in source order. Without a fault model or planned sources, pairs
+    of one shape must evaluate alike; with one, only the same task inputs
+    on the same node must.
+    """
+    if keyed_by_node(rt, plan):
+        return (node, task.files, task.compute_time)
+    state = rt.state
+    inputs = []
+    for f in task.files:
+        if state.has_file(node, f):
+            inputs.append(("on node", state.size_of(f), rt._avail_time(node, f)))
+        else:
+            holders = tuple(
+                (h, rt._avail_time(h, f)) for h in state.holders(f) if h != node
+            )
+            inputs.append(
+                ("missing", state.size_of(f), state.storage_node_of(f), holders)
+            )
+    return (node_key(rt, node, plan), task.compute_time, tuple(inputs))
+
+
 @contextlib.contextmanager
 def checked_searches():
     """Patch ``Runtime._least_ect`` to check every search it runs.
 
-    Pairs with the same node, ordered inputs and compute time form a class;
-    every member must have the bound and the evaluation of the class's
-    first pair, apart from the task id. Yields two lists: every checked
-    search's candidate count and its number of classes.
+    Pairs with the same ordered inputs and compute time on one node, or on
+    two blank nodes of one speed and local disk, are copies; pairs of one
+    :func:`shape` must have the bound, ECT, execution start, transfer end,
+    failed attempts and transfers (file ids aside) of the shape's first
+    pair. Yields two lists: every checked search's candidate count and its
+    number of classes of copies.
     """
     search = Runtime._least_ect
     sizes = []
@@ -134,17 +184,25 @@ def checked_searches():
 
     def checked(rt, pairs, plan):
         got = search(rt, pairs, plan)
-        classes = {}
+        copies = set()
+        shapes = {}
         for task, node in pairs:
             tent = checked_evaluate(rt, task, node, plan, next(evaluations))
             bound = rt.ect_bound(task, node)
             assert bound <= tent.ect
-            shared = (bound, outcome(tent)[1:])
-            key = (node, task.files, task.compute_time)
-            assert classes.setdefault(key, shared) == shared
+            copies.add((node_key(rt, node, plan), task.files, task.compute_time))
+            shared = (
+                bound,
+                tent.ect,
+                tent.exec_start,
+                tent.transfers_done,
+                [transfer[1:] for transfer in tent.transfers],
+                tent.failed_attempts,
+            )
+            assert shapes.setdefault(shape(rt, task, node, plan), shared) == shared
         assert outcome(got) == outcome(brute_force_least_ect(rt, pairs, plan))
         sizes.append(len(pairs))
-        class_counts.append(len(classes))
+        class_counts.append(len(copies))
         return got
 
     with mock.patch.object(Runtime, "_least_ect", checked):
@@ -156,13 +214,17 @@ def checked_searches():
 def problem(draw):
     """A small platform, two mapped sub-batches and the runtime's options."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    num_compute = draw(st.integers(1, 4))
-    num_storage = draw(st.integers(1, 3))
+    # Shape-heavy problems: distinct files of one size on 2-3 storage
+    # nodes, and 3-4 compute nodes of which only the first holds replicas,
+    # all ready at once, so the others are blank at the first commits.
+    shapes = draw(st.booleans())
+    num_compute = draw(st.integers(3, 4) if shapes else st.integers(1, 4))
+    num_storage = draw(st.integers(2, 3) if shapes else st.integers(1, 3))
     num_files = draw(st.integers(1, 8))
     num_tasks = draw(st.integers(1, 10))
     # Few distinct sizes, costs and speeds make exact ECT ties common,
     # which exercises the first-occurrence tie-break.
-    ties = draw(st.booleans())
+    ties = shapes or draw(st.booleans())
 
     def value(low, high, choices):
         return float(rng.choice(choices) if ties else rng.uniform(low, high))
@@ -170,7 +232,7 @@ def problem(draw):
     files = {
         f"f{i}": FileInfo(
             f"f{i}",
-            value(10.0, 200.0, [50.0, 100.0]),
+            100.0 if shapes else value(10.0, 200.0, [50.0, 100.0]),
             int(rng.integers(0, num_storage)),
         )
         for i in range(num_files)
@@ -232,9 +294,9 @@ def problem(draw):
     # Replicas present before the first sub-batch (unlimited disks only).
     preplaced = (
         [
-            (int(rng.integers(0, num_compute)), f)
+            (0 if shapes else int(rng.integers(0, num_compute)), f)
             for f in files
-            if rng.uniform() < 0.3
+            if rng.uniform() < (0.5 if shapes else 0.3)
         ]
         if disk == math.inf
         else []
@@ -296,34 +358,47 @@ def test_search_matches_brute_force(prob):
             rt.execute(part, {t.task_id: mapping[t.task_id] for t in part}, plan)
     assert rt.candidates == sum(sizes)
     assert rt.duplicates == sum(sizes) - sum(class_counts)
-    assert rt.evaluations <= sum(class_counts)
+    # Each class reached is evaluated or skipped for its shape.
+    assert rt.evaluations + rt.shape_skips <= sum(class_counts)
+    assert rt.first_evaluations <= rt.evaluations
 
 
-def one_node_runtime(files, tasks):
-    """A runtime over one compute node and one storage node (100 MB/s)."""
+def small_runtime(files, tasks, num_compute=1, num_storage=1, **options):
+    """A runtime over alike compute and storage nodes: remote transfers at
+    100 MB/s, replication at 1000 MB/s."""
     platform = Platform(
-        compute_nodes=(ComputeNode(0),),
-        storage_nodes=(StorageNode(0, disk_bw=100.0),),
+        compute_nodes=tuple(ComputeNode(i) for i in range(num_compute)),
+        storage_nodes=tuple(
+            StorageNode(s, disk_bw=100.0) for s in range(num_storage)
+        ),
         storage_network_bw=1000.0,
         compute_network_bw=1000.0,
     )
     state = ClusterState.initial(
         platform, Batch(tasks, {f.file_id: f for f in files})
     )
-    return Runtime(platform, state)
+    return Runtime(platform, state, **options)
 
 
 def one_task_runtime(size_mb, compute_s):
     task = Task("t0", ("f0",), compute_s)
-    return one_node_runtime([FileInfo("f0", size_mb, 0)], [task]), task
+    return small_runtime([FileInfo("f0", size_mb, 0)], [task]), task
+
+
+def least_ect(rt, pairs, plan=None):
+    """The task the search commits, checked against brute force."""
+    got = rt._least_ect(pairs, plan)
+    assert outcome(got) == outcome(brute_force_least_ect(rt, pairs, plan))
+    return got.task.task_id
 
 
 def test_identical_tasks_share_one_evaluation():
     # "b" and "a" differ only in their ids: the first search evaluates
     # the first of them once and commits it; the second search, after
-    # it completes, evaluates the other.
+    # it completes, evaluates the other. Each search has one class, so
+    # neither needs a bound.
     tasks = [Task("b", ("f0",), 1.0), Task("a", ("f0",), 1.0)]
-    rt = one_node_runtime([FileInfo("f0", 100.0, 0)], tasks)
+    rt = small_runtime([FileInfo("f0", 100.0, 0)], tasks)
     evaluate = Runtime.evaluate
     evaluated = []
 
@@ -331,7 +406,10 @@ def test_identical_tasks_share_one_evaluation():
         evaluated.append(task.task_id)
         return evaluate(self, task, node, plan)
 
-    with mock.patch.object(Runtime, "evaluate", counted):
+    with (
+        mock.patch.object(Runtime, "evaluate", counted),
+        mock.patch.object(Runtime, "ect_bound", side_effect=AssertionError),
+    ):
         result = rt.execute(tasks, {"a": 0, "b": 0})
     assert evaluated == ["b", "a"]
     assert [r.task_id for r in result.records] == ["b", "a"]
@@ -349,11 +427,133 @@ def test_near_copies_are_separate_classes():
         Task("t2", ("f0", "f1"), 2.0),
         Task("t3", ("f0", "f1"), 1.0),
     ]
-    rt = one_node_runtime(files, tasks)
+    rt = small_runtime(files, tasks)
     rt._least_ect([(t, 0) for t in tasks], None)
     assert (rt.candidates, rt.duplicates) == (4, 1)
     staged = [[f for f, *_ in rt.evaluate(t, 0).transfers] for t in tasks[:2]]
     assert staged == [["f0", "f1"], ["f1", "f0"]]
+
+
+def test_copies_on_blank_nodes_share_one_evaluation():
+    # Nodes 0 and 1 have nothing reserved and nothing cached, and one
+    # speed and local disk: "a" on node 1 and its copy "b" on node 0 are
+    # one class, and the first pair wins without a bound.
+    a, b = Task("a", ("f0",), 1.0), Task("b", ("f0",), 1.0)
+    rt = small_runtime([FileInfo("f0", 100.0, 0)], [a, b], num_compute=2)
+    with mock.patch.object(Runtime, "ect_bound", side_effect=AssertionError):
+        assert least_ect(rt, [(a, 1), (b, 0)]) == "a"
+    assert (rt.candidates, rt.duplicates, rt.evaluations) == (2, 1, 1)
+
+
+def test_tied_candidates_of_one_shape_share_one_evaluation():
+    # "a" and "b" read distinct files of one size from one storage node:
+    # tied on their bound, "b" has the shape of "a" and is skipped. "c"
+    # reads from the other storage node, another shape, and is evaluated
+    # to the same ECT at a later index.
+    files = [
+        FileInfo("f0", 100.0, 0), FileInfo("f1", 100.0, 0), FileInfo("f2", 100.0, 1)
+    ]
+    a, b, c = (Task(t, (f,), 1.0) for t, f in zip("abc", ("f0", "f1", "f2")))
+    rt = small_runtime(files, [a, b, c], num_storage=2)
+    assert least_ect(rt, [(a, 0), (b, 0), (c, 0)]) == "a"
+    assert (rt.duplicates, rt.shape_skips, rt.evaluations) == (0, 1, 2)
+
+
+class TestNearShapesStayApart:
+    """Near-shapes that must stay separate classes: in each case the first
+    pair, "a", completes later than "b", so merging the two would commit
+    "a". Where only a shape could merge them, their bounds tie."""
+
+    def test_another_storage_node(self):
+        # Storage node 0 is busy for 5 s: "a" stages its input after it.
+        files = [FileInfo("f0", 100.0, 0), FileInfo("f1", 100.0, 1)]
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f1",), 1.0)
+        rt = small_runtime(files, [a, b], num_storage=2)
+        rt.storage_tl[0].reserve(0.0, 5.0)
+        assert least_ect(rt, [(a, 0), (b, 0)]) == "b"
+        assert rt.shape_skips == 0
+
+    def test_another_holder_ready_time(self):
+        # Node 1 holds both inputs, but its copy of f0 is ready only at
+        # 5 s: "a" fetches f0 from storage (1 s) instead, while "b" copies
+        # f1 from node 1 (0.1 s).
+        files = [FileInfo("f0", 100.0, 0), FileInfo("f1", 100.0, 0)]
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f1",), 1.0)
+        rt = small_runtime(files, [a, b], num_compute=2)
+        for f in ("f0", "f1"):
+            rt.state.place(1, f)
+        rt._avail[(1, "f0")] = 5.0
+        assert least_ect(rt, [(a, 0), (b, 0)]) == "b"
+        assert rt.shape_skips == 0
+
+    def test_input_on_the_node_or_not(self):
+        # An input ready at 10 s on node 0 sets both bounds. The other
+        # input of "a" is missing, and storage is busy until 20 s; the
+        # other input of "b" is on the node.
+        files = [FileInfo(f, 100.0, 0) for f in ("r0", "m", "r1", "r2")]
+        a, b = Task("a", ("r0", "m"), 1.0), Task("b", ("r1", "r2"), 1.0)
+        rt = small_runtime(files, [a, b])
+        for f in ("r0", "r1", "r2"):
+            rt.state.place(0, f)
+        rt._avail[(0, "r0")] = rt._avail[(0, "r1")] = 10.0
+        rt.storage_tl[0].reserve(0.0, 20.0)
+        assert rt.ect_bound(a, 0) == rt.ect_bound(b, 0)
+        assert least_ect(rt, [(a, 0), (b, 0)]) == "b"
+        assert rt.shape_skips == 0
+
+    def test_busy_cpu_under_overlapped_io(self):
+        # Node 1 executes on its own CPU timeline, busy for 50 s; its port
+        # and cache are empty, but it is not blank.
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f0",), 1.0)
+        rt = small_runtime(
+            [FileInfo("f0", 100.0, 0)], [a, b], num_compute=2,
+            overlap_io_compute=True,
+        )
+        rt.exec_tl[1].reserve(0.0, 50.0)
+        assert least_ect(rt, [(a, 1), (b, 0)]) == "b"
+        assert rt.duplicates == 0
+
+    def test_file_in_cache_on_idle_node(self):
+        # Node 1's timelines are empty, but it holds f0 from an earlier
+        # batch, so "b" there needs no transfer.
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f0",), 1.0)
+        rt = small_runtime([FileInfo("f0", 100.0, 0)], [a, b], num_compute=2)
+        rt.state.place(1, "f0")
+        assert least_ect(rt, [(a, 0), (b, 1)]) == "b"
+        assert rt.duplicates == 0
+
+    def test_plan_with_sources(self):
+        # Nodes 0 and 1 are blank, but the plan fetches f0 onto node 1
+        # from storage (1 s), while node 0 copies it from node 2 (0.1 s).
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f0",), 1.0)
+        rt = small_runtime([FileInfo("f0", 100.0, 0)], [a, b], num_compute=3)
+        rt.state.place(2, "f0")
+        plan = StagingPlan(sources={("f0", 1): PlannedSource("remote")})
+        assert least_ect(rt, [(a, 1), (b, 0)], plan) == "b"
+        assert rt.duplicates == 0
+
+    def test_fault_model(self):
+        # Nodes 0 and 1 are blank, but the first attempt to stage f0 onto
+        # node 1 fails, and onto node 0 it does not.
+        def draws(spec):
+            model = FaultModel(spec)
+            return [model.transfer_fails("f0", node, 0, 0) for node in (0, 1)]
+
+        spec = next(
+            spec
+            for spec in (
+                FaultSpec(transfer_failure_rate=0.5, seed=seed)
+                for seed in range(100)
+            )
+            if draws(spec) == [False, True]
+        )
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f0",), 1.0)
+        rt = small_runtime(
+            [FileInfo("f0", 100.0, 0)], [a, b], num_compute=2,
+            faults=FaultModel(spec),
+        )
+        assert least_ect(rt, [(a, 1), (b, 0)]) == "b"
+        assert rt.duplicates == 0
 
 
 def test_identical_slot_queries_share_one_search_per_round():
@@ -363,7 +563,7 @@ def test_identical_slot_queries_share_one_search_per_round():
     files = [FileInfo(f"f{i}", 100.0, 0) for i in range(3)]
     files.append(FileInfo("f3", 50.0, 0))
     task = Task("t0", ("f0", "f1", "f2", "f3"), 1.0)
-    rt = one_node_runtime(files, [task])
+    rt = small_runtime(files, [task])
     calls = []
     search = runtime.earliest_common_slot
 
@@ -453,17 +653,21 @@ class TestCounters:
 
     def test_pinned_values_on_fixed_case(self):
         # Exact values: the search is deterministic. 16 tasks on 4 nodes
-        # give 63 candidate pairs over 16 searches; 6 copy an earlier pair
-        # of their search, and the bound order skips 22 of the other 57.
+        # give 63 candidate pairs over 16 searches; 24 copy an earlier pair
+        # of their search (on the same node, or on another blank one), and
+        # of the other 39, no tied candidate shares a shape and the bound
+        # order skips 16. The first commits make 9 of the evaluations.
         counters = golden_run(telemetry_on=True).telemetry["counters"]
         assert counters["runtime/candidates"] == 63.0
-        assert counters["runtime/duplicates"] == 6.0
-        assert counters["runtime/evaluations"] == 35.0
+        assert counters["runtime/duplicates"] == 24.0
+        assert counters["runtime/shape_skips"] == 0.0
+        assert counters["runtime/evaluations"] == 23.0
+        assert counters["runtime/first_evaluations"] == 9.0
         # One common-slot search per distinct (timelines, duration, start)
         # query per min-TCT round of every evaluation; the round's repeats
         # reuse its answer.
-        assert counters["runtime/slot_searches"] == 2165.0
-        assert counters["runtime/slot_reuses"] == 553.0
+        assert counters["runtime/slot_searches"] == 1630.0
+        assert counters["runtime/slot_reuses"] == 368.0
 
     def test_slot_searches_count_every_common_slot_call(self):
         calls = []

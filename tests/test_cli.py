@@ -181,7 +181,10 @@ class TestCommands:
         assert "MCT mapping work" in out
         assert "pair_evaluations" in out
         assert "runtime ECT search work" in out
-        for counter in ("duplicates", "evaluations", "slot_searches", "slot_reuses"):
+        for counter in (
+            "duplicates", "shape_skips", "evaluations", "first_evaluations",
+            "slot_searches", "slot_reuses",
+        ):
             assert counter in out
 
     def test_figure_fig5a_with_csv(self, tmp_path, capsys):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "compare_decisions", ROOT / "benchmarks" / "compare_decisions.py"
@@ -71,3 +73,25 @@ def test_a_tree_without_source_is_an_error(tmp_path, capsys):
     )
     assert code == 2
     assert "no program source" in capsys.readouterr().out
+
+
+def test_a_fig6b_batch_matches_itself(capsys):
+    code = compare_decisions.main(
+        ["--base", str(ROOT), "--change", str(ROOT), "--fig6b", "24", "4"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    lines = out.strip().splitlines()
+    # Wall time and work counters of each tree, then the verdict.
+    assert [line.split(":")[0] for line in lines] == ["base", "change", "fig6b n24c4"]
+    assert "evaluations" in lines[0] and "slot_searches" in lines[0]
+    assert lines[-1].endswith("1 jobs, 24 task records: identical")
+
+
+def test_fig6b_takes_no_workload(capsys):
+    with pytest.raises(SystemExit):
+        compare_decisions.main(
+            ["--base", str(ROOT), "--change", str(ROOT), "--fig6b", "24", "4",
+             "--workload", "mct"]
+        )
+    assert "--fig6b takes no --workload or --seed" in capsys.readouterr().err
