@@ -1,12 +1,24 @@
-"""Shared machinery for the repro static checkers (lint, units, purity).
+"""The one pipeline of the repro static checks, and what they share.
 
-Every checker produces :class:`Finding` objects, honours the same
-``# repro: noqa[RPRnnn]`` escape, and renders through the same three output
-formats (``text``, ``json``, ``github``), so that lives here once.
+``repro lint`` runs every rule through :func:`lint_paths`:
+
+1. each file is parsed once; a file that does not parse gives one
+   ``RPR000`` finding, whatever ``select`` names, and is checked no further;
+2. the parsed modules go unchanged to the three rule sets: the AST rules
+   (:mod:`repro.analysis.lint`, RPR001-RPR005), the dimensional-analysis
+   checker (:mod:`repro.analysis.units`, RPR006-RPR008) with its
+   cross-file harvest, and the worker-purity walk
+   (:mod:`repro.analysis.purity`, RPR009);
+3. ``# repro: noqa[RPRnnn]`` and ``select`` are applied once per file, and
+   the findings are sorted by (path, line, col, code).
+
+Every rule set produces :class:`Finding` objects that render through the
+same three output formats (``text``, ``json``, ``github``).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from collections.abc import Iterable, Iterator, Sequence
@@ -17,8 +29,11 @@ __all__ = [
     "FORMATS",
     "Finding",
     "Rule",
+    "Source",
     "filter_findings",
-    "iter_py_files",
+    "iter_rules",
+    "lint_paths",
+    "lint_source",
     "noqa_codes",
     "render_findings",
 ]
@@ -53,6 +68,15 @@ class Finding:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+
+@dataclass(frozen=True)
+class Source:
+    """One parsed file, as every rule set receives it."""
+
+    path: str
+    lines: list[str]
+    tree: ast.Module
 
 
 _NOQA_RE = re.compile(
@@ -101,7 +125,14 @@ def filter_findings(
     return out
 
 
-def iter_py_files(paths: Sequence[str | Path]) -> Iterator[Path]:
+def iter_rules() -> tuple[Rule, ...]:
+    """Every rule of the three rule sets, in code order."""
+    from . import lint, purity, units
+
+    return (*lint.iter_rules(), *units.iter_rules(), *purity.iter_rules())
+
+
+def _iter_py_files(paths: Sequence[str | Path]) -> Iterator[Path]:
     """Every ``.py`` file under ``paths`` (files or directories), sorted."""
     for raw in paths:
         p = Path(raw)
@@ -109,6 +140,79 @@ def iter_py_files(paths: Sequence[str | Path]) -> Iterator[Path]:
             yield from sorted(p.rglob("*.py"))
         else:
             yield p
+
+
+def _lint(
+    files: Iterable[tuple[str, str]],
+    select: Sequence[str] | None,
+    entries: Sequence[str] | None,
+    allow_env: Iterable[str] | None,
+) -> list[Finding]:
+    """The pipeline over ``(path, text)`` pairs; see the module docstring."""
+    # Imported here, not at the top: the rule sets import this module, and
+    # ``import repro`` must not load them.
+    from . import lint, purity, units
+
+    unparsed: list[Finding] = []
+    sources: list[Source] = []
+    for path, text in files:
+        try:
+            tree = ast.parse(text, filename=path)
+        except SyntaxError as exc:
+            unparsed.append(
+                Finding(
+                    path, exc.lineno or 1, exc.offset or 0, "RPR000",
+                    f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        sources.append(Source(path, text.splitlines(), tree))
+
+    by_path: dict[str, list[Finding]] = {}
+    for f in (
+        *lint.check(sources),
+        *units.check(sources),
+        *purity.check(sources, entries, allow_env),
+    ):
+        by_path.setdefault(f.path, []).append(f)
+    lines = {s.path: s.lines for s in sources}
+    kept = [
+        f
+        for path, found in by_path.items()
+        for f in filter_findings(found, lines[path], select)
+    ]
+    return sorted(
+        [*unparsed, *kept], key=lambda f: (f.path, f.line, f.col, f.code)
+    )
+
+
+def lint_paths(
+    paths: Sequence[str | Path],
+    select: Sequence[str] | None = None,
+    entries: Sequence[str] | None = None,
+    allow_env: Iterable[str] | None = None,
+) -> list[Finding]:
+    """Check every ``.py`` file under ``paths`` (files or directories).
+
+    ``entries`` names extra process-pool workers (``module:function``) for
+    the purity walk; ``allow_env`` names environment variables a worker may
+    read.
+    """
+    # A file named twice, or under two of the paths, is still read once.
+    unique = dict.fromkeys(_iter_py_files(paths))
+    files = ((str(f), f.read_text()) for f in unique)
+    return _lint(files, select, entries, allow_env)
+
+
+def lint_source(
+    source: str,
+    path: str | Path = "<string>",
+    select: Sequence[str] | None = None,
+    entries: Sequence[str] | None = None,
+    allow_env: Iterable[str] | None = None,
+) -> list[Finding]:
+    """Check one module's source text, as if it were the only file."""
+    return _lint([(str(Path(path)), source)], select, entries, allow_env)
 
 
 def render_findings(findings: Sequence[Finding], fmt: str = "text") -> str:

@@ -1,4 +1,4 @@
-"""Repo-specific AST lint rules (``python -m repro.analysis.lint``).
+"""The AST lint rules (RPR001-RPR005), run by ``repro lint``.
 
 The reproduction's correctness rests on properties no general-purpose linter
 checks: every simulation must be bit-for-bit deterministic (the PR-1 result
@@ -24,32 +24,17 @@ RPR005    bare ``except:``.
 
 Suppress a finding with a trailing ``# repro: noqa[RPR001]`` comment
 (several codes comma-separated; ``# repro: noqa`` alone silences the line).
-Exit status is 1 when findings remain, 0 on a clean tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .common import (
-    FORMATS,
-    Finding,
-    Rule,
-    filter_findings,
-    iter_py_files,
-    noqa_codes,
-    render_findings,
-)
+from .common import Finding, Rule, Source
 
-__all__ = ["Finding", "Rule", "iter_rules", "lint_source", "lint_paths", "main"]
-
-# Back-compat aliases; the canonical home is repro.analysis.common.
-_noqa_codes = noqa_codes
-_iter_py_files = iter_py_files
+__all__ = ["check", "iter_rules"]
 
 _RULES: tuple[Rule, ...] = (
     Rule("RPR001", "unseeded or process-global random number generation"),
@@ -390,67 +375,11 @@ def _is_sim_module(path: Path) -> bool:
     return any(part in _SIM_PACKAGE_DIRS for part in path.parts[:-1])
 
 
-def lint_source(
-    source: str, path: str | Path = "<string>", select: Sequence[str] | None = None
-) -> list[Finding]:
-    """Lint one module's source text; returns surviving findings."""
-    p = Path(path)
-    try:
-        tree = ast.parse(source, filename=str(p))
-    except SyntaxError as exc:
-        return [
-            Finding(
-                str(p), exc.lineno or 1, exc.offset or 0, "RPR000",
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    visitor = _Visitor(str(p), _is_sim_module(p))
-    visitor.visit(tree)
-    return filter_findings(visitor.findings, source.splitlines(), select)
-
-
-def lint_paths(
-    paths: Sequence[str | Path], select: Sequence[str] | None = None
-) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
+def check(sources: Sequence[Source]) -> list[Finding]:
+    """Raw RPR001-RPR005 findings over parsed modules (noqa not applied)."""
     findings: list[Finding] = []
-    for file in _iter_py_files(paths):
-        findings.extend(lint_source(file.read_text(), file, select))
+    for src in sources:
+        visitor = _Visitor(src.path, _is_sim_module(Path(src.path)))
+        visitor.visit(src.tree)
+        findings.extend(visitor.findings)
     return findings
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="repo-specific determinism/correctness lint (RPR rules)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", metavar="RPRnnn", default=None,
-        help="only run the given rule codes",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-
-    findings = lint_paths(args.paths, args.select)
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Parallel-worker purity lint (``python -m repro.analysis.purity``).
+"""Parallel-worker purity lint (RPR009), run by ``repro lint``.
 
 The PR-1 result cache replays experiment cells by config hash: a worker
 function submitted to the :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -33,31 +33,15 @@ Record, or suppress single findings with ``# repro: noqa[RPR009]``.
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .common import (
-    FORMATS,
-    Finding,
-    Rule,
-    filter_findings,
-    iter_py_files,
-    render_findings,
-)
+from .common import Finding, Rule, Source
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "iter_rules",
-    "check_source",
-    "check_paths",
-    "main",
-]
+__all__ = ["check", "iter_rules"]
 
 _RULES: tuple[Rule, ...] = (
     Rule("RPR009", "process-pool worker mutates shared state / reads env"),
@@ -93,7 +77,6 @@ class _Module:
     name: str
     path: str
     tree: ast.Module
-    source_lines: list[str]
     functions: dict[str, _FuncDef] = field(default_factory=dict)
     imports: dict[str, tuple[str, str | None]] = field(default_factory=dict)
     module_names: set[str] = field(default_factory=set)
@@ -157,13 +140,9 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     return False
 
 
-def _index_module(path: Path, source: str, tree: ast.Module) -> _Module:
-    mod = _Module(
-        name=_module_name(path),
-        path=str(path),
-        tree=tree,
-        source_lines=source.splitlines(),
-    )
+def _index_module(src: Source) -> _Module:
+    tree = src.tree
+    mod = _Module(name=_module_name(Path(src.path)), path=src.path, tree=tree)
     mod.imports = _collect_imports(
         mod.name, (n for n in ast.walk(tree) if isinstance(n, (ast.Import,
                                                                ast.ImportFrom)))
@@ -525,133 +504,28 @@ class _Auditor:
 # ---------------------------------------------------------------------------
 
 
-def _load_modules(
-    paths: Sequence[str | Path],
-) -> tuple[dict[str, _Module], list[Finding]]:
-    modules: dict[str, _Module] = {}
-    findings: list[Finding] = []
-    for file in iter_py_files(paths):
-        text = file.read_text()
-        try:
-            tree = ast.parse(text, filename=str(file))
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    str(file), exc.lineno or 1, exc.offset or 0, "RPR000",
-                    f"syntax error: {exc.msg}",
-                )
-            )
-            continue
-        mod = _index_module(file, text, tree)
-        modules[mod.name] = mod
-    return modules, findings
-
-
-def _run_check(
-    modules: dict[str, _Module],
-    extra_findings: list[Finding],
-    select: Sequence[str] | None,
-    entries: Sequence[str] | None,
-    allow_env: Iterable[str] | None,
+def check(
+    sources: Sequence[Source],
+    entries: Sequence[str] | None = None,
+    allow_env: Iterable[str] | None = None,
 ) -> list[Finding]:
+    """Raw RPR009 findings over parsed modules (noqa not applied).
+
+    Walks every worker discovered in ``sources`` plus each ``entries`` item
+    (``module:function``); ``allow_env`` names environment variables a
+    worker may read.
+    """
+    modules: dict[str, _Module] = {}
+    for src in sources:
+        mod = _index_module(src)
+        modules[mod.name] = mod
     auditor = _Auditor(modules, frozenset(allow_env or ()), SANCTIONED_OBJECTS)
     for mod in modules.values():
         for name in _discover_entries(mod):
             auditor.enqueue(mod, name, f"{mod.name}:{name}")
     for spec in entries or ():
         mod_name, _, fn_name = spec.partition(":")
-        mod = modules.get(mod_name)
-        if mod is not None and fn_name:
-            auditor.enqueue(mod, fn_name, spec)
-    raw = extra_findings + auditor.run()
-
-    by_path: dict[str, list[Finding]] = {}
-    for f in raw:
-        by_path.setdefault(f.path, []).append(f)
-    lines_by_path = {m.path: m.source_lines for m in modules.values()}
-    out: list[Finding] = []
-    for path in sorted(by_path):
-        out.extend(
-            filter_findings(by_path[path], lines_by_path.get(path, []), select)
-        )
-    return out
-
-
-def check_paths(
-    paths: Sequence[str | Path],
-    select: Sequence[str] | None = None,
-    entries: Sequence[str] | None = None,
-    allow_env: Iterable[str] | None = None,
-) -> list[Finding]:
-    """Check every worker discovered under ``paths`` (plus ``entries``)."""
-    modules, errors = _load_modules(paths)
-    return _run_check(modules, errors, select, entries, allow_env)
-
-
-def check_source(
-    source: str,
-    path: str | Path = "<string>",
-    select: Sequence[str] | None = None,
-    entries: Sequence[str] | None = None,
-    allow_env: Iterable[str] | None = None,
-) -> list[Finding]:
-    """Check one module's source text in isolation."""
-    p = Path(path)
-    try:
-        tree = ast.parse(source, filename=str(p))
-    except SyntaxError as exc:
-        return [
-            Finding(
-                str(p), exc.lineno or 1, exc.offset or 0, "RPR000",
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    mod = _index_module(p, source, tree)
-    return _run_check({mod.name: mod}, [], select, entries, allow_env)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="repro purity",
-        description="process-pool worker purity lint (RPR009)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", metavar="RPRnnn", default=None,
-        help="only report the given rule codes",
-    )
-    parser.add_argument(
-        "--entry", action="append", metavar="MODULE:FUNC", default=None,
-        help="treat MODULE:FUNC as an additional worker entry point",
-    )
-    parser.add_argument(
-        "--allow-env", action="append", metavar="NAME", default=None,
-        help="env var a worker may read (one that cannot change a cached Record)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-
-    findings = check_paths(
-        args.paths, args.select, entries=args.entry, allow_env=args.allow_env
-    )
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+        entry_mod = modules.get(mod_name)
+        if entry_mod is not None and fn_name:
+            auditor.enqueue(entry_mod, fn_name, spec)
+    return auditor.run()

@@ -1,4 +1,4 @@
-"""Flow-sensitive dimensional analysis (``python -m repro.analysis.units``).
+"""Flow-sensitive dimensional analysis (RPR006-RPR008), run by ``repro lint``.
 
 The paper's cost model (Eqs. 9-13, 25) mixes file sizes (MB), bandwidths
 (MB/s), simulated times (s) and counts, all spelled ``float`` in Python.  A
@@ -34,37 +34,20 @@ Abstract values:
   unwrap it, arithmetic on it is opaque (list concat is not addition).
 
 Suppress with ``# repro: noqa[RPR006]`` on the first or last line of the
-offending expression.  Exit status 1 when findings remain.
+offending expression.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TypeGuard, Union, cast
 
-from .common import (
-    FORMATS,
-    Finding,
-    Rule,
-    filter_findings,
-    iter_py_files,
-    render_findings,
-)
+from .common import Finding, Rule, Source
 from .dims import DIMS_BY_NAME, convention_dim
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "iter_rules",
-    "check_source",
-    "check_paths",
-    "main",
-]
+__all__ = ["check", "iter_rules"]
 
 _RULES: tuple[Rule, ...] = (
     Rule("RPR006", "mixed-dimension arithmetic (e.g. MB + Seconds)"),
@@ -818,101 +801,19 @@ def _unify(a: AbsVal, b: AbsVal) -> AbsVal:
 # ---------------------------------------------------------------------------
 
 
-def _parse(source: str, path: str) -> tuple[ast.Module | None, Finding | None]:
-    try:
-        return ast.parse(source, filename=path), None
-    except SyntaxError as exc:
-        return None, Finding(
-            path, exc.lineno or 1, exc.offset or 0, "RPR000",
-            f"syntax error: {exc.msg}",
-        )
+def check(sources: Sequence[Source]) -> list[Finding]:
+    """Raw RPR006-RPR008 findings over parsed modules (noqa not applied).
 
-
-def check_source(
-    source: str,
-    path: str | Path = "<string>",
-    select: Sequence[str] | None = None,
-    harvest: Harvest | None = None,
-) -> list[Finding]:
-    """Check one module's source text; returns surviving findings.
-
-    With no explicit ``harvest``, the lattice is seeded from this module's
-    own annotations only (plus naming conventions).
-    """
-    p = str(path)
-    tree, err = _parse(source, p)
-    if tree is None:
-        return [err] if err is not None else []
-    if harvest is None:
-        harvest = Harvest()
-        harvest.harvest_module(tree)
-    checker = _Checker(p, harvest)
-    checker.check_module(tree)
-    return filter_findings(checker.findings, source.splitlines(), select)
-
-
-def check_paths(
-    paths: Sequence[str | Path], select: Sequence[str] | None = None
-) -> list[Finding]:
-    """Check every ``.py`` file under ``paths`` with a shared harvest.
-
-    Two-phase: first harvest dimension annotations across *all* files (so
+    Two-phase: first harvest dimension annotations across *all* modules (so
     e.g. ``runtime.py`` sees ``platform.py``'s declared return dimensions),
-    then check each file against the combined lattice.
+    then check each module against the combined lattice.
     """
-    sources: list[tuple[str, str, ast.Module]] = []
-    findings: list[Finding] = []
     harvest = Harvest()
-    for file in iter_py_files(paths):
-        text = file.read_text()
-        tree, err = _parse(text, str(file))
-        if tree is None:
-            if err is not None:
-                findings.append(err)
-            continue
-        harvest.harvest_module(tree)
-        sources.append((str(file), text, tree))
-    for path, text, tree in sources:
-        checker = _Checker(path, harvest)
-        checker.check_module(tree)
-        findings.extend(
-            filter_findings(checker.findings, text.splitlines(), select)
-        )
+    for src in sources:
+        harvest.harvest_module(src.tree)
+    findings: list[Finding] = []
+    for src in sources:
+        checker = _Checker(src.path, harvest)
+        checker.check_module(src.tree)
+        findings.extend(checker.findings)
     return findings
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="repro units",
-        description="flow-sensitive dimensional analysis (RPR006-RPR008)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", metavar="RPRnnn", default=None,
-        help="only report the given rule codes",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rules and exit"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text",
-        help="output format (github emits ::error workflow annotations)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-
-    findings = check_paths(args.paths, args.select)
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -22,15 +22,12 @@ Commands
     time went (top span paths); optionally write a merged Chrome trace
     (simulated Gantt chart + wall-clock telemetry spans) for Perfetto.
 ``lint``
-    Run every repo-specific static check (RPR001–RPR009: the AST lint
-    rules, the dimensional-analysis checker and the parallel-purity lint)
-    over source paths.
-``units``
-    Run only the dimensional-analysis checker (RPR006–RPR008, see
-    :mod:`repro.analysis.units`): proves MB / MB/s / seconds never mix.
-``purity``
-    Run only the parallel-purity lint (RPR009, see
-    :mod:`repro.analysis.purity`) over the process-pool worker functions.
+    Run the repo-specific static checks over source paths, each file parsed
+    once: the AST lint rules (RPR001–RPR005), the dimensional-analysis
+    checker (RPR006–RPR008: MB / MB/s / seconds never mix) and the
+    parallel-purity lint over the process-pool workers (RPR009).
+    ``--select`` picks rules; ``--entry`` and ``--allow-env`` tune the
+    purity walk (``docs/analysis.md``).
 ``audit``
     Execute a batch with the audit trail enabled and verify the resulting
     Gantt trace against the execution invariants E1–E7
@@ -69,8 +66,8 @@ Examples
     python -m repro metrics fig5b --tasks 24 --out manifest.json
     python -m repro profile fig5b --tasks 24 --trace profile.trace.json
     python -m repro lint src/repro
-    python -m repro units src/repro --format github
-    python -m repro purity src/repro --entry repro.parallel.pool:_run_cell
+    python -m repro lint src/repro --select RPR006 RPR007 RPR008 --format github
+    python -m repro lint src/repro --select RPR009 --entry repro.parallel.pool:_run_cell
     python -m repro audit --workload sat --tasks 30 --schemes minmin jdp
     python -m repro chaos --tasks 30 --rates 0 0.2 0.4 --json degradation.json
     python -m repro stream examples/streams/poisson-osumed.json --html stream.html
@@ -82,9 +79,10 @@ import argparse
 import math
 import sys
 
-from . import available_schedulers, osc_osumed, osc_xio, run_batch
+from . import available_schedulers, run_batch
 from .batch import Batch, overlap_fraction, pairwise_overlap
 from .cluster import Runtime, render_ascii, to_chrome_trace
+from .cluster.platform import STORAGE_PLATFORMS
 from .experiments import (
     ExperimentConfig,
     default_scheduler_kwargs,
@@ -102,9 +100,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _platform(args):
-    maker = osc_xio if args.storage == "xio" else osc_osumed
     disk = math.inf if args.disk_gb is None else args.disk_gb * 1000.0
-    return maker(
+    return STORAGE_PLATFORMS[args.storage](
         num_compute=args.compute,
         num_storage=args.storage_nodes,
         disk_space_mb=disk,
@@ -183,7 +180,7 @@ def _add_workload_args(p: argparse.ArgumentParser):
     p.add_argument("--overlap", default="high")
     p.add_argument("--tasks", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--storage", choices=("xio", "osumed"), default="xio")
+    p.add_argument("--storage", choices=tuple(STORAGE_PLATFORMS), default="xio")
     p.add_argument("--compute", type=int, default=4)
     p.add_argument("--storage-nodes", type=int, default=4)
     p.add_argument("--disk-gb", type=float, default=None, help="per-node disk (GB); unlimited if omitted")
@@ -294,44 +291,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("--top", type=int, default=10, help="span paths to print")
 
-    def _add_check_args(p: argparse.ArgumentParser):
-        p.add_argument(
-            "paths", nargs="*", default=["src/repro"],
-            help="files or directories to check (default: src/repro)",
-        )
-        p.add_argument(
-            "--select", nargs="+", metavar="RPRnnn", default=None,
-            help="only run the given rule codes",
-        )
-        p.add_argument(
-            "--list-rules", action="store_true", help="print the rules and exit"
-        )
-        p.add_argument(
-            "--format", choices=("text", "json", "github"), default="text",
-            help="output format (github = ::error workflow commands)",
-        )
-
     pl = sub.add_parser(
         "lint", help="run every repo-specific static check (RPR001-RPR009)"
     )
-    _add_check_args(pl)
-
-    pu = sub.add_parser(
-        "units", help="dimensional-analysis checker (RPR006-RPR008)"
+    pl.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files or directories to check (default: src/repro)",
     )
-    _add_check_args(pu)
-
-    pp2 = sub.add_parser(
-        "purity", help="parallel-purity lint over pool workers (RPR009)"
+    pl.add_argument(
+        "--select", nargs="+", metavar="RPRnnn", default=None,
+        help="only report the given rule codes (RPR000 is always reported)",
     )
-    _add_check_args(pp2)
-    pp2.add_argument(
+    pl.add_argument(
+        "--list-rules", action="store_true", help="print the rules and exit"
+    )
+    pl.add_argument(
+        "--format", choices=("text", "json", "github"), default="text",
+        help="output format (github = ::error workflow commands)",
+    )
+    pl.add_argument(
         "--entry", action="append", metavar="module:function", default=None,
-        help="check this worker entry point instead of auto-discovery",
+        help="also walk this function as a process-pool worker (RPR009)",
     )
-    pp2.add_argument(
+    pl.add_argument(
         "--allow-env", action="append", metavar="NAME", default=None,
-        help="environment variable workers may read without a finding",
+        help="environment variable workers may read without a finding (RPR009)",
     )
 
     pa = sub.add_parser(
@@ -407,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--overlap", default="high")
     pc.add_argument("--tasks", type=int, default=30)
-    pc.add_argument("--storage", choices=("xio", "osumed"), default="xio")
+    pc.add_argument("--storage", choices=tuple(STORAGE_PLATFORMS), default="xio")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--fault-seed", type=int, default=0)
     pc.add_argument(
@@ -490,13 +474,12 @@ def _print_run_header():
     )
 
 
-def _cmd_run_parallel(args) -> int:
+def _cmd_run_parallel(args, cache) -> int:
     """Fan the requested schemes out through ``repro.parallel``."""
     platform = _platform(args)
     batch = _batch(args, platform.num_storage)
     print(f"{batch} on {platform.name} ({platform.num_compute} compute nodes)\n")
     _print_run_header()
-    cache = _cell_cache(args, enabled=args.cache)
     disk = math.inf if args.disk_gb is None else args.disk_gb * 1000.0
     faults = _load_faults(args.faults) if args.faults else None
     configs = []
@@ -573,10 +556,12 @@ def _cmd_run(args) -> int:
     parallelisable = not (
         args.load or args.gantt or args.trace or args.overlap_io
     )
+    # --clear-cache applies whichever path runs.
+    cache = _cell_cache(args, enabled=args.cache)
     if parallelisable and (
         args.workers > 1 or args.cache or args.clear_cache or args.json
     ):
-        return _cmd_run_parallel(args)
+        return _cmd_run_parallel(args, cache)
     if not parallelisable and (args.workers > 1 or args.cache or args.json):
         print(
             "note: --workers/--cache/--json do not apply with "
@@ -900,48 +885,14 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    """All nine checks in one pass: AST lint + units + purity."""
-    from .analysis import lint, purity, units
-    from .analysis.common import render_findings
+    """Every static check (RPR001-RPR009) in one pass over ``args.paths``."""
+    from .analysis.common import iter_rules, lint_paths, render_findings
 
     if args.list_rules:
-        for rule in (*lint.iter_rules(), *units.iter_rules(), *purity.iter_rules()):
+        for rule in iter_rules():
             print(f"{rule.code}  {rule.summary}")
         return 0
-    findings = sorted(
-        [
-            *lint.lint_paths(args.paths, args.select),
-            *units.check_paths(args.paths, args.select),
-            *purity.check_paths(args.paths, args.select),
-        ],
-        key=lambda f: (f.path, f.line, f.col, f.code),
-    )
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-def _cmd_units(args) -> int:
-    from .analysis import units
-    from .analysis.common import render_findings
-
-    if args.list_rules:
-        for rule in units.iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-    findings = units.check_paths(args.paths, args.select)
-    print(render_findings(findings, args.format))
-    return 1 if findings else 0
-
-
-def _cmd_purity(args) -> int:
-    from .analysis import purity
-    from .analysis.common import render_findings
-
-    if args.list_rules:
-        for rule in purity.iter_rules():
-            print(f"{rule.code}  {rule.summary}")
-        return 0
-    findings = purity.check_paths(
+    findings = lint_paths(
         args.paths, args.select, entries=args.entry, allow_env=args.allow_env
     )
     print(render_findings(findings, args.format))
@@ -1175,8 +1126,6 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": _cmd_metrics,
         "profile": _cmd_profile,
         "lint": _cmd_lint,
-        "units": _cmd_units,
-        "purity": _cmd_purity,
         "audit": _cmd_audit,
         "diff": _cmd_diff,
         "report": _cmd_report,

@@ -17,6 +17,7 @@ every remote transfer must reserve, in addition to the storage-node port.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..analysis.dims import MB, MBps, Count, Dimensionless, Seconds, SecondsPerMB
@@ -27,6 +28,7 @@ __all__ = [
     "Platform",
     "osc_xio",
     "osc_osumed",
+    "STORAGE_PLATFORMS",
     "MBPS_100MBIT",
     "MBPS_8GBIT",
 ]
@@ -218,3 +220,10 @@ def osc_osumed(
         shared_link_bw=MBPS_100MBIT,
         name="osc-osumed",
     )
+
+
+#: The paper's two testbeds, by the storage name that configs and the CLI use.
+STORAGE_PLATFORMS: dict[str, Callable[..., Platform]] = {
+    "xio": osc_xio,
+    "osumed": osc_osumed,
+}

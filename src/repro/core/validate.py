@@ -1,10 +1,13 @@
 """Structural validation of sub-batch plans against the paper's constraints.
 
-Schedulers are heuristics and solvers run with time limits, so the driver
-cannot blindly trust their output. :func:`validate_plan` checks a
-:class:`~repro.core.plan.SubBatchPlan` against the model of Sections 2 and
-4 — every violation is reported with an explanation — and the test suite
-uses it as an oracle over randomly generated scheduling problems.
+:func:`validate_plan` checks a :class:`~repro.core.plan.SubBatchPlan`
+against the model of Sections 2 and 4, reporting every violation with an
+explanation. It is a test oracle, not a driver stage: the tests call it on
+one plan per scheduler (each scheme's first sub-batch of a fixed synthetic
+batch) and on hand-built plans. The driver never calls it; its own guards
+are the not-pending check in :func:`~repro.core.driver.run_batch`, the
+over-capacity check in ``_pre_evict`` and the node check in
+:meth:`~repro.cluster.runtime.Runtime.execute`.
 
 Checked invariants:
 

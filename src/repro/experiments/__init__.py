@@ -1,6 +1,6 @@
 """Experiment harness reproducing every figure of the paper's evaluation."""
 
-from .faults import CHAOS_SCHEMES, chaos_sweep, degradation_curve
+from .faults import CHAOS_SCHEMES, degradation_curve
 from .figures import (
     fig3_image_overlap,
     fig4_sat_overlap,
@@ -40,7 +40,6 @@ __all__ = [
     "replication_advantage_sweep",
     "generate_experiments_markdown",
     "CHAOS_SCHEMES",
-    "chaos_sweep",
     "degradation_curve",
     "StreamConfig",
     "run_stream_config",

@@ -1,23 +1,21 @@
-"""Fault-injection experiments: degradation curves and chaos sweeps.
+"""Fault-injection experiments: the makespan-degradation curve.
 
 Not a paper figure — the paper's evaluation assumes a reliable platform —
 but the natural stress test of its central claim: the schedulers' advantage
 comes from *data-aware placement*, so it should survive (degrade gracefully
 under) transient transfer failures, link slowdowns and node crashes rather
-than evaporate. Two entry points:
+than evaporate.
 
-* :func:`degradation_curve` — makespan vs transfer-failure rate per scheme,
-  the artifact uploaded by the nightly chaos CI job. Rate ``0.0`` is a
-  genuinely null spec (:func:`repro.faults.resolve_spec` maps it to ``None``)
-  and therefore bit-identical to the fault-free baseline.
-* :func:`chaos_sweep` — fault rate x scheme grid with ``audit=True``: every
-  cell re-verifies invariants E1-E7 on the executed trace and raises
-  :class:`~repro.analysis.audit.AuditError` on any violation. This is the
-  CI gate, not a plot.
-
-Both route cells through :func:`repro.parallel.map_configs`, so they share
-the process fan-out and the on-disk result cache with the figure sweeps
-(fault specs are part of the cache key — see ``repro.parallel.cache``).
+:func:`degradation_curve` tabulates makespan vs transfer-failure rate per
+scheme. ``repro chaos`` (and so the nightly chaos CI job) runs it audited
+unless told ``--no-audit``: every cell re-verifies the execution invariants
+and raises :class:`~repro.analysis.audit.AuditError` on any violation.
+Rate ``0.0`` is a genuinely null spec (:func:`repro.faults.resolve_spec`
+maps it to ``None``) and therefore bit-identical to the fault-free
+baseline. Cells route through :func:`repro.parallel.map_configs`, so they
+share the process fan-out and the on-disk result cache with the figure
+sweeps (fault specs are part of the cache key — see
+``repro.parallel.cache``).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .runner import ExperimentConfig, default_scheduler_kwargs
 if TYPE_CHECKING:  # pragma: no cover
     from ..parallel import ResultCache
 
-__all__ = ["CHAOS_SCHEMES", "degradation_curve", "chaos_sweep"]
+__all__ = ["CHAOS_SCHEMES", "degradation_curve"]
 
 #: Schemes exercised by the nightly chaos sweep: both proposed schemes'
 #: cheap halves plus both baselines (IP is excluded for runtime, as in the
@@ -142,53 +140,3 @@ def degradation_curve(
     ]
     return _sweep(table, cells, workers, cache)
 
-
-def chaos_sweep(
-    rates: Sequence[float] = (0.1, 0.3),
-    schemes: Sequence[str] = CHAOS_SCHEMES,
-    workload: str = "image",
-    overlap: str = "high",
-    num_tasks: int = 30,
-    storage: str = "xio",
-    seed: int = 0,
-    fault_seed: int = 0,
-    crash_node: int | None = 1,
-    crash_time: float | None = 5.0,
-    ip_time_limit: float = 20.0,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
-) -> Table:
-    """Audit-gated fault grid: every cell runs with ``audit=True``.
-
-    Raises :class:`~repro.analysis.audit.AuditError` if any executed trace
-    violates E1-E7 (including the fault invariants E6 "no activity after a
-    crash" and E7 "every failed transfer retried or re-sourced"). Returning
-    at all means the whole grid passed.
-    """
-    table = Table(
-        f"chaos: audited fault grid, {workload.upper()} {overlap} overlap "
-        f"(n={num_tasks}, {storage.upper()})"
-    )
-    cells = [
-        (
-            _fault_cell(
-                "faults-chaos",
-                scheme,
-                rate,
-                workload=workload,
-                overlap=overlap,
-                num_tasks=num_tasks,
-                storage=storage,
-                seed=seed,
-                fault_seed=fault_seed,
-                crash_node=crash_node,
-                crash_time=crash_time,
-                audit=True,
-                ip_time_limit=ip_time_limit,
-            ),
-            rate,
-        )
-        for rate in rates
-        for scheme in schemes
-    ]
-    return _sweep(table, cells, workers, cache)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..batch import Batch
-from ..cluster.platform import Platform, osc_osumed, osc_xio
+from ..cluster.platform import STORAGE_PLATFORMS, Platform
 from ..core.driver import run_batch
 from ..core.plan import BatchResult
 from ..workloads import WORKLOADS, available_workloads, make_batch
@@ -20,6 +20,18 @@ __all__ = [
 ]
 
 GB = 1000.0  # MB per GB (decimal, as storage vendors and the paper use)
+
+
+def _check_names(workload: str, storage: str) -> None:
+    """Reject a workload or storage name that no config can run."""
+    if workload not in WORKLOADS:
+        raise ValueError(
+            f"unknown workload {workload!r}; use {available_workloads()}"
+        )
+    if storage not in STORAGE_PLATFORMS:
+        raise ValueError(
+            f"unknown storage {storage!r}; use {sorted(STORAGE_PLATFORMS)}"
+        )
 
 
 @dataclass
@@ -52,19 +64,10 @@ class ExperimentConfig:
     faults: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; "
-                f"use {available_workloads()}"
-            )
-        if self.storage not in ("xio", "osumed"):
-            raise ValueError(
-                f"unknown storage {self.storage!r}; use ['osumed', 'xio']"
-            )
+        _check_names(self.workload, self.storage)
 
     def platform(self) -> Platform:
-        maker = osc_xio if self.storage == "xio" else osc_osumed
-        return maker(
+        return STORAGE_PLATFORMS[self.storage](
             num_compute=self.num_compute,
             num_storage=self.num_storage,
             disk_space_mb=self.disk_space_mb,

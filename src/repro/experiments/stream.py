@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.platform import Platform, osc_osumed, osc_xio
+from ..cluster.platform import STORAGE_PLATFORMS, Platform
 from ..online import (
     ClusterSession,
     JobStream,
@@ -25,7 +25,7 @@ from ..online import (
     stream_from_batch,
 )
 from ..workloads import make_batch
-from .runner import GB, default_scheduler_kwargs
+from .runner import GB, _check_names, default_scheduler_kwargs
 
 __all__ = [
     "StreamConfig",
@@ -62,9 +62,11 @@ class StreamConfig:
     timeseries: bool = False
     faults: dict | None = None
 
+    def __post_init__(self) -> None:
+        _check_names(self.workload, self.storage)
+
     def platform(self) -> Platform:
-        maker = osc_xio if self.storage == "xio" else osc_osumed
-        return maker(
+        return STORAGE_PLATFORMS[self.storage](
             num_compute=self.num_compute,
             num_storage=self.num_storage,
             disk_space_mb=self.disk_space_mb,

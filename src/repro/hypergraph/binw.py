@@ -51,7 +51,6 @@ def binw_partition(
     epsilon: float = 0.20,
     coarsen_to: int = 64,
     initial_tries: int = 4,
-    max_parts: int | None = None,
 ) -> BinwResult:
     """Partition ``h`` so every part has incident net weight <= ``bound``.
 
@@ -65,9 +64,12 @@ def binw_partition(
     parts = np.full(n, -1, dtype=int)
     oversized: list[int] = []
     next_part = 0
-    limit = max_parts if max_parts is not None else max(4 * n, 16)
 
-    # Work stack of (sub-hypergraph, global vertex ids).
+    # Work stack of (sub-hypergraph, global vertex ids). The loop ends by
+    # construction: each popped piece either becomes a final part or is
+    # split into two non-empty halves (the degenerate split is forced below),
+    # so the pieces form a binary tree whose leaves are the final parts. With
+    # n >= 1 vertices that is at most n parts from at most 2n - 1 pieces.
     stack: list[tuple[Hypergraph, np.ndarray]] = [(h, np.arange(n))]
     while stack:
         sub, ids = stack.pop()
@@ -79,10 +81,6 @@ def binw_partition(
                 oversized.append(next_part)
             parts[ids] = next_part
             next_part += 1
-            if next_part > limit:
-                raise RuntimeError(
-                    "BINW produced more parts than max_parts; bound too small?"
-                )
             continue
 
         bis = multilevel_bisect(

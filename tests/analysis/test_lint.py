@@ -1,19 +1,25 @@
-"""Tests for the repo-specific AST linter (RPR001-RPR005)."""
+"""Tests for the repo-specific AST linter (RPR001-RPR005).
+
+The rules run through ``repro lint``'s one pipeline; ``LINT`` selects this
+rule set alone.
+"""
 
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis import iter_rules, lint_paths, lint_source
-from repro.analysis.lint import main
+from repro.analysis import lint_paths, lint_source
+from repro.analysis.lint import iter_rules
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_REPRO = Path(repro.__file__).parent
+LINT = [r.code for r in iter_rules()]
 
 
 def codes(source, path="mod.py", select=None):
-    return [f.code for f in lint_source(source, path, select)]
+    return [f.code for f in lint_source(source, path, select or LINT)]
 
 
 class TestRuleRegistry:
@@ -164,7 +170,7 @@ class TestFixtureFiles:
     """End-to-end over real files: each deliberate violation is caught."""
 
     def test_each_rule_fires_on_its_fixture(self):
-        findings = lint_paths([FIXTURES])
+        findings = lint_paths([FIXTURES], LINT)
         by_file = {}
         for f in findings:
             by_file.setdefault(Path(f.path).name, set()).add(f.code)
@@ -176,11 +182,11 @@ class TestFixtureFiles:
         assert "suppressed.py" not in by_file  # noqa escapes hold
 
     def test_fixture_finding_count(self):
-        assert len(lint_paths([FIXTURES])) == 11
+        assert len(lint_paths([FIXTURES], LINT)) == 11
 
     def test_findings_point_at_lines(self):
         f = next(
-            f for f in lint_paths([FIXTURES / "rpr005_bare_except.py"])
+            f for f in lint_paths([FIXTURES / "rpr005_bare_except.py"], LINT)
         )
         assert f.line == 7
         assert str(f).startswith(f"{f.path}:7:")
@@ -193,21 +199,21 @@ class TestRepoIsClean:
 
 class TestMainEntry:
     def test_clean_tree_exits_zero(self, capsys):
-        assert main([str(SRC_REPRO)]) == 0
+        assert main(["lint", str(SRC_REPRO), "--select", *LINT]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        assert main([str(FIXTURES)]) == 1
+        assert main(["lint", str(FIXTURES), "--select", *LINT]) == 1
         out = capsys.readouterr().out
         assert "RPR001" in out and "11 findings" in out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RPR001", "RPR005"):
             assert code in out
 
     def test_select_option(self, capsys):
-        assert main([str(FIXTURES), "--select", "RPR002"]) == 1
+        assert main(["lint", str(FIXTURES), "--select", "RPR002"]) == 1
         out = capsys.readouterr().out
         assert "RPR002" in out and "RPR001" not in out

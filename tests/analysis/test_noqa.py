@@ -1,23 +1,25 @@
 """Edge cases of the shared ``# repro: noqa[...]`` escape and renderers.
 
-All three checkers (lint, units, purity) share :mod:`repro.analysis.common`;
-these tests pin down the corner cases of the escape syntax — multiple codes,
-whitespace, unknown codes, continuation lines — and the three output
-formats.
+All three rule sets (lint, units, purity) run through the one pipeline of
+:mod:`repro.analysis.common`; these tests pin down the corner cases of the
+escape syntax — multiple codes, whitespace, unknown codes, continuation
+lines — the three output formats, and the pipeline's single parse.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.analysis.common import (
     FORMATS,
     Finding,
     filter_findings,
+    lint_paths,
+    lint_source,
     noqa_codes,
     render_findings,
 )
-from repro.analysis.lint import lint_source
 
 
 class TestNoqaParsing:
@@ -162,12 +164,43 @@ class TestCliAggregation:
         for n in range(1, 10):
             assert f"RPR00{n}" in out
 
-    def test_units_and_purity_subcommands(self, capsys, tmp_path):
+    def test_select_runs_one_rule_set(self, capsys, tmp_path):
         from repro.cli import main as cli_main
 
         clean = tmp_path / "clean.py"
         clean.write_text("def f(x):\n    return x\n")
-        assert cli_main(["units", str(clean)]) == 0
-        assert cli_main(["purity", str(clean)]) == 0
+        assert cli_main(["lint", str(clean), "--select", "RPR006", "RPR007", "RPR008"]) == 0
+        assert cli_main(["lint", str(clean), "--select", "RPR009"]) == 0
         out = capsys.readouterr().out
         assert out.count("clean: no findings") == 2
+
+
+class TestOneParse:
+    """Each file is parsed once, so a syntax error is one finding."""
+
+    def test_syntax_error_is_one_finding(self, capsys, tmp_path):
+        from repro.cli import main as cli_main
+
+        broken = tmp_path / "broken.py"
+        broken.write_text("def f(:\n")
+        for select in ([], ["--select", "RPR006"]):
+            assert cli_main(["lint", str(broken), "--format", "json", *select]) == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert [f["code"] for f in doc] == ["RPR000"], select
+
+    def test_other_files_are_still_checked(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "mixed.py").write_text(
+            "def f(size_mb: MB, delay_s: Seconds):\n    return size_mb + delay_s\n"
+        )
+        found = [(Path(f.path).name, f.code) for f in lint_paths([tmp_path])]
+        assert found == [("broken.py", "RPR000"), ("mixed.py", "RPR006")]
+
+    def test_a_file_named_twice_is_checked_once(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        mixed = tmp_path / "mixed.py"
+        mixed.write_text(
+            "def f(size_mb: MB, delay_s: Seconds):\n    return size_mb + delay_s\n"
+        )
+        found = [f.code for f in lint_paths([tmp_path, mixed, tmp_path / "broken.py"])]
+        assert found == ["RPR000", "RPR006"]

@@ -4,17 +4,29 @@
 lint exists for (global reseed, shared-state mutation, uncached env read);
 the real worker tree under ``src/repro`` must check clean — its only
 legitimate reseed (:func:`repro.parallel.pool._seed_cell`) carries a
-justified ``noqa`` escape.
+justified ``noqa`` escape. The lint runs through ``repro lint``'s one
+pipeline; ``PURITY`` selects its rule alone.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.purity import check_paths, check_source, iter_rules, main
+from repro.analysis import lint_paths, lint_source
+from repro.analysis.purity import iter_rules
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures_purity"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
+PURITY = [r.code for r in iter_rules()]
+
+
+def check_paths(paths, **kw):
+    return lint_paths(paths, PURITY, **kw)
+
+
+def check_source(source, path, **kw):
+    return lint_source(source, path, PURITY, **kw)
 
 
 class TestRuleRegistry:
@@ -137,26 +149,30 @@ class TestRepoWorkersAreClean:
 
 class TestMainEntry:
     def test_findings_exit_one(self, capsys):
-        assert main([str(FIXTURES / "impure_worker.py")]) == 1
+        path = str(FIXTURES / "impure_worker.py")
+        assert main(["lint", path, "--select", *PURITY]) == 1
         out = capsys.readouterr().out
         assert "RPR009" in out
 
     def test_clean_exit_zero(self, capsys):
-        assert main([str(FIXTURES / "clean_worker.py")]) == 0
+        path = str(FIXTURES / "clean_worker.py")
+        assert main(["lint", path, "--select", *PURITY]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         assert "RPR009" in capsys.readouterr().out
 
     def test_github_format(self, capsys):
-        assert main([str(FIXTURES), "--format", "github"]) == 1
+        argv = ["lint", str(FIXTURES), "--format", "github", "--select", *PURITY]
+        assert main(argv) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out and "title=RPR009" in out
 
     def test_allow_env_flag(self, capsys):
+        path = str(FIXTURES / "impure_worker.py")
         code = main(
-            [str(FIXTURES / "impure_worker.py"), "--allow-env", "REPRO_SECRET_KNOB"]
+            ["lint", path, "--allow-env", "REPRO_SECRET_KNOB", "--select", *PURITY]
         )
         assert code == 1  # reseed + mutation remain
         assert "REPRO_SECRET_KNOB" not in capsys.readouterr().out

@@ -3,22 +3,34 @@
 The planted-bug fixtures under ``fixtures_units/`` carry exactly the error
 shapes the checker exists for (swapped divide, mixed add, cross-dimension
 comparison); the annotated simulator tree itself must check clean with zero
-suppressions in ``core/`` and ``cluster/``.
+suppressions in ``core/`` and ``cluster/``. The checker runs through
+``repro lint``'s one pipeline; ``UNITS`` selects its rules alone.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.analysis import lint_paths, lint_source
 from repro.analysis.dims import (
     DIMS_BY_NAME,
     Dim,
     convention_dim,
 )
-from repro.analysis.units import check_paths, check_source, iter_rules, main
+from repro.analysis.units import iter_rules
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures_units"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
+UNITS = [r.code for r in iter_rules()]
+
+
+def check_paths(paths):
+    return lint_paths(paths, UNITS)
+
+
+def check_source(source):
+    return lint_source(source, select=UNITS)
 
 
 class TestRuleRegistry:
@@ -186,32 +198,34 @@ class TestRepoIsDimensionallyClean:
 
 class TestMainEntry:
     def test_clean_exit_zero(self, capsys):
-        assert main([str(FIXTURES / "clean.py")]) == 0
+        assert main(["lint", str(FIXTURES / "clean.py"), "--select", *UNITS]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        assert main([str(FIXTURES)]) == 1
+        assert main(["lint", str(FIXTURES), "--select", *UNITS]) == 1
         out = capsys.readouterr().out
         assert "4 findings" in out
 
     def test_select(self, capsys):
-        assert main([str(FIXTURES), "--select", "RPR008"]) == 1
+        assert main(["lint", str(FIXTURES), "--select", "RPR008"]) == 1
         out = capsys.readouterr().out
         assert "1 finding" in out and "RPR008" in out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "RPR006" in out and "RPR008" in out
 
     def test_github_format(self, capsys):
-        assert main([str(FIXTURES / "mixed_add.py"), "--format", "github"]) == 1
+        path = str(FIXTURES / "mixed_add.py")
+        assert main(["lint", path, "--format", "github", "--select", *UNITS]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out and "title=RPR006" in out
 
     def test_json_format(self, capsys):
         import json
 
-        assert main([str(FIXTURES / "mixed_add.py"), "--format", "json"]) == 1
+        path = str(FIXTURES / "mixed_add.py")
+        assert main(["lint", path, "--format", "json", "--select", *UNITS]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["code"] == "RPR006"

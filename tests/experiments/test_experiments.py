@@ -12,6 +12,7 @@ from repro.experiments import (
     fig3_image_overlap,
     fig5a_replication_benefit,
     run_config,
+    stream_config_from_dict,
 )
 
 
@@ -50,6 +51,32 @@ class TestConfig:
     def test_default_kwargs(self):
         assert default_scheduler_kwargs("ip")["time_limit"] == 30.0
         assert default_scheduler_kwargs("bipartition") == {}
+
+
+class TestStreamConfig:
+    # The names of examples/streams/poisson-osumed.json, which perfbench's
+    # stream workload runs.
+    SPEC = {
+        "experiment": "t", "workload": "sat", "overlap": "high",
+        "num_jobs": 4, "storage": "osumed",
+    }
+
+    def test_valid_spec(self):
+        cfg = stream_config_from_dict(self.SPEC)
+        assert cfg.platform().shared_link_bw is not None
+
+    @pytest.mark.parametrize(
+        "key, value", [("storage", "XIO"), ("workload", "nosuch")]
+    )
+    def test_unknown_names_fail_like_experiment_config(self, key, value):
+        with pytest.raises(ValueError) as stream_err:
+            stream_config_from_dict({**self.SPEC, key: value})
+        cell = {**self.SPEC, "num_tasks": 4, key: value}
+        del cell["num_jobs"]
+        with pytest.raises(ValueError) as cell_err:
+            ExperimentConfig(**cell)
+        assert str(stream_err.value) == str(cell_err.value)
+        assert f"unknown {key} {value!r}" in str(stream_err.value)
 
 
 class TestRunConfig:

@@ -79,6 +79,27 @@ class TestCommands:
         assert "note:" not in fanned
         assert scheme_row(fanned, "minmin") == scheme_row(serial, "minmin")
 
+    def test_run_clear_cache_applies_on_the_serial_path(self, capsys, tmp_path):
+        argv = ["run", "--workload", "synthetic", "--tasks", "6",
+                "--schemes", "minmin", "--cache-dir", str(tmp_path)]
+        assert main([*argv, "--cache"]) == 0
+        assert list(tmp_path.rglob("*.json"))
+        capsys.readouterr()
+        # --gantt takes the serial path, which never reads the cache; the
+        # clear must still happen.
+        assert main([*argv, "--clear-cache", "--gantt"]) == 0
+        assert "cache cleared: 1 entry removed" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.json"))
+
+    def test_stream_rejects_an_unknown_storage(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "experiment": "t", "workload": "sat", "overlap": "high",
+            "num_jobs": 4, "storage": "XIO",
+        }))
+        assert main(["stream", str(spec)]) == 2
+        assert "unknown storage 'XIO'" in capsys.readouterr().err
+
     def test_run_no_replication(self, capsys):
         rc = main(
             [
