@@ -11,35 +11,32 @@ Set ``REPRO_PAPER_SCALE=1`` to run the full paper-scale configurations
 The figure sweeps route through ``repro.parallel``: set
 ``REPRO_BENCH_WORKERS=N`` to fan each sweep's cells across N processes and
 ``REPRO_BENCH_CACHE=<dir>`` to replay unchanged cells from an on-disk
-result cache (a re-run with the same scale is then pure cache hits).
+result cache (a re-run with the same scale is then pure cache hits); the
+``fan`` fixture passes both to the figure builders.
 """
 
 import os
 
 import pytest
 
-from repro import parallel
+from repro.parallel import ResultCache
 
 
 def paper_scale() -> bool:
     return os.environ.get("REPRO_PAPER_SCALE", "0") == "1"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def parallel_defaults():
-    """Route every figure sweep through the parallel/cached fan-out.
-
-    The figure builders pass ``workers=None``/``cache=None`` by default,
-    which defers to the process-wide configuration set here.
-    """
+@pytest.fixture(scope="session")
+def fan():
+    """The figure builders' ``workers``/``cache`` arguments, from the
+    ``REPRO_BENCH_WORKERS``/``REPRO_BENCH_CACHE`` environment variables
+    (serial and uncached when they are unset)."""
     workers = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
     cache_dir = os.environ.get("REPRO_BENCH_CACHE", "").strip()
-    parallel.configure(
-        workers=int(workers) if workers else None,
-        cache=parallel.ResultCache(cache_dir) if cache_dir else None,
+    return dict(
+        workers=int(workers) if workers else 1,
+        cache=ResultCache(cache_dir) if cache_dir else None,
     )
-    yield
-    parallel.configure(workers=None, cache=None)
 
 
 @pytest.fixture

@@ -16,10 +16,10 @@ IP_LIMIT = 60.0 if paper_scale() else 15.0
 
 
 @pytest.mark.parametrize("storage", ["osumed", "xio"])
-def test_fig4(benchmark, show, storage):
+def test_fig4(benchmark, show, fan, storage):
     table = benchmark.pedantic(
         fig4_sat_overlap,
-        kwargs=dict(storage=storage, num_tasks=N_TASKS, ip_time_limit=IP_LIMIT),
+        kwargs=dict(storage=storage, num_tasks=N_TASKS, ip_time_limit=IP_LIMIT, **fan),
         rounds=1,
         iterations=1,
     )

@@ -13,10 +13,10 @@ from conftest import paper_scale, series
 N_TASKS = 100 if paper_scale() else 60
 
 
-def test_fig5a(benchmark, show):
+def test_fig5a(benchmark, show, fan):
     table = benchmark.pedantic(
         fig5a_replication_benefit,
-        kwargs=dict(num_tasks=N_TASKS),
+        kwargs=dict(num_tasks=N_TASKS, **fan),
         rounds=1,
         iterations=1,
     )

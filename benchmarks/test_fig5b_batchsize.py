@@ -22,10 +22,10 @@ else:
     DISK_MB = 4_000.0
 
 
-def test_fig5b(benchmark, show):
+def test_fig5b(benchmark, show, fan):
     table = benchmark.pedantic(
         fig5b_batch_size,
-        kwargs=dict(batch_sizes=SIZES, disk_space_mb=DISK_MB),
+        kwargs=dict(batch_sizes=SIZES, disk_space_mb=DISK_MB, **fan),
         rounds=1,
         iterations=1,
     )

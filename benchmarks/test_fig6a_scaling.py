@@ -18,10 +18,10 @@ else:
     NODES = (2, 4, 8, 16, 32)
 
 
-def test_fig6a(benchmark, show):
+def test_fig6a(benchmark, show, fan):
     table = benchmark.pedantic(
         fig6a_compute_scaling,
-        kwargs=dict(node_counts=NODES, num_tasks=N_TASKS),
+        kwargs=dict(node_counts=NODES, num_tasks=N_TASKS, **fan),
         rounds=1,
         iterations=1,
     )

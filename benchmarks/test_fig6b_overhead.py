@@ -23,7 +23,7 @@ else:
     IP_CAP = 16
 
 
-def test_fig6b(benchmark, show):
+def test_fig6b(benchmark, show, fan):
     table = benchmark.pedantic(
         fig6b_scheduling_overhead,
         kwargs=dict(
@@ -31,6 +31,7 @@ def test_fig6b(benchmark, show):
             num_tasks=N_TASKS,
             ip_task_cap=IP_CAP,
             ip_time_limit=10.0,
+        **fan,
         ),
         rounds=1,
         iterations=1,

@@ -2,8 +2,9 @@
 
 ``repro lint`` runs every rule through :func:`lint_paths`:
 
-1. each file is parsed once; a file that does not parse gives one
-   ``RPR000`` finding, whatever ``select`` names, and is checked no further;
+1. each file is parsed once; a file that is not UTF-8 or does not parse
+   gives one ``RPR000`` finding, whatever ``select`` names, and is checked
+   no further;
 2. the parsed modules go unchanged to the three rule sets: the AST rules
    (:mod:`repro.analysis.lint`, RPR001-RPR005), the dimensional-analysis
    checker (:mod:`repro.analysis.units`, RPR006-RPR008) with its
@@ -143,19 +144,32 @@ def _iter_py_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 
 
 def _lint(
-    files: Iterable[tuple[str, str]],
+    files: Iterable[tuple[str, str | bytes]],
     select: Sequence[str] | None,
     entries: Sequence[str] | None,
     allow_env: Iterable[str] | None,
 ) -> list[Finding]:
-    """The pipeline over ``(path, text)`` pairs; see the module docstring."""
+    """The pipeline over ``(path, source)`` pairs; see the module docstring."""
     # Imported here, not at the top: the rule sets import this module, and
     # ``import repro`` must not load them.
     from . import lint, purity, units
 
     unparsed: list[Finding] = []
     sources: list[Source] = []
-    for path, text in files:
+    for path, source in files:
+        if isinstance(source, bytes):
+            try:
+                text = source.decode()
+            except UnicodeDecodeError as exc:
+                unparsed.append(
+                    Finding(
+                        path, source.count(b"\n", 0, exc.start) + 1, 0,
+                        "RPR000", f"not UTF-8: {exc.reason} at byte {exc.start}",
+                    )
+                )
+                continue
+        else:
+            text = source
         try:
             tree = ast.parse(text, filename=path)
         except SyntaxError as exc:
@@ -196,11 +210,15 @@ def lint_paths(
 
     ``entries`` names extra process-pool workers (``module:function``) for
     the purity walk; ``allow_env`` names environment variables a worker may
-    read.
+    read. A path that does not exist raises :class:`FileNotFoundError`
+    before any file is checked.
     """
+    for raw in paths:
+        if not Path(raw).exists():
+            raise FileNotFoundError(f"no such file or directory: {raw}")
     # A file named twice, or under two of the paths, is still read once.
     unique = dict.fromkeys(_iter_py_files(paths))
-    files = ((str(f), f.read_text()) for f in unique)
+    files = ((str(f), f.read_bytes()) for f in unique)
     return _lint(files, select, entries, allow_env)
 
 

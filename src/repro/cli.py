@@ -30,7 +30,7 @@ Commands
     purity walk (``docs/analysis.md``).
 ``audit``
     Execute a batch with the audit trail enabled and verify the resulting
-    Gantt trace against the execution invariants E1–E7
+    Gantt trace against the execution invariants E1–E8
     (:mod:`repro.analysis.audit`, ``docs/invariants.md``).
 ``diff``
     Attribute the makespan delta between two run manifests to phase
@@ -44,7 +44,7 @@ Commands
 ``chaos``
     Fault-injection sweep (``docs/faults.md``): makespan-degradation curve
     over transfer-failure rates x schemes, each cell optionally audited
-    against E1–E7. The nightly chaos CI job runs this at reduced scale.
+    against E1–E8. The nightly chaos CI job runs this at reduced scale.
 ``stream``
     Run a streaming multi-batch session (``docs/online.md``) from a stream
     spec JSON: jobs arrive over simulated time, an admission policy forms
@@ -76,15 +76,15 @@ Examples
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import available_schedulers, run_batch
-from .batch import Batch, overlap_fraction, pairwise_overlap
-from .cluster import Runtime, render_ascii, to_chrome_trace
+from .batch import overlap_fraction, pairwise_overlap
+from .cluster import render_ascii, to_chrome_trace
 from .cluster.platform import STORAGE_PLATFORMS
 from .experiments import (
     ExperimentConfig,
+    Table,
     default_scheduler_kwargs,
     fig3_image_overlap,
     fig4_sat_overlap,
@@ -92,26 +92,46 @@ from .experiments import (
     fig5b_batch_size,
     fig6a_compute_scaling,
     fig6b_scheduling_overhead,
+    run_config_result,
 )
+from .experiments.runner import disk_mb
 from .parallel import DEFAULT_CACHE_DIR, ResultCache, map_configs
-from .workloads import available_workloads, make_batch
+from .workloads import available_workloads
 
 __all__ = ["main", "build_parser"]
 
 
-def _platform(args):
-    disk = math.inf if args.disk_gb is None else args.disk_gb * 1000.0
-    return STORAGE_PLATFORMS[args.storage](
+def _cell(args, **fields) -> ExperimentConfig:
+    """The experiment cell that the workload and platform flags describe."""
+    return ExperimentConfig(
+        experiment=f"cli-{args.command}",
+        workload=args.workload,
+        overlap=args.overlap,
+        num_tasks=args.tasks,
+        storage=args.storage,
         num_compute=args.compute,
         num_storage=args.storage_nodes,
-        disk_space_mb=disk,
+        disk_space_mb=disk_mb(args.disk_gb),
+        seed=args.seed,
+        **fields,
     )
 
 
-def _batch(args, num_storage: int) -> Batch:
-    return make_batch(
-        args.workload, args.tasks, args.overlap, num_storage, args.seed
-    )
+def _scheme_cells(args, **fields) -> list[ExperimentConfig]:
+    """One cell per ``--schemes`` entry, as ``run`` and ``audit`` set it."""
+    faults = _load_faults(args.faults) if args.faults else None
+    return [
+        _cell(
+            args,
+            scheme=scheme,
+            allow_replication=not args.no_replication,
+            candidate_limit=args.candidate_limit,
+            scheduler_kwargs=default_scheduler_kwargs(scheme, args.ip_time_limit),
+            faults=faults,
+            **fields,
+        )
+        for scheme in args.schemes
+    ]
 
 
 def _add_parallel_args(p: argparse.ArgumentParser, cache_default_on: bool):
@@ -145,13 +165,32 @@ def _add_parallel_args(p: argparse.ArgumentParser, cache_default_on: bool):
     )
 
 
-def _cell_cache(args, enabled: bool):
-    """Build the ResultCache requested by the CLI flags (False = off)."""
+def _cell_cache(args, enabled: bool) -> ResultCache | None:
+    """Build the ResultCache requested by the CLI flags (None = off)."""
     cache = ResultCache(args.cache_dir)
     if args.clear_cache:
         removed = cache.clear()
         print(f"cache cleared: {removed} entr{'y' if removed == 1 else 'ies'} removed")
-    return cache if enabled else False
+    return cache if enabled else None
+
+
+def _write_table(args, table: Table) -> None:
+    """Write ``table`` to the ``--csv`` and ``--json`` files, when named."""
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(table.to_csv() + "\n")
+        print(f"\nCSV written to {args.csv}")
+    if args.json:
+        import json as _json
+        from dataclasses import asdict
+
+        with open(args.json, "w") as fh:
+            _json.dump(
+                {"title": table.title, "records": [asdict(r) for r in table.records]},
+                fh,
+                indent=2,
+            )
+        print(f"JSON written to {args.json}")
 
 
 def _load_faults(path: str) -> dict:
@@ -319,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     pa = sub.add_parser(
-        "audit", help="execute a batch and verify its trace invariants (E1-E7)"
+        "audit", help="execute a batch and verify its trace invariants (E1-E8)"
     )
     _add_workload_args(pa)
     pa.add_argument("--schemes", nargs="+", default=["bipartition", "minmin"])
@@ -404,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--no-audit",
         action="store_true",
-        help="skip the per-cell E1-E7 invariant verification",
+        help="skip the per-cell E1-E8 invariant verification",
     )
     pc.add_argument("--csv", metavar="FILE", help="also write the table as CSV")
     pc.add_argument("--json", metavar="FILE", help="also write the records as JSON")
@@ -450,8 +489,7 @@ def _cmd_schedulers(args) -> int:
 
 
 def _cmd_workload(args) -> int:
-    platform = _platform(args)
-    batch = _batch(args, platform.num_storage)
+    batch = _cell(args).batch()
     if args.save:
         from .io import save_batch
 
@@ -467,107 +505,22 @@ def _cmd_workload(args) -> int:
     return 0
 
 
-def _print_run_header():
-    print(
-        f"{'scheme':14s} {'makespan':>10s} {'sched ms/task':>14s} "
-        f"{'remote MB':>10s} {'replica MB':>11s} {'evict':>6s} {'sub':>4s}"
-    )
-
-
-def _cmd_run_parallel(args, cache) -> int:
-    """Fan the requested schemes out through ``repro.parallel``."""
-    platform = _platform(args)
-    batch = _batch(args, platform.num_storage)
-    print(f"{batch} on {platform.name} ({platform.num_compute} compute nodes)\n")
-    _print_run_header()
-    disk = math.inf if args.disk_gb is None else args.disk_gb * 1000.0
-    faults = _load_faults(args.faults) if args.faults else None
-    configs = []
-    for scheme in args.schemes:
-        kwargs = default_scheduler_kwargs(scheme, args.ip_time_limit)
-        configs.append(
-            ExperimentConfig(
-                experiment="cli-run",
-                workload=args.workload,
-                overlap=args.overlap,
-                num_tasks=args.tasks,
-                storage=args.storage,
-                num_compute=args.compute,
-                num_storage=args.storage_nodes,
-                disk_space_mb=disk,
-                scheme=scheme,
-                seed=args.seed,
-                allow_replication=not args.no_replication,
-                candidate_limit=args.candidate_limit,
-                scheduler_kwargs=kwargs,
-                faults=faults,
-            )
-        )
-    # With --json, record result-cache hit/miss counters (and anything else
-    # the parent process touches) through the telemetry registry.
-    from .obs.core import telemetry as tele
-
-    if args.json:
-        tele.reset()
-        tele.enable()
-    try:
-        records = map_configs(configs, workers=args.workers, cache=cache)
-    finally:
-        snapshot = tele.snapshot() if args.json else None
-        if args.json:
-            tele.disable()
-            tele.reset()
-    for scheme, rec in zip(args.schemes, records, strict=True):
-        print(
-            f"{scheme:14s} {rec.makespan_s:9.1f}s {rec.scheduling_ms_per_task:14.2f} "
-            f"{rec.remote_volume_mb:10.0f} "
-            f"{rec.replication_volume_mb:11.0f} "
-            f"{rec.evictions:6d} {rec.sub_batches:4d}"
-        )
-    if args.cache:
-        print(f"\ncache: {cache.stats.summary()} in {cache.root}")
-    if args.json:
-        import json as _json
-        from dataclasses import asdict
-
-        doc = {
-            "records": [asdict(r) for r in records],
-            "cache": (
-                {
-                    "hits": cache.stats.hits,
-                    "misses": cache.stats.misses,
-                    "stores": cache.stats.stores,
-                }
-                if args.cache
-                else None
-            ),
-            "telemetry": snapshot,
-        }
-        with open(args.json, "w") as fh:
-            _json.dump(doc, fh, indent=2)
-        print(f"JSON written to {args.json}")
-    return 0
-
-
 def _cmd_run(args) -> int:
-    # The parallel/cached path covers the common cell-shaped invocations;
-    # trace, Gantt, saved batches and I/O-overlap runs need the in-process
-    # run_batch calls below.
-    parallelisable = not (
-        args.load or args.gantt or args.trace or args.overlap_io
+    # A saved batch, I/O overlap, the Gantt chart, the trace and the fault
+    # counters need each scheme's BatchResult in this process; every other
+    # run fans its cells out through repro.parallel, which keeps Records.
+    in_process = bool(
+        args.load or args.overlap_io or args.gantt or args.trace or args.faults
     )
     # --clear-cache applies whichever path runs.
-    cache = _cell_cache(args, enabled=args.cache)
-    if parallelisable and (
-        args.workers > 1 or args.cache or args.clear_cache or args.json
-    ):
-        return _cmd_run_parallel(args, cache)
-    if not parallelisable and (args.workers > 1 or args.cache or args.json):
+    cache = _cell_cache(args, enabled=args.cache and not in_process)
+    if in_process and (args.workers > 1 or args.cache or args.json):
         print(
             "note: --workers/--cache/--json do not apply with "
-            "--load/--gantt/--trace/--overlap-io; running serially\n"
+            "--load/--gantt/--trace/--overlap-io/--faults; running serially\n"
         )
-    platform = _platform(args)
+    configs = _scheme_cells(args)
+    platform = configs[0].platform()
     if args.load:
         from .io import load_batch
 
@@ -583,53 +536,84 @@ def _cmd_run(args) -> int:
                 f"{platform.num_storage}: e.g. {bad[0]}"
             )
     else:
-        batch = _batch(args, platform.num_storage)
+        batch = configs[0].batch()
     print(f"{batch} on {platform.name} ({platform.num_compute} compute nodes)\n")
-    _print_run_header()
-    faults = _load_faults(args.faults) if args.faults else None
-    last_runtime: Runtime | None = None
-    fault_lines: list[str] = []
-    for scheme in args.schemes:
-        kwargs = default_scheduler_kwargs(scheme, args.ip_time_limit)
-        result = run_batch(
-            batch,
-            platform,
-            scheme,
-            allow_replication=not args.no_replication,
-            candidate_limit=args.candidate_limit,
-            scheduler_kwargs=kwargs,
-            overlap_io_compute=args.overlap_io,
-            faults=faults,
-        )
-        last_runtime = result.runtime
-        fs = result.fault_stats
-        if fs is not None:
-            fault_lines.append(
-                f"{scheme:14s} {fs.node_crashes} crash(es), "
-                f"{fs.transfer_failures} failed transfer(s) / "
-                f"{fs.retries} retried / {fs.failovers} re-sourced, "
-                f"{fs.tasks_rescheduled} task(s) rescheduled, "
-                f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
+    print(
+        f"{'scheme':14s} {'makespan':>10s} {'sched ms/task':>14s} "
+        f"{'remote MB':>10s} {'replica MB':>11s} {'evict':>6s} {'sub':>4s}"
+    )
+    if in_process:
+        results = [
+            run_batch(
+                batch,
+                platform,
+                cfg.scheme,
+                overlap_io_compute=args.overlap_io,
+                **cfg.run_options(),
             )
-        stats = result.stats
+            for cfg in configs
+        ]
+        records = [cfg.record(result) for cfg, result in zip(configs, results)]
+    else:
+        # With --json, record result-cache hit/miss counters (and anything
+        # else this process touches) through the telemetry registry.
+        from .obs.core import telemetry as tele
+
+        if args.json:
+            tele.reset()
+            tele.enable()
+        try:
+            records = map_configs(configs, workers=args.workers, cache=cache)
+        finally:
+            snapshot = tele.snapshot() if args.json else None
+            if args.json:
+                tele.disable()
+                tele.reset()
+    for cfg, rec in zip(configs, records, strict=True):
         print(
-            f"{scheme:14s} {result.makespan:9.1f}s "
-            f"{result.scheduling_ms_per_task:14.2f} "
-            f"{stats.remote_volume_mb:10.0f} "
-            f"{stats.replication_volume_mb:11.0f} "
-            f"{stats.evictions:6d} {result.num_sub_batches:4d}"
+            f"{cfg.scheme:14s} {rec.makespan_s:9.1f}s "
+            f"{rec.scheduling_ms_per_task:14.2f} "
+            f"{rec.remote_volume_mb:10.0f} "
+            f"{rec.replication_volume_mb:11.0f} "
+            f"{rec.evictions:6d} {rec.sub_batches:4d}"
         )
 
-    if fault_lines:
-        print("\nfault injection:")
-        for line in fault_lines:
-            print(line)
-    if last_runtime is not None and args.gantt:
-        print("\n" + render_ascii(last_runtime))
-    if last_runtime is not None and args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(to_chrome_trace(last_runtime))
-        print(f"\nChrome trace written to {args.trace}")
+    if in_process:
+        fault_lines = [
+            f"{cfg.scheme:14s} {fs.node_crashes} crash(es), "
+            f"{fs.transfer_failures} failed transfer(s) / "
+            f"{fs.retries} retried / {fs.failovers} re-sourced, "
+            f"{fs.tasks_rescheduled} task(s) rescheduled, "
+            f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
+            for cfg, result in zip(configs, results)
+            if (fs := result.fault_stats) is not None
+        ]
+        if fault_lines:
+            print("\nfault injection:")
+            for line in fault_lines:
+                print(line)
+        last_runtime = results[-1].runtime
+        if last_runtime is not None and args.gantt:
+            print("\n" + render_ascii(last_runtime))
+        if last_runtime is not None and args.trace:
+            with open(args.trace, "w") as fh:
+                fh.write(to_chrome_trace(last_runtime))
+            print(f"\nChrome trace written to {args.trace}")
+        return 0
+    if cache is not None:
+        print(f"\ncache: {cache.stats.summary()} in {cache.root}")
+    if args.json:
+        import json as _json
+        from dataclasses import asdict
+
+        doc = {
+            "records": [asdict(r) for r in records],
+            "cache": asdict(cache.stats) if cache is not None else None,
+            "telemetry": snapshot,
+        }
+        with open(args.json, "w") as fh:
+            _json.dump(doc, fh, indent=2)
+        print(f"JSON written to {args.json}")
     return 0
 
 
@@ -669,28 +653,9 @@ def _cmd_figure(args) -> int:
             ip_task_cap=16, ip_time_limit=args.ip_time_limit, **fan,
         )
     print(table.render())
-    if not args.no_cache:
+    if cache is not None:
         print(f"\ncache: {cache.stats.summary()} in {cache.root}")
-    if args.csv:
-        columns = (
-            "experiment", "workload", "scheme", "x", "makespan_s",
-            "scheduling_ms_per_task", "remote_transfers", "remote_volume_mb",
-            "replications", "replication_volume_mb", "evictions", "sub_batches",
-        )
-        with open(args.csv, "w") as fh:
-            fh.write(table.to_csv(columns) + "\n")
-        print(f"\nCSV written to {args.csv}")
-    if args.json:
-        import json as _json
-        from dataclasses import asdict
-
-        with open(args.json, "w") as fh:
-            _json.dump(
-                {"title": table.title, "records": [asdict(r) for r in table.records]},
-                fh,
-                indent=2,
-            )
-        print(f"JSON written to {args.json}")
+    _write_table(args, table)
     return 0
 
 
@@ -723,40 +688,42 @@ _OBS_PRESETS: dict[str, dict] = {
 
 
 def _obs_config(args) -> ExperimentConfig:
-    """Resolve the metrics/profile positional into an ExperimentConfig."""
-    name = args.config
-    if name in _OBS_PRESETS:
-        fields = dict(_OBS_PRESETS[name])
-        fields.setdefault("experiment", name)
-        fields.setdefault("num_tasks", 24)
-        fields.setdefault("scheme", "bipartition")
-    else:
-        import json as _json
+    """Resolve the metrics/profile positional into an ExperimentConfig.
 
-        try:
+    An invalid config file (not JSON, an unknown key or name, a missing
+    field) is a usage error: its message goes to stderr and the command
+    exits 2.
+    """
+    import json as _json
+
+    name = args.config
+    try:
+        if name in _OBS_PRESETS:
+            fields = {"num_tasks": 24, "scheme": "bipartition", **_OBS_PRESETS[name]}
+        else:
             with open(name) as fh:
                 fields = _json.load(fh)
-        except OSError as exc:
-            raise SystemExit(
-                f"unknown preset {name!r} (available: "
-                f"{', '.join(sorted(_OBS_PRESETS))}) and not a readable "
-                f"config file: {exc}"
-            ) from None
-        fields.setdefault("experiment", name)
-    if args.tasks is not None:
-        fields["num_tasks"] = args.tasks
-    if args.scheme is not None:
-        fields["scheme"] = args.scheme
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if getattr(args, "timeseries", False):
-        fields["timeseries"] = True
-    if getattr(args, "faults", None):
-        fields["faults"] = _load_faults(args.faults)
-    fields["telemetry"] = True
-    if fields.get("disk_space_mb") in ("inf", None):
-        fields["disk_space_mb"] = math.inf
-    return ExperimentConfig(**fields)
+        fields = {"experiment": name, **fields}
+        if args.tasks is not None:
+            fields["num_tasks"] = args.tasks
+        if args.scheme is not None:
+            fields["scheme"] = args.scheme
+        if args.seed is not None:
+            fields["seed"] = args.seed
+        if args.timeseries:
+            fields["timeseries"] = True
+        if args.faults:
+            fields["faults"] = _load_faults(args.faults)
+        return ExperimentConfig.from_dict(fields)
+    except OSError as exc:
+        raise SystemExit(
+            f"unknown preset {name!r} (available: "
+            f"{', '.join(sorted(_OBS_PRESETS))}) and not a readable "
+            f"config file: {exc}"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        print(f"invalid config {name}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _manifest_for(cfg: ExperimentConfig, result) -> dict:
@@ -807,11 +774,10 @@ def _print_manifest_summary(manifest: dict):
 
 
 def _cmd_metrics(args) -> int:
-    from .experiments.runner import run_config_result
     from .obs import validate_manifest, write_manifest, write_ndjson
 
     cfg = _obs_config(args)
-    result = run_config_result(cfg)
+    result = run_config_result(cfg, telemetry=True)
     manifest = _manifest_for(cfg, result)
     errors = validate_manifest(manifest)
     _print_manifest_summary(manifest)
@@ -830,7 +796,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .experiments.runner import run_config_result
     from .obs import merged_chrome_trace, validate_manifest, write_manifest
     from .obs.core import telemetry as tele
 
@@ -840,7 +805,7 @@ def _cmd_profile(args) -> int:
     tele.reset()
     tele.enable(keep_events=True)
     try:
-        result = run_config_result(cfg)
+        result = run_config_result(cfg, telemetry=True)
         print(f"{cfg.scheme}: makespan {result.makespan:.1f}s "
               f"(scheduling {result.scheduling_seconds * 1000:.1f} ms wall)")
         print(f"\n{'span path':42s} {'count':>6s} {'total':>9s} {'mean':>9s}")
@@ -892,9 +857,13 @@ def _cmd_lint(args) -> int:
         for rule in iter_rules():
             print(f"{rule.code}  {rule.summary}")
         return 0
-    findings = lint_paths(
-        args.paths, args.select, entries=args.entry, allow_env=args.allow_env
-    )
+    try:
+        findings = lint_paths(
+            args.paths, args.select, entries=args.entry, allow_env=args.allow_env
+        )
+    except FileNotFoundError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     print(render_findings(findings, args.format))
     return 1 if findings else 0
 
@@ -902,27 +871,19 @@ def _cmd_lint(args) -> int:
 def _cmd_audit(args) -> int:
     from .analysis.audit import AuditError
 
-    platform = _platform(args)
-    batch = _batch(args, platform.num_storage)
-    faults = _load_faults(args.faults) if args.faults else None
-    print(f"{batch} on {platform.name} ({platform.num_compute} compute nodes)\n")
+    configs = _scheme_cells(args, audit=True)
+    platform = configs[0].platform()
+    print(
+        f"{configs[0].batch()} on {platform.name} "
+        f"({platform.num_compute} compute nodes)\n"
+    )
     failures = 0
-    for scheme in args.schemes:
-        kwargs = default_scheduler_kwargs(scheme, args.ip_time_limit)
+    for cfg in configs:
         try:
-            result = run_batch(
-                batch,
-                platform,
-                scheme,
-                allow_replication=not args.no_replication,
-                candidate_limit=args.candidate_limit,
-                scheduler_kwargs=kwargs,
-                audit=True,
-                faults=faults,
-            )
+            result = run_config_result(cfg)
         except AuditError as exc:
             failures += 1
-            print(f"{scheme:14s} FAIL  {exc}")
+            print(f"{cfg.scheme:14s} FAIL  {exc}")
             continue
         report = result.audit_report
         assert report is not None
@@ -934,7 +895,7 @@ def _cmd_audit(args) -> int:
                 f"failed transfer(s), {fs.tasks_rescheduled} rescheduled)"
             )
         print(
-            f"{scheme:14s} OK    {report.checked_events} events verified, "
+            f"{cfg.scheme:14s} OK    {report.checked_events} events verified, "
             f"makespan {result.makespan:.1f}s{extra}"
         )
     return 1 if failures else 0
@@ -1004,29 +965,10 @@ def _cmd_chaos(args) -> int:
         return 1
     print(table.render())
     if not args.no_audit:
-        print("\nevery cell passed the E1-E7 trace audit")
-    if args.cache:
+        print("\nevery cell passed the E1-E8 trace audit")
+    if cache is not None:
         print(f"cache: {cache.stats.summary()} in {cache.root}")
-    if args.csv:
-        columns = (
-            "experiment", "workload", "scheme", "x", "makespan_s",
-            "scheduling_ms_per_task", "remote_transfers", "remote_volume_mb",
-            "replications", "replication_volume_mb", "evictions", "sub_batches",
-        )
-        with open(args.csv, "w") as fh:
-            fh.write(table.to_csv(columns) + "\n")
-        print(f"CSV written to {args.csv}")
-    if args.json:
-        import json as _json
-        from dataclasses import asdict
-
-        with open(args.json, "w") as fh:
-            _json.dump(
-                {"title": table.title, "records": [asdict(r) for r in table.records]},
-                fh,
-                indent=2,
-            )
-        print(f"JSON written to {args.json}")
+    _write_table(args, table)
     return 0
 
 

@@ -94,8 +94,8 @@ def degradation_curve(
     crash_time: float | None = None,
     audit: bool = False,
     ip_time_limit: float = 20.0,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Makespan vs transient transfer-failure rate, per scheme.
 

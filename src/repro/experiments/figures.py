@@ -9,11 +9,10 @@ figure — which scheme wins, by what factor, where trends bend — is preserved
 at either scale and asserted by the benchmarks.
 
 Every sweep routes its independent cells through
-:func:`repro.parallel.map_configs`, so figures regenerate across multiple
-processes (``workers``) and replay unchanged cells from the on-disk cache
-(``cache``); passing ``workers=None``/``cache=None`` defers to the
-process-wide defaults set by :func:`repro.parallel.configure` or the
-``REPRO_WORKERS``/``REPRO_CACHE_DIR`` environment variables.
+:func:`repro.parallel.map_configs`, so figures regenerate across
+``workers`` processes (1, the default, runs serially) and replay unchanged
+cells from the on-disk ``cache`` (a :class:`repro.parallel.ResultCache`;
+``None``, the default, simulates every cell).
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ ALL_SCHEMES = PROPOSED + BASELINES
 def _sweep(
     table: Table,
     cells: Sequence[tuple[ExperimentConfig, float | str | None]],
-    workers: int | None,
-    cache: ResultCache | None | bool,
+    workers: int,
+    cache: ResultCache | None,
 ) -> Table:
     """Fan the sweep's cells out through ``repro.parallel`` and collect."""
     # Imported here, not at module top: repro.parallel itself imports the
@@ -68,8 +67,8 @@ def _overlap_sweep(
     schemes: Sequence[str],
     seed: int,
     ip_time_limit: float,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     table = Table(
         f"{experiment}: {workload.upper()} batch execution time on "
@@ -101,8 +100,8 @@ def fig3_image_overlap(
     schemes: Sequence[str] = ALL_SCHEMES,
     seed: int = 0,
     ip_time_limit: float = 60.0,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Figure 3: IMAGE batch execution time vs overlap level.
 
@@ -130,8 +129,8 @@ def fig4_sat_overlap(
     schemes: Sequence[str] = ALL_SCHEMES,
     seed: int = 0,
     ip_time_limit: float = 60.0,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Figure 4: SAT batch execution time vs overlap level (as Fig. 3)."""
     return _overlap_sweep(
@@ -153,8 +152,8 @@ def fig5a_replication_benefit(
     schemes: Sequence[str] = ("bipartition",),
     seed: int = 0,
     ip_time_limit: float = 60.0,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Figure 5(a): benefit of compute-to-compute replication.
 
@@ -197,8 +196,8 @@ def fig5b_batch_size(
     schemes: Sequence[str] = ("bipartition",) + BASELINES,
     seed: int = 0,
     candidate_limit: int | None = 25,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Figure 5(b): batch execution time vs batch size under disk pressure.
 
@@ -239,8 +238,8 @@ def fig6a_compute_scaling(
     schemes: Sequence[str] = ("bipartition",) + BASELINES,
     seed: int = 0,
     candidate_limit: int | None = 25,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Figure 6(a): batch execution time vs number of compute nodes.
 
@@ -282,8 +281,8 @@ def fig6b_scheduling_overhead(
     ip_time_limit: float = 20.0,
     seed: int = 0,
     candidate_limit: int | None = 25,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> Table:
     """Figure 6(b): per-task scheduling time (ms) vs number of compute nodes.
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.plan import BatchResult
 
 __all__ = ["Record", "Table"]
 
@@ -24,6 +28,33 @@ class Record:
     replication_volume_mb: float = 0.0
     evictions: int = 0
     sub_batches: int = 1
+
+    @classmethod
+    def from_result(
+        cls,
+        result: BatchResult,
+        *,
+        experiment: str,
+        workload: str,
+        scheme: str,
+        x: float | str,
+    ) -> Record:
+        """Summarise one run under the given labels."""
+        stats = result.stats
+        return cls(
+            experiment=experiment,
+            workload=workload,
+            scheme=scheme,
+            x=x,
+            makespan_s=result.makespan,
+            scheduling_ms_per_task=result.scheduling_ms_per_task,
+            remote_transfers=stats.remote_transfers,
+            remote_volume_mb=stats.remote_volume_mb,
+            replications=stats.replications,
+            replication_volume_mb=stats.replication_volume_mb,
+            evictions=stats.evictions,
+            sub_batches=result.num_sub_batches,
+        )
 
 
 @dataclass
@@ -75,7 +106,9 @@ class Table:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths, strict=True)))
         return "\n".join(lines)
 
-    def to_csv(self, columns: Sequence[str]) -> str:
+    def to_csv(
+        self, columns: Sequence[str] = tuple(f.name for f in fields(Record))
+    ) -> str:
         lines = [",".join(columns)]
         for row in self.rows(columns):
             lines.append(",".join(row))

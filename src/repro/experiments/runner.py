@@ -1,9 +1,19 @@
-"""Experiment runner: configuration -> batch -> scheduler runs -> records."""
+"""Experiment runner: configuration -> batch -> scheduler runs -> records.
+
+:class:`ExperimentConfig` is the one description of a run: it builds the
+run's platform and batch, lays its ``scheduler_kwargs`` over the scheme's
+defaults, and turns the run's :class:`BatchResult` into a :class:`Record`.
+:meth:`ExperimentConfig.from_dict` reads it from JSON (``repro
+metrics``/``repro profile`` config files, and stream specs through
+:func:`repro.experiments.stream.stream_config_from_dict`).
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 from ..batch import Batch
 from ..cluster.platform import STORAGE_PLATFORMS, Platform
@@ -15,6 +25,7 @@ from .report import Record
 __all__ = [
     "ExperimentConfig",
     "default_scheduler_kwargs",
+    "disk_mb",
     "run_config",
     "run_config_result",
 ]
@@ -22,16 +33,9 @@ __all__ = [
 GB = 1000.0  # MB per GB (decimal, as storage vendors and the paper use)
 
 
-def _check_names(workload: str, storage: str) -> None:
-    """Reject a workload or storage name that no config can run."""
-    if workload not in WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; use {available_workloads()}"
-        )
-    if storage not in STORAGE_PLATFORMS:
-        raise ValueError(
-            f"unknown storage {storage!r}; use {sorted(STORAGE_PLATFORMS)}"
-        )
+def disk_mb(disk_gb: float | str | None) -> float:
+    """Per-node disk in MB from decimal GB; ``None`` or ``"inf"`` is unlimited."""
+    return math.inf if disk_gb is None else float(disk_gb) * GB
 
 
 @dataclass
@@ -52,11 +56,8 @@ class ExperimentConfig:
     candidate_limit: int | None = None
     scheduler_kwargs: dict = field(default_factory=dict)
     audit: bool = False
-    # Collect run telemetry/metrics (repro.obs). Non-semantic: does not
-    # change the simulated result, and is excluded from the result-cache key.
-    telemetry: bool = False
-    # Attach simulated-time series probes (repro.obs.timeseries). Also
-    # non-semantic: probes only observe, so decisions and the Record are
+    # Attach simulated-time series probes (repro.obs.timeseries).
+    # Non-semantic: probes only observe, so decisions and the Record are
     # unchanged and the flag is excluded from the result-cache key.
     timeseries: bool = False
     # Fault-injection spec (:class:`repro.faults.FaultSpec` as a dict), or
@@ -64,7 +65,14 @@ class ExperimentConfig:
     faults: dict | None = None
 
     def __post_init__(self) -> None:
-        _check_names(self.workload, self.storage)
+        if self.workload not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload {self.workload!r}; use {available_workloads()}"
+            )
+        if self.storage not in STORAGE_PLATFORMS:
+            raise ValueError(
+                f"unknown storage {self.storage!r}; use {sorted(STORAGE_PLATFORMS)}"
+            )
 
     def platform(self) -> Platform:
         return STORAGE_PLATFORMS[self.storage](
@@ -82,6 +90,51 @@ class ExperimentConfig:
             seed=self.seed,
         )
 
+    def run_options(self) -> dict[str, Any]:
+        """The keyword arguments this cell gives ``run_batch`` (and a
+        ``ClusterSession``): its ``scheduler_kwargs`` laid over the
+        scheme's defaults, and the run flags."""
+        return dict(
+            allow_replication=self.allow_replication,
+            candidate_limit=self.candidate_limit,
+            scheduler_kwargs={
+                **default_scheduler_kwargs(self.scheme),
+                **self.scheduler_kwargs,
+            },
+            audit=self.audit,
+            timeseries=self.timeseries,
+            faults=self.faults,
+        )
+
+    def record(self, result: BatchResult, x: float | str | None = None) -> Record:
+        """Summarise this cell's run; ``x`` defaults to the overlap level."""
+        return Record.from_result(
+            result,
+            experiment=self.experiment,
+            workload=self.workload,
+            scheme=self.scheme if self.allow_replication else f"{self.scheme}-norep",
+            x=self.overlap if x is None else x,
+        )
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Build a config of this class from its JSON form.
+
+        ``disk_gb`` (decimal GB, like ``--disk-gb``) may stand in for
+        ``disk_space_mb``; either reads ``"inf"`` or ``null`` as an
+        unlimited disk. Unknown keys raise :class:`ValueError`, so typos
+        fail loudly.
+        """
+        values = dict(data)
+        if "disk_gb" in values:
+            values["disk_space_mb"] = disk_mb(values.pop("disk_gb"))
+        elif values.get("disk_space_mb") in ("inf", None):
+            values["disk_space_mb"] = math.inf
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        return cls(**values)
+
 
 def default_scheduler_kwargs(scheme: str, time_limit: float = 30.0) -> dict:
     """Sensible per-scheme options for experiment runs."""
@@ -90,45 +143,26 @@ def default_scheduler_kwargs(scheme: str, time_limit: float = 30.0) -> dict:
     return {}
 
 
-def run_config_result(cfg: ExperimentConfig) -> BatchResult:
+def run_config_result(
+    cfg: ExperimentConfig, *, telemetry: bool = False
+) -> BatchResult:
     """Execute one experiment cell, returning the full :class:`BatchResult`.
 
-    Used by consumers that need more than the :class:`Record` summary —
-    notably the ``repro metrics``/``repro profile`` commands, which read the
-    telemetry attachments ``run_batch(telemetry=True)`` leaves on the result.
+    ``telemetry=True`` leaves the run's metrics, telemetry snapshot and
+    decision log on the result (``repro metrics``/``repro profile`` read
+    them). It does not change the simulated run, and a
+    :func:`repro.parallel.map_configs` worker, which keeps only the
+    :class:`Record`, never sets it.
     """
-    platform = cfg.platform()
-    batch = cfg.batch()
-    kwargs = dict(default_scheduler_kwargs(cfg.scheme))
-    kwargs.update(cfg.scheduler_kwargs)
     return run_batch(
-        batch,
-        platform,
+        cfg.batch(),
+        cfg.platform(),
         cfg.scheme,
-        allow_replication=cfg.allow_replication,
-        candidate_limit=cfg.candidate_limit,
-        scheduler_kwargs=kwargs,
-        audit=cfg.audit,
-        telemetry=cfg.telemetry,
-        timeseries=cfg.timeseries,
-        faults=cfg.faults,
+        telemetry=telemetry,
+        **cfg.run_options(),
     )
 
 
 def run_config(cfg: ExperimentConfig, x: float | str | None = None) -> Record:
     """Execute one experiment cell and summarise it as a :class:`Record`."""
-    result: BatchResult = run_config_result(cfg)
-    return Record(
-        experiment=cfg.experiment,
-        workload=cfg.workload,
-        scheme=cfg.scheme if cfg.allow_replication else f"{cfg.scheme}-norep",
-        x=x if x is not None else cfg.overlap,
-        makespan_s=result.makespan,
-        scheduling_ms_per_task=result.scheduling_ms_per_task,
-        remote_transfers=result.stats.remote_transfers,
-        remote_volume_mb=result.stats.remote_volume_mb,
-        replications=result.stats.replications,
-        replication_volume_mb=result.stats.replication_volume_mb,
-        evictions=result.stats.evictions,
-        sub_batches=result.num_sub_batches,
-    )
+    return cfg.record(run_config_result(cfg), x)

@@ -61,18 +61,13 @@ def replication_advantage_sweep(
             num_tasks, "high", platform.num_storage, seed=seed
         )
         for scheme in schemes:
-            res = run_batch(batch, platform, scheme)
             table.add(
-                Record(
+                Record.from_result(
+                    run_batch(batch, platform, scheme),
                     experiment="sensitivity-replication",
                     workload="image",
                     scheme=scheme,
                     x=ratio,
-                    makespan_s=res.makespan,
-                    remote_transfers=res.stats.remote_transfers,
-                    remote_volume_mb=res.stats.remote_volume_mb,
-                    replications=res.stats.replications,
-                    replication_volume_mb=res.stats.replication_volume_mb,
                 )
             )
     return table

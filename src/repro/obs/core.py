@@ -233,5 +233,5 @@ class Telemetry:
 #: The process-wide registry every producer reports into. Disabled by
 #: default, so all instrumentation hooks are no-ops until a caller (the
 #: ``repro profile`` / ``repro metrics`` commands, a test, or
-#: ``ExperimentConfig(telemetry=True)``) enables it.
+#: ``run_config_result(cfg, telemetry=True)``) enables it.
 telemetry = Telemetry(enabled=False)

@@ -12,13 +12,7 @@ this layer.
 """
 
 from .cache import CACHE_SALT, DEFAULT_CACHE_DIR, CacheStats, ResultCache, config_key
-from .pool import (
-    configure,
-    default_cache,
-    default_workers,
-    fork_available,
-    map_configs,
-)
+from .pool import fork_available, map_configs
 
 __all__ = [
     "CACHE_SALT",
@@ -26,9 +20,6 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "config_key",
-    "configure",
-    "default_cache",
-    "default_workers",
     "fork_available",
     "map_configs",
 ]

@@ -57,14 +57,14 @@ def _jsonable(value):
 # Config fields that do not affect the simulated Record and therefore must
 # not enter the cache key (flipping them would otherwise invalidate every
 # cached cell for no reason).
-_NON_SEMANTIC_FIELDS = frozenset({"telemetry", "timeseries"})
+_NON_SEMANTIC_FIELDS = frozenset({"timeseries"})
 
 
 def config_key(cfg: ExperimentConfig, x: float | str | None = None) -> str:
     """Stable content hash for one experiment cell.
 
-    Includes every *semantic* config field (observability toggles such as
-    ``telemetry`` are excluded — they do not change the Record), the
+    Includes every *semantic* config field (the observability toggle
+    ``timeseries`` is excluded — it does not change the Record), the
     presentation ``x`` value (it is stored inside the resulting
     :class:`Record`), the package version, and :data:`CACHE_SALT`.
     """

@@ -14,7 +14,6 @@ is pending, or the platform cannot fork. A cell's one product is its
 from __future__ import annotations
 
 import math
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator, Sequence
@@ -25,52 +24,7 @@ from ..experiments.report import Record
 from ..experiments.runner import ExperimentConfig, run_config
 from .cache import ResultCache, config_key
 
-__all__ = [
-    "configure",
-    "default_cache",
-    "default_workers",
-    "fork_available",
-    "map_configs",
-]
-
-# Module-wide defaults, used when callers pass ``workers=None``/``cache=None``
-# all the way down (the benchmark harness and figure drivers do exactly
-# that). ``configure`` overrides them; the REPRO_WORKERS / REPRO_CACHE_DIR
-# environment variables seed them for headless runs.
-_defaults: dict = {"workers": None, "cache": None}
-
-
-def configure(*, workers: int | None = None, cache: ResultCache | None = None):
-    """Set process-wide defaults for :func:`map_configs`.
-
-    ``workers=None`` keeps environment/serial resolution; ``cache=None``
-    disables the default cache.
-    """
-    _defaults["workers"] = workers
-    _defaults["cache"] = cache
-
-
-def default_workers() -> int:
-    """Resolve the default worker count (configure > env > serial)."""
-    if _defaults["workers"] is not None:
-        return max(1, int(_defaults["workers"]))
-    env = os.environ.get("REPRO_WORKERS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def default_cache() -> ResultCache | None:
-    """Resolve the default cache (configure > REPRO_CACHE_DIR env > none)."""
-    if _defaults["cache"] is not None:
-        return _defaults["cache"]
-    env = os.environ.get("REPRO_CACHE_DIR", "")
-    if env.strip():
-        return ResultCache(env)
-    return None
+__all__ = ["fork_available", "map_configs"]
 
 
 def fork_available() -> bool:
@@ -99,22 +53,12 @@ def _run_cell(cfg: ExperimentConfig, x: float | str | None) -> Record:
     return run_config(cfg, x)
 
 
-def _resolve_cache(cache) -> ResultCache | None:
-    # ``None`` means "use the configured default"; ``False`` forces off.
-    # (An explicit identity check: an empty ResultCache is falsy via __len__.)
-    if cache is None:
-        return default_cache()
-    if cache is False:
-        return None
-    return cache
-
-
 def map_configs(
     configs: Sequence[ExperimentConfig],
     xs: Sequence[float | str | None] | None = None,
     *,
-    workers: int | None = None,
-    cache: ResultCache | None | bool = None,
+    workers: int = 1,
+    cache: ResultCache | None = None,
 ) -> list[Record]:
     """Fan independent experiment cells out across processes.
 
@@ -123,19 +67,18 @@ def map_configs(
     values — just computed in parallel and/or replayed from the cache.
     Cached cells are never dispatched, and each fresh record is written
     back to the cache as its cell returns, so a failing cell (or an
-    interrupt) keeps every cell that finished before it.
+    interrupt) keeps every cell that finished before it. ``workers <= 1``
+    runs serially; ``cache=None`` neither reads nor writes a cache.
     """
     configs = list(configs)
     xs = list(xs) if xs is not None else [None] * len(configs)
     if len(xs) != len(configs):
         raise ValueError(f"got {len(configs)} configs but {len(xs)} x values")
-    workers = default_workers() if workers is None else max(1, int(workers))
-    store = _resolve_cache(cache)
 
     records: list[Record | None] = [None] * len(configs)
     pending: list[int] = []
     for i, (cfg, x) in enumerate(zip(configs, xs, strict=True)):
-        hit = store.get(cfg, x) if store is not None else None
+        hit = cache.get(cfg, x) if cache is not None else None
         if hit is not None:
             records[i] = hit
         else:
@@ -144,8 +87,8 @@ def map_configs(
     def keep(fresh: Iterator[Record]) -> None:
         for i, record in zip(pending, fresh, strict=True):
             records[i] = record
-            if store is not None:
-                store.put(configs[i], xs[i], record)
+            if cache is not None:
+                cache.put(configs[i], xs[i], record)
 
     if pending:
         todo = [configs[i] for i in pending]

@@ -196,6 +196,28 @@ class TestOneParse:
         found = [(Path(f.path).name, f.code) for f in lint_paths([tmp_path])]
         assert found == [("broken.py", "RPR000"), ("mixed.py", "RPR006")]
 
+    def test_undecodable_file_is_one_finding(self, tmp_path):
+        (tmp_path / "latin1.py").write_bytes(b"x = 1\n# caf\xe9\n")
+        (tmp_path / "mixed.py").write_text(
+            "def f(size_mb: MB, delay_s: Seconds):\n    return size_mb + delay_s\n"
+        )
+        for select in (None, ["RPR006"]):
+            found = [
+                (Path(f.path).name, f.line, f.code)
+                for f in lint_paths([tmp_path], select)
+            ]
+            assert found == [("latin1.py", 2, "RPR000"), ("mixed.py", 2, "RPR006")]
+
+    def test_missing_path_is_a_usage_error(self, capsys, tmp_path):
+        from repro.cli import main as cli_main
+
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        missing = tmp_path / "nosuch.py"
+        assert cli_main(["lint", str(tmp_path / "ok.py"), str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert captured.out == ""
+
     def test_a_file_named_twice_is_checked_once(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
         mixed = tmp_path / "mixed.py"

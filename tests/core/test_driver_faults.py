@@ -3,7 +3,7 @@
 The contract under test: with faults injected, ``run_batch`` still
 completes every task (re-invoking the scheduler on the surviving platform
 for tasks a crash killed), the executed trace passes the full invariant
-set E1-E7, and a null fault spec is bit-identical to no spec at all.
+set E1-E8, and a null fault spec is bit-identical to no spec at all.
 """
 
 import pytest
@@ -43,7 +43,7 @@ class TestReschedulingAcrossSchemes:
             scheme,
             scheduler_kwargs=scheme_kwargs(scheme),
             faults=CRASH_AND_FLAKY,
-            audit=True,  # raises AuditError on any E1-E7 violation
+            audit=True,  # raises AuditError on any E1-E8 violation
         )
         # num_tasks counts *planned* tasks, so rescheduled ones count once
         # per plan they appear in (scheduling overhead really was paid

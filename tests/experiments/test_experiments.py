@@ -1,5 +1,6 @@
 """Tests for the experiment runner, figure builders and reporting."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.experiments import (
     ExperimentConfig,
     Record,
+    StreamConfig,
     Table,
     default_scheduler_kwargs,
     fig3_image_overlap,
@@ -77,6 +79,47 @@ class TestStreamConfig:
             ExperimentConfig(**cell)
         assert str(stream_err.value) == str(cell_err.value)
         assert f"unknown {key} {value!r}" in str(stream_err.value)
+
+
+class TestFromDict:
+    """One loader reads a config file and, through it, a stream spec."""
+
+    CELL = {
+        "experiment": "t", "workload": "image", "overlap": "high",
+        "num_tasks": 8, "storage": "xio",
+    }
+
+    @pytest.mark.parametrize(
+        "extra, disk_mb",
+        [
+            ({"disk_gb": 1.5}, 1500.0),
+            ({"disk_gb": "inf"}, math.inf),
+            ({"disk_space_mb": "inf"}, math.inf),
+            ({"disk_space_mb": 4000.0}, 4000.0),
+            ({}, math.inf),
+        ],
+    )
+    def test_disk(self, extra, disk_mb):
+        cfg = ExperimentConfig.from_dict({**self.CELL, **extra})
+        assert cfg.disk_space_mb == disk_mb
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['num_taks'\]"):
+            ExperimentConfig.from_dict({**self.CELL, "num_taks": 8})
+
+    def test_stream_spec_is_a_config_plus_arrival_and_policy(self):
+        cfg = stream_config_from_dict(
+            {**TestStreamConfig.SPEC, "disk_gb": 2, "policy": "size", "max_window": 3}
+        )
+        assert (cfg.num_tasks, cfg.disk_space_mb, cfg.policy) == (4, 2000.0, "size")
+        assert len(cfg.stream().batch.tasks) == 4
+        names = [f.name for f in dataclasses.fields(StreamConfig)]
+        base = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert names == base + ["arrival", "policy", "max_window"]
+
+    def test_stream_spec_names_num_tasks_once(self):
+        with pytest.raises(ValueError, match="num_jobs or num_tasks"):
+            stream_config_from_dict({**TestStreamConfig.SPEC, "num_tasks": 4})
 
 
 class TestRunConfig:

@@ -22,6 +22,19 @@ class TestSweepStructure:
     def test_makespans_positive(self, table):
         assert all(r.makespan_s > 0 for r in table.records)
 
+    def test_records_summarise_their_runs(self, table):
+        from repro.core import run_batch
+        from repro.experiments.sensitivity import _platform
+        from repro.workloads import generate_image_batch
+
+        assert all(r.scheduling_ms_per_task > 0 for r in table.records)
+        batch = generate_image_batch(12, "high", 4, seed=0)
+        for r in table.records:
+            run = run_batch(batch, _platform(100.0, 100.0 * r.x), r.scheme)
+            assert (r.sub_batches, r.evictions) == (
+                run.num_sub_batches, run.stats.evictions
+            )
+
     def test_cheaper_replication_never_slower_for_bipartition(self, table):
         by = {
             r.x: r.makespan_s

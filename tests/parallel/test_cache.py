@@ -38,7 +38,7 @@ class TestConfigKey:
     def test_telemetry_flag_is_non_semantic(self):
         # Observability toggles don't change the Record, so they must not
         # invalidate cached cells.
-        assert config_key(cfg(telemetry=True), "high") == config_key(cfg(), "high")
+        assert config_key(cfg(timeseries=True), "high") == config_key(cfg(), "high")
 
     def test_sensitive_to_x(self):
         assert config_key(cfg(), "high") != config_key(cfg(), "medium")

@@ -110,45 +110,6 @@ class TestCacheIntegration:
         assert len(cache) == 1
         assert cache.get(ok, x) is not None
 
-    def test_cache_false_disables_configured_default(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        parallel.configure(cache=cache)
-        try:
-            configs, xs = cells(schemes=("jdp",))
-            map_configs(configs, xs)  # populates the default cache
-            assert len(cache) == 1
-            map_configs(configs, xs, cache=False)
-            assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        finally:
-            parallel.configure(workers=None, cache=None)
-
-
-class TestDefaults:
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        parallel.configure(workers=None, cache=None)
-        assert parallel.default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert parallel.default_workers() == 3
-        monkeypatch.setenv("REPRO_WORKERS", "junk")
-        assert parallel.default_workers() == 1
-
-    def test_configure_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        parallel.configure(workers=2)
-        try:
-            assert parallel.default_workers() == 2
-        finally:
-            parallel.configure(workers=None, cache=None)
-
-    def test_env_cache_dir(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert parallel.default_cache() is None
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        cache = parallel.default_cache()
-        assert cache is not None
-        assert str(cache.root).endswith("envcache")
-
 
 class TestFigureIntegration:
     def test_figure_sweep_replays_from_cache(self, tmp_path, monkeypatch):

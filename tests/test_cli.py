@@ -185,6 +185,69 @@ class TestCommands:
         assert "x=transfer" in out
         assert json.loads(trace_file.read_text())["traceEvents"]
 
+    def test_run_faults_output_does_not_depend_on_workers(self, capsys):
+        argv = ["run", "--tasks", "12", "--schemes", "bipartition", "minmin",
+                "--faults", str(FAULT_SPEC)]
+        assert main([*argv, "--workers", "2"]) == 0
+        fanned = capsys.readouterr().out
+        assert main([*argv, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert "--faults; running serially" in fanned
+        for scheme in ("bipartition", "minmin"):
+            assert scheme_row(fanned, scheme) == scheme_row(serial, scheme)
+        block = serial.split("fault injection:")[1]
+        assert "1 crash(es)" in block
+        assert fanned.split("fault injection:")[1] == block
+
+    def test_chaos_audits_and_writes_both_files(self, tmp_path, capsys):
+        csv_file, json_file = tmp_path / "c.csv", tmp_path / "c.json"
+        rc = main(
+            [
+                "chaos", "--tasks", "8", "--rates", "0", "0.2",
+                "--schemes", "minmin", "--crash-node", "1", "--crash-time", "2",
+                "--csv", str(csv_file), "--json", str(json_file),
+            ]
+        )
+        assert rc == 0
+        assert "every cell passed the E1-E8 trace audit" in capsys.readouterr().out
+        lines = csv_file.read_text().splitlines()
+        assert lines[0].startswith("experiment,") and len(lines) == 3
+        records = json.loads(json_file.read_text())["records"]
+        assert [(r["scheme"], r["x"]) for r in records] == [
+            ("minmin", 0.0), ("minmin", 0.2)
+        ]
+
+    CELL = {"workload": "image", "overlap": "high", "num_tasks": 8, "storage": "xio"}
+
+    def test_metrics_config_file_takes_disk_gb(self, tmp_path, capsys):
+        config = tmp_path / "cell.json"
+        config.write_text(json.dumps({**self.CELL, "disk_gb": 4, "scheme": "minmin"}))
+        out = tmp_path / "m.json"
+        assert main(["metrics", str(config), "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())
+        assert manifest["config"]["disk_space_mb"] == 4000.0
+        assert manifest["config"]["experiment"] == str(config)
+
+    @pytest.mark.parametrize("command", ["metrics", "profile"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"num_taks": 8}, "unknown config keys: ['num_taks']"),
+            ({"workload": "nosuch"}, "unknown workload 'nosuch'"),
+        ],
+    )
+    def test_invalid_config_file_is_a_usage_error(
+        self, command, bad, message, tmp_path, capsys
+    ):
+        config = tmp_path / "cell.json"
+        config.write_text(json.dumps({**self.CELL, **bad}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(config)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid config {config}: " in err
+        assert message in err
+
     @pytest.mark.parametrize("command", ["metrics", "profile"])
     def test_obs_commands_validate_the_fault_spec(self, command, tmp_path):
         bad = tmp_path / "bad.json"
