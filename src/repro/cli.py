@@ -994,11 +994,11 @@ def _cmd_stream(args) -> int:
     )
     from .obs.report import write_report
 
-    with open(args.spec) as fh:
-        spec = _json.load(fh)
     try:
+        with open(args.spec) as fh:
+            spec = _json.load(fh)
         cfg = stream_config_from_dict(spec)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"invalid stream spec {args.spec}: {exc}", file=sys.stderr)
         return 2
     digest = hashlib.sha256(

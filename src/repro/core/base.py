@@ -45,10 +45,21 @@ class Scheduler(abc.ABC):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
+        self._rng: np.random.Generator | None = None
         # Populated by schedulers that emit per-placement decision records
         # (the MCT family) while repro.obs telemetry is enabled.
         self.decision_log: DecisionLog | None = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The scheduler's one random stream, seeded with ``seed``.
+
+        Built at its first use, so a run that never draws builds no
+        generator.
+        """
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     @abc.abstractmethod
     def next_subbatch(
@@ -69,8 +80,9 @@ class Scheduler(abc.ABC):
         return PopularityPolicy.for_batch(batch)
 
     def reset(self) -> None:
-        """Clear per-batch caches (called by the driver before a run)."""
-        self.rng = np.random.default_rng(self.seed)
+        """Clear per-batch caches (called by the driver before a run); the
+        next draw starts the ``seed`` stream afresh."""
+        self._rng = None
         self.decision_log = None
 
 

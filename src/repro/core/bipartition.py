@@ -220,10 +220,16 @@ class BiPartitionScheduler(Scheduler):
         nodes = state.alive_nodes()
         if not nodes:
             raise RuntimeError("no surviving compute nodes to schedule on")
-        k = len(nodes)
-        h = self._build_hypergraph(batch, tasks, platform)
-        parts = kway_partition(h, k, self.rng, epsilon=self.epsilon)
-        mapping = {t.task_id: nodes[int(parts[v])] for v, t in enumerate(tasks)}
+        if len(tasks) <= 1 or len(nodes) == 1:
+            # The partition has one answer, part 0: kway_partition returns
+            # zeros for k == 1, and a one-vertex bisection keeps its vertex
+            # on side 0 before drawing from the RNG. So skip the hypergraph;
+            # the mapping and the RNG stream are what the partitioner gives.
+            mapping = {t.task_id: nodes[0] for t in tasks}
+        else:
+            h = self._build_hypergraph(batch, tasks, platform)
+            parts = kway_partition(h, len(nodes), self.rng, epsilon=self.epsilon)
+            mapping = {t.task_id: nodes[int(parts[v])] for v, t in enumerate(tasks)}
         deferred = self._repair_disk(batch, tasks, mapping, state)
         for t in deferred:
             del mapping[t]

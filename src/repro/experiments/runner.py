@@ -11,19 +11,23 @@ metrics``/``repro profile`` config files, and stream specs through
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..batch import Batch
 from ..cluster.platform import STORAGE_PLATFORMS, Platform
+from ..core.base import available_schedulers
 from ..core.driver import run_batch
 from ..core.plan import BatchResult
+from ..faults import resolve_spec
 from ..workloads import WORKLOADS, available_workloads, make_batch
 from .report import Record
 
 __all__ = [
     "ExperimentConfig",
+    "check_count",
     "default_scheduler_kwargs",
     "disk_mb",
     "run_config",
@@ -36,6 +40,15 @@ GB = 1000.0  # MB per GB (decimal, as storage vendors and the paper use)
 def disk_mb(disk_gb: float | str | None) -> float:
     """Per-node disk in MB from decimal GB; ``None`` or ``"inf"`` is unlimited."""
     return math.inf if disk_gb is None else float(disk_gb) * GB
+
+
+def check_count(name: str, value: object) -> None:
+    """Raise :class:`ValueError` unless ``value`` is an integer >= 1.
+
+    A bool is not a count, although Python counts it as an ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -65,6 +78,9 @@ class ExperimentConfig:
     faults: dict | None = None
 
     def __post_init__(self) -> None:
+        """Check the values, so a bad config file or stream spec fails
+        here with a :class:`ValueError` or :class:`TypeError` rather than
+        partway through its run."""
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; use {available_workloads()}"
@@ -73,6 +89,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown storage {self.storage!r}; use {sorted(STORAGE_PLATFORMS)}"
             )
+        if self.scheme not in available_schedulers():
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; use {available_schedulers()}"
+            )
+        for name in ("num_tasks", "num_compute", "num_storage"):
+            check_count(name, getattr(self, name))
+        if self.candidate_limit is not None:
+            check_count("candidate_limit", self.candidate_limit)
+        resolve_spec(self.faults)
 
     def platform(self) -> Platform:
         return STORAGE_PLATFORMS[self.storage](

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..online import (
+    ARRIVAL_KINDS,
+    POLICIES,
     ClusterSession,
     JobStream,
     StreamResult,
@@ -22,7 +24,7 @@ from ..online import (
     make_policy,
     stream_from_batch,
 )
-from .runner import ExperimentConfig
+from .runner import ExperimentConfig, check_count
 
 __all__ = [
     "StreamConfig",
@@ -42,6 +44,22 @@ class StreamConfig(ExperimentConfig):
     )
     policy: str = "fifo"  # "fifo" | "size" | "locality"
     max_window: int | None = None  # window cap for size/locality policies
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown admission policy {self.policy!r}; use {'|'.join(POLICIES)}"
+            )
+        if self.max_window is not None:
+            check_count("max_window", self.max_window)
+        if not isinstance(self.arrival, Mapping):
+            raise ValueError(f"arrival must be an object, got {self.arrival!r}")
+        kind = self.arrival.get("kind", "poisson")
+        if kind not in ARRIVAL_KINDS:
+            raise ValueError(
+                f"unknown arrival kind {kind!r}; use {'|'.join(ARRIVAL_KINDS)}"
+            )
 
     def stream(self) -> JobStream:
         batch = self.batch()

@@ -8,6 +8,7 @@ or a cold-start baseline. See ``docs/online.md``.
 """
 
 from .arrivals import (
+    ARRIVAL_KINDS,
     JobArrival,
     JobStream,
     arrivals_from_spec,
@@ -17,6 +18,7 @@ from .arrivals import (
     trace_arrivals,
 )
 from .queue import (
+    POLICIES,
     AdmissionPolicy,
     FIFOWindow,
     LocalityWindow,
@@ -33,6 +35,8 @@ from .session import (
 )
 
 __all__ = [
+    "ARRIVAL_KINDS",
+    "POLICIES",
     "AdmissionPolicy",
     "BatchRecord",
     "ClusterSession",

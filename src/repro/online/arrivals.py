@@ -23,6 +23,7 @@ import numpy as np
 from ..batch import Batch
 
 __all__ = [
+    "ARRIVAL_KINDS",
     "JobArrival",
     "JobStream",
     "arrivals_from_spec",
@@ -124,6 +125,10 @@ def trace_arrivals(times: Sequence[float]) -> list[float]:
     return out
 
 
+#: The ``kind`` values :func:`arrivals_from_spec` accepts (absent is poisson).
+ARRIVAL_KINDS = ("poisson", "bursty", "trace")
+
+
 def arrivals_from_spec(spec: Mapping[str, object], num_jobs: int) -> list[float]:
     """Build arrival times from a stream-spec ``arrival`` block.
 
@@ -159,7 +164,7 @@ def arrivals_from_spec(spec: Mapping[str, object], num_jobs: int) -> list[float]
                 times.extend(t + rep * span for t in base)
                 rep += 1
         return times[:num_jobs]
-    raise ValueError(f"unknown arrival kind {kind!r}; use poisson|bursty|trace")
+    raise ValueError(f"unknown arrival kind {kind!r}; use {'|'.join(ARRIVAL_KINDS)}")
 
 
 def stream_from_batch(batch: Batch, times: Sequence[float]) -> JobStream:

@@ -34,6 +34,7 @@ from ..hypergraph import Hypergraph
 from ..hypergraph.metrics import cut_weight
 
 __all__ = [
+    "POLICIES",
     "AdmissionPolicy",
     "FIFOWindow",
     "LocalityWindow",
@@ -154,6 +155,10 @@ class LocalityWindow:
         return [queued[v].task_id for v in chosen]
 
 
+#: The policy names :func:`make_policy` accepts.
+POLICIES = ("fifo", "size", "locality")
+
+
 def make_policy(name: str, max_jobs: int | None = None) -> AdmissionPolicy:
     """Build a policy by registry name (``fifo`` | ``size`` | ``locality``)."""
     if name == "fifo":
@@ -162,4 +167,4 @@ def make_policy(name: str, max_jobs: int | None = None) -> AdmissionPolicy:
         return SizeCappedWindow(max_jobs if max_jobs is not None else 8)
     if name == "locality":
         return LocalityWindow(max_jobs if max_jobs is not None else 8)
-    raise ValueError(f"unknown admission policy {name!r}; use fifo|size|locality")
+    raise ValueError(f"unknown admission policy {name!r}; use {'|'.join(POLICIES)}")

@@ -16,6 +16,7 @@ from repro.experiments import (
     run_config,
     stream_config_from_dict,
 )
+from repro.online import ARRIVAL_KINDS, POLICIES, make_policy
 
 
 class TestConfig:
@@ -120,6 +121,56 @@ class TestFromDict:
     def test_stream_spec_names_num_tasks_once(self):
         with pytest.raises(ValueError, match="num_jobs or num_tasks"):
             stream_config_from_dict({**TestStreamConfig.SPEC, "num_tasks": 4})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"num_tasks": "eight"}, "num_tasks must be an integer >= 1, got 'eight'"),
+            ({"num_tasks": 8.0}, "num_tasks must be an integer >= 1"),
+            ({"num_tasks": True}, "num_tasks must be an integer >= 1, got True"),
+            ({"num_compute": 0}, "num_compute must be an integer >= 1, got 0"),
+            ({"num_storage": -1}, "num_storage must be an integer >= 1"),
+            ({"candidate_limit": 0}, "candidate_limit must be an integer >= 1"),
+            ({"scheme": "nosuch"}, "unknown scheme 'nosuch'"),
+            ({"faults": {"transfer_failure_rate": 2.0}}, r"must be in \[0, 1\]"),
+            ({"faults": {"node_crashes": [{"node": -1, "time": 1}]}}, "node must be >= 0"),
+            ({"faults": {"nosuch": 1}}, "unknown fault-spec key"),
+        ],
+    )
+    def test_bad_value_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**self.CELL, **bad})
+
+    def test_good_values_kept_as_given(self):
+        faults = {"node_crashes": [{"node": 1, "time": 5.0}]}
+        cfg = ExperimentConfig.from_dict(
+            {**self.CELL, "candidate_limit": 25, "scheme": "jdp", "faults": faults}
+        )
+        assert (cfg.candidate_limit, cfg.scheme, cfg.faults) == (25, "jdp", faults)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"policy": "nosuch"}, r"policy 'nosuch'; use fifo\|size\|locality$"),
+            ({"arrival": {"kind": "nosuch"}}, r"kind 'nosuch'; use poisson\|bursty\|trace$"),
+            ({"arrival": "poisson"}, "arrival must be an object"),
+            ({"max_window": 0}, "max_window must be an integer >= 1"),
+            ({"num_jobs": "four"}, "num_tasks must be an integer >= 1"),
+        ],
+    )
+    def test_bad_stream_value_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            stream_config_from_dict({**TestStreamConfig.SPEC, **bad})
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_every_accepted_name_builds(self, policy, kind):
+        arrival = {"kind": kind, "rate": 0.02, "times": [0.0, 5.0]}
+        cfg = stream_config_from_dict(
+            {**TestStreamConfig.SPEC, "policy": policy, "arrival": arrival}
+        )
+        make_policy(cfg.policy, cfg.max_window)
+        assert len(cfg.stream().arrivals) == cfg.num_tasks
 
 
 class TestRunConfig:

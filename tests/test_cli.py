@@ -7,10 +7,9 @@ import pytest
 
 from repro.cli import build_parser, main
 
-FAULT_SPEC = (
-    Path(__file__).resolve().parent.parent
-    / "examples" / "faults" / "crash-and-flaky.json"
-)
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+FAULT_SPEC = EXAMPLES / "faults" / "crash-and-flaky.json"
+STREAM_SPEC = EXAMPLES / "streams" / "poisson-osumed.json"
 
 
 def scheme_row(out, scheme):
@@ -99,6 +98,26 @@ class TestCommands:
         }))
         assert main(["stream", str(spec)]) == 2
         assert "unknown storage 'XIO'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (None, "No such file or directory"),
+            ("{not json", "Expecting property name"),
+            ({"policy": "nosuch"}, "unknown admission policy 'nosuch'"),
+            ({"arrival": {"kind": "nosuch"}}, "unknown arrival kind 'nosuch'"),
+        ],
+    )
+    def test_stream_spec_errors_are_usage_errors(self, spec, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        if isinstance(spec, dict):
+            spec = json.dumps({**json.loads(STREAM_SPEC.read_text()), **spec})
+        if spec is not None:
+            path.write_text(spec)
+        assert main(["stream", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid stream spec {path}: ")
+        assert message in err
 
     def test_run_no_replication(self, capsys):
         rc = main(
@@ -234,6 +253,10 @@ class TestCommands:
         [
             ({"num_taks": 8}, "unknown config keys: ['num_taks']"),
             ({"workload": "nosuch"}, "unknown workload 'nosuch'"),
+            ({"num_tasks": "eight"}, "num_tasks must be an integer >= 1"),
+            ({"faults": {"transfer_failure_rate": 2.0}}, "must be in [0, 1]"),
+            ({"scheme": "nosuch"}, "unknown scheme 'nosuch'"),
+            ({"num_compute": 0}, "num_compute must be an integer >= 1"),
         ],
     )
     def test_invalid_config_file_is_a_usage_error(
