@@ -14,8 +14,9 @@ E1. no two busy intervals overlap on any resource timeline — the
     endpoints, Eq. 12);
 E2. every input file of a task is staged (transfer completed) or already
     resident before the task's execution starts;
-E3. per-node disk occupancy never exceeds ``disk_space_mb``, replayed in
-    commit order over transfers and evictions (Eq. 16/21);
+E3. per-node disk occupancy never exceeds the disk's capacity, replayed
+    in commit order over transfers, evictions and disk losses from the
+    log's snapshot of each disk (Eq. 16/21);
 E4. staging never overlaps execution on the same node (the paper's
     non-overlap assumption; skipped when the runtime deliberately relaxes
     it with ``overlap_io_compute=True``);
@@ -49,6 +50,7 @@ from typing import TYPE_CHECKING
 from ..cluster.events import (
     CacheHitEvent,
     CrashEvent,
+    DiskLossEvent,
     EventLog,
     EvictionEvent,
     ExecEvent,
@@ -159,27 +161,33 @@ def _audit_staging_before_exec(
                 )
 
 
-def _audit_disk_occupancy(
-    runtime: Runtime, log: EventLog, report: AuditReport
-) -> None:
-    """E3 — replay transfers/evictions; occupancy never exceeds capacity."""
+def _audit_disk_occupancy(log: EventLog, report: AuditReport) -> None:
+    """E3 — replay transfers, evictions and disk losses; occupancy never
+    exceeds the capacity left."""
     resident: dict[int, dict[str, float]] = {
         node: dict(files) for node, files in log.initial_holdings.items()
     }
+    capacity = list(log.initial_capacity_mb)
     flagged: set[int] = set()
+
+    def check(node: int, after: str) -> None:
+        used = sum(resident.get(node, {}).values())
+        if used > capacity[node] + AUDIT_EPS and node not in flagged:
+            flagged.add(node)
+            report.add(
+                "E3",
+                f"node {node} holds {used:.1f} MB after {after} but its "
+                f"disk is {capacity[node]:.1f} MB",
+            )
+
     for event in log.events:
         if isinstance(event, TransferEvent):
-            node_files = resident.setdefault(event.dest, {})
-            node_files[event.file_id] = event.size_mb
-            cap = runtime.platform.compute_nodes[event.dest].disk_space_mb
-            used = sum(node_files.values())
-            if used > cap + AUDIT_EPS and event.dest not in flagged:
-                flagged.add(event.dest)
-                report.add(
-                    "E3",
-                    f"node {event.dest} holds {used:.1f} MB after staging "
-                    f"{event.file_id} but its disk is {cap:.1f} MB",
-                )
+            resident.setdefault(event.dest, {})[event.file_id] = event.size_mb
+            check(event.dest, f"staging {event.file_id}")
+        elif isinstance(event, DiskLossEvent):
+            # The same arithmetic as ``DiskCache.shrink``.
+            capacity[event.node] = max(capacity[event.node] - event.lost_mb, 0.0)
+            check(event.node, f"losing {event.lost_mb:.1f} MB of disk")
         elif isinstance(event, EvictionEvent):
             node_files = resident.setdefault(event.node, {})
             if node_files.pop(event.file_id, None) is None:
@@ -416,7 +424,7 @@ def audit_runtime(
     report = AuditReport()
     _audit_timelines(runtime.timelines(), report)
     _audit_staging_before_exec(log, transfers, execs, report)
-    _audit_disk_occupancy(runtime, log, report)
+    _audit_disk_occupancy(log, report)
     _audit_no_staging_during_exec(runtime, report)
     _audit_node_crashes(runtime, transfers, execs, report)
     _audit_failed_transfers(runtime, log, report)

@@ -118,20 +118,28 @@ def _cell(args, **fields) -> ExperimentConfig:
 
 
 def _scheme_cells(args, **fields) -> list[ExperimentConfig]:
-    """One cell per ``--schemes`` entry, as ``run`` and ``audit`` set it."""
+    """One cell per ``--schemes`` entry, as ``run`` and ``audit`` set it.
+
+    Flags that describe no valid cell (``--tasks 0``, say) are a usage
+    error: the reason goes to stderr and the command exits 2.
+    """
     faults = _load_faults(args.faults) if args.faults else None
-    return [
-        _cell(
-            args,
-            scheme=scheme,
-            allow_replication=not args.no_replication,
-            candidate_limit=args.candidate_limit,
-            scheduler_kwargs=default_scheduler_kwargs(scheme, args.ip_time_limit),
-            faults=faults,
-            **fields,
-        )
-        for scheme in args.schemes
-    ]
+    try:
+        return [
+            _cell(
+                args,
+                scheme=scheme,
+                allow_replication=not args.no_replication,
+                candidate_limit=args.candidate_limit,
+                scheduler_kwargs=default_scheduler_kwargs(scheme, args.ip_time_limit),
+                faults=faults,
+                **fields,
+            )
+            for scheme in args.schemes
+        ]
+    except (TypeError, ValueError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_parallel_args(p: argparse.ArgumentParser, cache_default_on: bool):
@@ -690,9 +698,9 @@ _OBS_PRESETS: dict[str, dict] = {
 def _obs_config(args) -> ExperimentConfig:
     """Resolve the metrics/profile positional into an ExperimentConfig.
 
-    An invalid config file (not JSON, an unknown key or name, a missing
-    field) is a usage error: its message goes to stderr and the command
-    exits 2.
+    An unreadable or invalid config file (not JSON, an unknown key or
+    name, a missing field) is a usage error: its message goes to stderr
+    and the command exits 2.
     """
     import json as _json
 
@@ -716,14 +724,15 @@ def _obs_config(args) -> ExperimentConfig:
             fields["faults"] = _load_faults(args.faults)
         return ExperimentConfig.from_dict(fields)
     except OSError as exc:
-        raise SystemExit(
+        print(
             f"unknown preset {name!r} (available: "
             f"{', '.join(sorted(_OBS_PRESETS))}) and not a readable "
-            f"config file: {exc}"
-        ) from None
+            f"config file: {exc}",
+            file=sys.stderr,
+        )
     except (TypeError, ValueError) as exc:
         print(f"invalid config {name}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+    raise SystemExit(2)
 
 
 def _manifest_for(cfg: ExperimentConfig, result) -> dict:
@@ -1047,6 +1056,16 @@ def _cmd_stream(args) -> int:
             f"{warm.cross_batch_hit_volume_mb:.0f} MB vs "
             f"{cold.cross_batch_hit_volume_mb:.0f} MB"
         )
+        if warm.fault_stats is not None and cold.fault_stats is not None:
+            # Under a spec the two modes face different faults: warm reads
+            # it on the stream clock, each cold window on its own.
+            w, c = warm.fault_stats, cold.fault_stats
+            print(
+                "  faults warm vs cold (not the same exposure): crashes "
+                f"{w.node_crashes} vs {c.node_crashes}, disk losses "
+                f"{w.disk_losses} vs {c.disk_losses}, transfer failures "
+                f"{w.transfer_failures} vs {c.transfer_failures}"
+            )
     if args.json:
         with open(args.json, "w") as fh:
             _json.dump(

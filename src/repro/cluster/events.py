@@ -5,10 +5,10 @@ are instantaneous cache decisions with no busy interval, and an interval's
 tag does not say which task consumed a transferred file.  When a
 :class:`~repro.cluster.runtime.Runtime` is constructed with ``events=True``
 it appends one event here per sub-batch start, committed transfer, push,
-failed attempt, execution, eviction and crash, in *commit order* (the causal
-order of cache mutations).  Two readers fold this one list: the schedule
-auditor (:mod:`repro.analysis.audit`) replays it against the timelines to
-re-verify the paper's execution-time invariants, and
+failed attempt, execution, eviction, crash and disk loss, in *commit order*
+(the causal order of cache mutations).  Two readers fold this one list: the
+schedule auditor (:mod:`repro.analysis.audit`) replays it against the
+timelines to re-verify the paper's execution-time invariants, and
 :class:`~repro.obs.timeseries.TimeSeriesProbe` samples it into the
 manifest's time series.
 """
@@ -27,6 +27,7 @@ __all__ = [
     "ExecEvent",
     "EvictionEvent",
     "CrashEvent",
+    "DiskLossEvent",
     "CacheHitEvent",
     "Event",
     "EventLog",
@@ -139,6 +140,20 @@ class CrashEvent:
     lost_files: tuple[tuple[str, float], ...] = ()
 
 
+@dataclass(frozen=True)
+class DiskLossEvent:
+    """An applied disk loss (fault model): ``node``'s disk cache lost
+    ``lost_mb`` of capacity at ``time``, on the batch's clock.
+
+    Logged after the evictions the loss forced, so the auditor's E3 replay
+    holds the node to the capacity left from here on.
+    """
+
+    node: int
+    time: float
+    lost_mb: float
+
+
 Event = Union[
     SubBatchEvent,
     TransferEvent,
@@ -147,6 +162,7 @@ Event = Union[
     EvictionEvent,
     CacheHitEvent,
     CrashEvent,
+    DiskLossEvent,
 ]
 
 
@@ -156,14 +172,18 @@ class EventLog:
 
     A list index is the event's commit position. The snapshot fields
     describe the cluster when the runtime was built: the files already
-    cached per node (with their sizes), each disk's ``used_mb`` and the
-    cumulative :class:`~repro.cluster.state.TransferStats`. They are empty
-    or zero unless an online session starts the batch on a warm cluster.
+    cached per node (with their sizes), each disk's ``used_mb`` and
+    ``capacity_mb`` and the cumulative
+    :class:`~repro.cluster.state.TransferStats`. The holdings, occupancy
+    and statistics are empty or zero unless an online session starts the
+    batch on a warm cluster; the capacities are below the platform's only
+    after a disk loss.
     """
 
     events: list[Event] = field(default_factory=list)
     initial_holdings: dict[int, dict[str, float]] = field(default_factory=dict)
     initial_used_mb: tuple[float, ...] = ()
+    initial_capacity_mb: tuple[float, ...] = ()
     initial_stats: TransferStats = field(default_factory=TransferStats)
 
     @classmethod
@@ -176,6 +196,7 @@ class EventLog:
                 if cache.files
             },
             initial_used_mb=tuple(cache.used_mb for cache in state.caches),
+            initial_capacity_mb=tuple(cache.capacity_mb for cache in state.caches),
             initial_stats=replace(state.stats),
         )
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..analysis.dims import MB, Seconds
 from ..batch import Task
@@ -53,6 +53,7 @@ from .cache import CacheFullError
 from .events import (
     CacheHitEvent,
     CrashEvent,
+    DiskLossEvent,
     EventLog,
     EvictionEvent,
     ExecEvent,
@@ -215,10 +216,6 @@ class Runtime:
         # slowdown, crash and failure check, so traces are bit-identical to
         # a faultless build).
         self.faults = faults
-        # (file, dest) -> completed staging sessions, so repeated stagings
-        # of the same file draw fresh failure outcomes. Only advanced at
-        # commit time, keeping speculative ECT evaluations consistent.
-        self._xfer_instance: dict[tuple[str, int], int] = {}
         # Commit-ordered event log, read by the schedule auditor
         # (repro.analysis.audit) and the time series (repro.obs.timeseries);
         # None keeps the hot path allocation-free.
@@ -393,7 +390,7 @@ class Runtime:
         faults = self.faults
         assert faults is not None
         size = self.state.size_of(file_id)
-        instance = self._xfer_instance.get((file_id, node), 0)
+        instance = faults.staging_instances.get((file_id, node), 0)
         tried: set[tuple[str, int | None]] = set()
         opt = first
         attempt = 0
@@ -712,18 +709,8 @@ class Runtime:
         if self.faults is not None:
             self._commit_fault_accounting(tent)
         for f, kind, src, start, duration in tent.transfers:
-            size = self.state.size_of(f)
-            self.state.place(node, f, now=start + duration)
-            self._avail[(node, f)] = start + duration
+            self._land(f, kind, src, node, start, duration)
             cache.pin(f)
-            if kind == "remote":
-                self.state.record_remote(size)
-            else:
-                self.state.record_replication(size)
-            if self.events is not None:
-                self.events.append(
-                    TransferEvent(f, size, kind, src, node, start, duration)
-                )
         for f in tent.task.files:
             cache.touch(f, tent.ect)
         if self.events is not None:
@@ -740,6 +727,23 @@ class Runtime:
             completion=tent.ect,
         )
 
+    def _land(self, file_id: str, kind: str, src: int | None, dest: int,
+              start: Seconds, duration: Seconds, push: bool = False) -> None:
+        """A committed transfer lands: the copy is placed on ``dest`` and
+        usable from its end, the statistics count it and the log records it."""
+        size = self.state.size_of(file_id)
+        end = start + duration
+        self.state.place(dest, file_id, now=end)
+        self._avail[(dest, file_id)] = end
+        if kind == "remote":
+            self.state.record_remote(size)
+        else:
+            self.state.record_replication(size)
+        if self.events is not None:
+            self.events.append(
+                TransferEvent(file_id, size, kind, src, dest, start, duration, push)
+            )
+
     def _commit_fault_accounting(self, tent: _Tentative) -> None:
         """Fold a committed task's fault history into stats and the log.
 
@@ -751,10 +755,9 @@ class Runtime:
         faults = self.faults
         assert faults is not None
         node = tent.node
+        instances = faults.staging_instances
         for f, _kind, _src, _start, _duration in tent.transfers:
-            self._xfer_instance[(f, node)] = (
-                self._xfer_instance.get((f, node), 0) + 1
-            )
+            instances[(f, node)] = instances.get((f, node), 0) + 1
         if not tent.failed_attempts:
             return
         chains: dict[str, list[_FailedAttempt]] = {}
@@ -823,15 +826,14 @@ class Runtime:
         Called at every :meth:`execute` entry: crashes and disk losses
         scheduled before the current clock take effect between sub-batches
         (mid-sub-batch crashes are caught by the commit-time guard in the
-        main loop instead).
+        main loop instead). Each applied loss is logged after the evictions
+        it forced.
         """
         faults = self.faults
         assert faults is not None
         for idx, loss in enumerate(faults.spec.disk_losses):
-            # Applied-loss dedup lives on the fault model, not the runtime:
-            # online sessions share one model across per-batch runtimes, so
-            # each injected loss shrinks a disk exactly once per stream.
-            if idx in faults.applied_disk_losses or loss.time > self.clock:
+            at = faults.local_time(loss.time)
+            if idx in faults.applied_disk_losses or at > self.clock:
                 continue
             faults.applied_disk_losses.add(idx)
             if (
@@ -846,6 +848,8 @@ class Runtime:
                 on_evict=lambda fid: self.on_evict(node, fid),
             )
             faults.stats.disk_losses += 1
+            if self.events is not None:
+                self.events.append(DiskLossEvent(node, at, loss.lost_mb))
         for node in range(self.platform.num_compute):
             if node in self.state.dead_nodes:
                 continue
@@ -861,11 +865,10 @@ class Runtime:
             return
         if self.faults is not None and dest in self.state.dead_nodes:
             return  # dead destination: the push is silently skipped
-        size = self.state.size_of(file_id)
         cache = self.state.caches[dest]
         try:
             cache.ensure_space(
-                size,
+                self.state.size_of(file_id),
                 victim_order=lambda cands: victim_order(dest, cands),
                 on_evict=lambda fid: self.on_evict(dest, fid),
             )
@@ -879,18 +882,7 @@ class Runtime:
             return  # push would outlive the destination: skip it
         for tl in res:
             tl.reserve(start, duration, tag=f"push:{file_id}->{dest}")
-        self.state.place(dest, file_id, now=tct)
-        self._avail[(dest, file_id)] = tct
-        if kind == "remote":
-            self.state.record_remote(size)
-        else:
-            self.state.record_replication(size)
-        if self.events is not None:
-            self.events.append(
-                TransferEvent(
-                    file_id, size, kind, src, dest, start, duration, push=True
-                )
-            )
+        self._land(file_id, kind, src, dest, start, duration, push=True)
 
     # -- main loop ---------------------------------------------------------------------
     def execute(
@@ -940,8 +932,6 @@ class Runtime:
         if plan is not None:
             for file_id, dest in plan.pushes:
                 self._stage_push(file_id, dest, victim_order)
-
-        base_stats = replace(self.state.stats)
 
         records: list[TaskRecord] = []
         # (ect, commit number, node, task) of each committed task
@@ -1013,6 +1003,5 @@ class Runtime:
             start_time=start_time,
             makespan=makespan,
             records=records,
-            stats=self.state.stats.minus(base_stats),
             failed_tasks=failed,
         )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.dims import Seconds
-from .state import TransferStats
 
 __all__ = ["TaskRecord", "ExecutionResult"]
 
@@ -28,15 +27,9 @@ class ExecutionResult:
     start_time: Seconds
     makespan: Seconds  # absolute completion time of the last task
     records: list[TaskRecord] = field(default_factory=list)
-    stats: TransferStats = field(default_factory=TransferStats)
     # Tasks whose node crashed before they could run (fault injection);
     # the driver returns them to the pending pool and reschedules.
     failed_tasks: list[str] = field(default_factory=list)
-
-    @property
-    def elapsed(self) -> Seconds:
-        """Wall-clock duration of this sub-batch."""
-        return self.makespan - self.start_time
 
     @property
     def completion_order(self) -> list[str]:

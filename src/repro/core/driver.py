@@ -168,9 +168,11 @@ def run_batch(
         exponential backoff and source failover inside the runtime. A null
         spec is equivalent to ``None``: the simulation is bit-identical to
         a fault-free run. See ``docs/faults.md``. Online sessions pass a
-        live :class:`~repro.faults.FaultModel` shared across successive
-        batches instead, so recovery counters accumulate and each injected
-        disk loss applies once per stream.
+        live :class:`~repro.faults.FaultModel` instead: a warm session
+        shares one across its windows, with its ``origin`` at each
+        window's dispatch, so the spec's times are stream times, recovery
+        counters accumulate and each injected crash or disk loss applies
+        once per stream.
     state:
         A pre-existing :class:`~repro.cluster.state.ClusterState` to run
         against instead of the paper's cold start (all files on the storage
@@ -198,164 +200,147 @@ def run_batch(
         tele.reset()
         tele.enable()
     try:
-        return _run_batch_inner(
-            batch,
+        # The paper assumes every single task's files fit on a compute node
+        # (Section 4.2); fail fast with a clear message when violated.
+        if batch.tasks:
+            footprint = batch.max_task_footprint_mb()
+            largest_disk = max(n.disk_space_mb for n in platform.compute_nodes)
+            if footprint > largest_disk:
+                raise ValueError(
+                    f"largest task footprint {footprint:.0f} MB exceeds the "
+                    f"largest compute-node disk ({largest_disk:.0f} MB); the "
+                    "paper's model requires any single task's files to fit"
+                )
+
+        if state is None:
+            state = ClusterState.initial(platform, batch)
+        else:
+            # Warm start (online sessions): keep resident copies, dead nodes
+            # and cumulative statistics; only the catalog grows.
+            state.register_files(batch.files)
+        runtime = Runtime(
             platform,
-            scheduler,
+            state,
             allow_replication=allow_replication,
             candidate_limit=candidate_limit,
-            eviction_policy=eviction_policy,
             ordering=ordering,
             overlap_io_compute=overlap_io_compute,
-            audit=audit,
-            telemetry=telemetry,
-            timeseries=timeseries,
+            events=audit or timeseries,
             faults=fault_model,
-            state=state,
         )
+        policy = (
+            eviction_policy
+            if eviction_policy is not None
+            else scheduler.eviction_policy(batch)
+        )
+        pending: list[str] = [t.task_id for t in batch.tasks]
+        result = BatchResult(
+            scheduler=scheduler.name, makespan=0.0, scheduling_seconds=0.0
+        )
+
+        with tele.span("driver"):
+            # Every pass completes at least one pending task or crashes a
+            # node (checked below), so the loop ends by construction.
+            while pending:
+                policy.update_pending(_pending_counts(batch, pending))
+
+                t0 = time.perf_counter()
+                with tele.span("schedule"):
+                    plan = scheduler.next_subbatch(batch, pending, platform, state)
+                sched_seconds = time.perf_counter() - t0
+                if not plan.task_ids:
+                    raise RuntimeError(
+                        f"scheduler {scheduler.name} made no progress"
+                    )
+                planned = set(plan.task_ids)
+                stray = planned.difference(pending)
+                if stray:
+                    raise RuntimeError(
+                        f"scheduler {scheduler.name} planned task(s) that are "
+                        f"not pending: {', '.join(sorted(stray))}"
+                    )
+
+                # Between-sub-batch eviction only applies to sub-batching
+                # schemes; whole-batch baselines rely on on-demand eviction
+                # at runtime.
+                if scheduler.uses_subbatches:
+                    with tele.span("pre-evict"):
+                        _pre_evict(plan, batch, state, policy, runtime.on_evict)
+
+                tasks = [batch.task(t) for t in plan.task_ids]
+                dead_before = len(state.dead_nodes)
+                with tele.span("execute"):
+                    execution = runtime.execute(
+                        tasks,
+                        plan.mapping,
+                        plan.staging,
+                        victim_order=lambda node, cands: policy.order(
+                            state, node, cands
+                        ),
+                    )
+                result.sub_batches.append(
+                    SubBatchResult(
+                        plan=plan,
+                        execution=execution,
+                        scheduling_seconds=sched_seconds,
+                    )
+                )
+                result.scheduling_seconds += sched_seconds
+                tele.count("driver/sub_batches")
+                tele.count("driver/tasks", len(plan.task_ids))
+                failed = set(execution.failed_tasks)
+                done = planned - failed
+                if failed:
+                    # Dynamic rescheduling: tasks from a crashed node rejoin
+                    # the pending pool (keeping submission order) and the
+                    # next loop iteration re-invokes the scheduler against
+                    # the surviving platform.
+                    assert fault_model is not None
+                    fault_model.stats.tasks_rescheduled += len(failed)
+                    if not done and len(state.dead_nodes) == dead_before:
+                        raise RuntimeError(
+                            f"scheduler {scheduler.name} made no progress: "
+                            "every task of the sub-batch failed without a "
+                            "new crash"
+                        )
+                    if not state.alive_nodes():
+                        raise RuntimeError(
+                            f"all compute nodes have crashed with "
+                            f"{len(pending)} task(s) pending"
+                        )
+                pending = [t for t in pending if t not in done]
+
+        result.makespan = runtime.clock
+        result.stats = state.stats
+        result.runtime = runtime
+        if timeseries:
+            assert runtime.events is not None
+            # A model on a stream clock leaves its slowdown windows to the
+            # session's stitched series, which marks each once.
+            own_clock = fault_model is not None and fault_model.origin is None
+            result.timeseries = TimeSeriesProbe(
+                runtime.events,
+                fault_spec=fault_model.spec if own_clock else None,
+            ).to_dict()
+        if fault_model is not None:
+            result.fault_stats = fault_model.stats
+        if telemetry:
+            from ..obs.metrics import compute_metrics
+
+            result.metrics = compute_metrics(runtime)
+            result.decision_log = scheduler.decision_log
+            result.telemetry = tele.snapshot()
+        if audit:
+            # Imported lazily: repro.analysis is tooling layered on top of
+            # the core scheduling/runtime packages, not a dependency of them.
+            from ..analysis.audit import audit_runtime
+
+            report = audit_runtime(
+                runtime, [sb.execution for sb in result.sub_batches]
+            )
+            result.audit_report = report
+            report.raise_if_violations()
+        return result
     finally:
         if telemetry and not was_enabled:
             tele.disable()
-
-
-def _run_batch_inner(
-    batch: Batch,
-    platform: Platform,
-    scheduler: Scheduler,
-    *,
-    allow_replication: bool,
-    candidate_limit: int | None,
-    eviction_policy: EvictionPolicy | None,
-    ordering: str,
-    overlap_io_compute: bool,
-    audit: bool,
-    telemetry: bool,
-    timeseries: bool,
-    faults: FaultModel | None,
-    state: ClusterState | None,
-) -> BatchResult:
-
-    # The paper assumes every single task's files fit on a compute node
-    # (Section 4.2); fail fast with a clear message when violated.
-    if batch.tasks:
-        footprint = batch.max_task_footprint_mb()
-        largest_disk = max(n.disk_space_mb for n in platform.compute_nodes)
-        if footprint > largest_disk:
-            raise ValueError(
-                f"largest task footprint {footprint:.0f} MB exceeds the "
-                f"largest compute-node disk ({largest_disk:.0f} MB); the "
-                "paper's model requires any single task's files to fit"
-            )
-
-    if state is None:
-        state = ClusterState.initial(platform, batch)
-    else:
-        # Warm start (online sessions): keep resident copies, dead nodes
-        # and cumulative statistics; only the catalog grows.
-        state.register_files(batch.files)
-    runtime = Runtime(
-        platform,
-        state,
-        allow_replication=allow_replication,
-        candidate_limit=candidate_limit,
-        ordering=ordering,
-        overlap_io_compute=overlap_io_compute,
-        events=audit or timeseries,
-        faults=faults,
-    )
-    policy = eviction_policy if eviction_policy is not None else scheduler.eviction_policy(batch)
-    pending: list[str] = [t.task_id for t in batch.tasks]
-    result = BatchResult(scheduler=scheduler.name, makespan=0.0, scheduling_seconds=0.0)
-
-    with tele.span("driver"):
-        # Every pass completes at least one pending task or crashes a node
-        # (checked below), so the loop ends by construction.
-        while pending:
-            policy.update_pending(_pending_counts(batch, pending))
-
-            t0 = time.perf_counter()
-            with tele.span("schedule"):
-                plan = scheduler.next_subbatch(batch, pending, platform, state)
-            sched_seconds = time.perf_counter() - t0
-            if not plan.task_ids:
-                raise RuntimeError(f"scheduler {scheduler.name} made no progress")
-            planned = set(plan.task_ids)
-            stray = planned.difference(pending)
-            if stray:
-                raise RuntimeError(
-                    f"scheduler {scheduler.name} planned task(s) that are not "
-                    f"pending: {', '.join(sorted(stray))}"
-                )
-
-            # Between-sub-batch eviction only applies to sub-batching schemes;
-            # whole-batch baselines rely on on-demand eviction at runtime.
-            if scheduler.uses_subbatches:
-                with tele.span("pre-evict"):
-                    _pre_evict(plan, batch, state, policy, runtime.on_evict)
-
-            tasks = [batch.task(t) for t in plan.task_ids]
-            dead_before = len(state.dead_nodes)
-            with tele.span("execute"):
-                execution = runtime.execute(
-                    tasks,
-                    plan.mapping,
-                    plan.staging,
-                    victim_order=lambda node, cands: policy.order(state, node, cands),
-                )
-            result.sub_batches.append(
-                SubBatchResult(
-                    plan=plan, execution=execution, scheduling_seconds=sched_seconds
-                )
-            )
-            result.scheduling_seconds += sched_seconds
-            tele.count("driver/sub_batches")
-            tele.count("driver/tasks", len(plan.task_ids))
-            failed = set(execution.failed_tasks)
-            done = planned - failed
-            if failed:
-                # Dynamic rescheduling: tasks from a crashed node rejoin
-                # the pending pool (keeping submission order) and the next
-                # loop iteration re-invokes the scheduler against the
-                # surviving platform.
-                assert faults is not None
-                faults.stats.tasks_rescheduled += len(failed)
-                if not done and len(state.dead_nodes) == dead_before:
-                    raise RuntimeError(
-                        f"scheduler {scheduler.name} made no progress: every "
-                        f"task of the sub-batch failed without a new crash"
-                    )
-                if not state.alive_nodes():
-                    raise RuntimeError(
-                        f"all compute nodes have crashed with "
-                        f"{len(pending)} task(s) pending"
-                    )
-            pending = [t for t in pending if t not in done]
-
-    result.makespan = runtime.clock
-    result.stats = state.stats
-    result.runtime = runtime
-    if timeseries:
-        assert runtime.events is not None
-        result.timeseries = TimeSeriesProbe(
-            runtime.events,
-            fault_spec=faults.spec if faults is not None else None,
-        ).to_dict()
-    if faults is not None:
-        result.fault_stats = faults.stats
-    if telemetry:
-        from ..obs.metrics import compute_metrics
-
-        result.metrics = compute_metrics(runtime)
-        result.decision_log = scheduler.decision_log
-        result.telemetry = tele.snapshot()
-    if audit:
-        # Imported lazily: repro.analysis is tooling layered on top of the
-        # core scheduling/runtime packages, not a dependency of them.
-        from ..analysis.audit import audit_runtime
-
-        report = audit_runtime(
-            runtime, [sb.execution for sb in result.sub_batches]
-        )
-        result.audit_report = report
-        report.raise_if_violations()
-    return result

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from ..analysis.dims import MB, Dimensionless, Seconds
@@ -37,16 +37,14 @@ class FaultStats:
     tasks_rescheduled: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_crashes": self.node_crashes,
-            "transfer_failures": self.transfer_failures,
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "files_lost": self.files_lost,
-            "lost_mb": self.lost_mb,
-            "disk_losses": self.disk_losses,
-            "tasks_rescheduled": self.tasks_rescheduled,
-        }
+        return asdict(self)
+
+    def merge(self, other: FaultStats) -> FaultStats:
+        """Field-wise sum (e.g. accumulating independent windows)."""
+        return FaultStats(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name)
+               for f in fields(self)}
+        )
 
 
 def _uniform(key: str) -> float:
@@ -61,7 +59,9 @@ class FaultModel:
 
     One instance lives for the whole batch (it spans sub-batches, so the
     per-``(file, dest)`` staging-instance counters keep advancing and
-    repeated stagings of the same file draw fresh failures).
+    repeated stagings of the same file draw fresh failures). A warm online
+    session shares one instance across its windows and sets :attr:`origin`
+    at each dispatch, so the spec's times are stream times.
     """
 
     spec: FaultSpec
@@ -71,16 +71,27 @@ class FaultModel:
         self._crash_times: dict[int, float] = {
             c.node: c.time for c in self.spec.node_crashes
         }
-        # Spec indices of disk losses already applied. Kept on the model
-        # (not the runtime) so online sessions sharing one model across
-        # successive per-batch runtimes apply each loss exactly once.
+        # Spec indices of disk losses already applied, and the completed
+        # staging sessions per ``(file, dest)`` (advanced at commit time
+        # only). Kept on the model, not the runtime, so a warm online
+        # session's successive per-batch runtimes apply each loss once and
+        # a re-staging in a later window draws fresh failures.
         self.applied_disk_losses: set[int] = set()
+        self.staging_instances: dict[tuple[str, int], int] = {}
+        # Stream time at which the running window's clock reads 0, set by a
+        # warm online session at each dispatch. None for a standalone run (a
+        # single batch or a cold window): the spec's times are its own.
+        self.origin: Seconds | None = None
+
+    def local_time(self, time: Seconds) -> Seconds:
+        """Spec time ``time`` on the running batch's clock."""
+        return time if self.origin is None else time - self.origin
 
     # -- node crashes ------------------------------------------------------
 
     def crash_time(self, node: int) -> Seconds:
-        """When ``node`` dies (``inf`` if it never does)."""
-        return self._crash_times.get(node, math.inf)
+        """When ``node`` dies on the batch's clock (``inf`` if it never does)."""
+        return self.local_time(self._crash_times.get(node, math.inf))
 
     # -- transient transfer failures ---------------------------------------
 
@@ -112,7 +123,8 @@ class FaultModel:
     # -- link slowdowns ----------------------------------------------------
 
     def slowdown_factor(self, kind: str, time: Seconds) -> Dimensionless:
-        """Bandwidth divisor for a ``kind`` transfer starting at ``time``.
+        """Bandwidth divisor for a ``kind`` transfer starting at ``time`` on
+        the batch's clock.
 
         Overlapping windows compound multiplicatively.
         """
@@ -120,6 +132,6 @@ class FaultModel:
         for window in self.spec.link_slowdowns:
             if window.scope not in ("all", kind):
                 continue
-            if window.start <= time < window.end:
+            if self.local_time(window.start) <= time < self.local_time(window.end):
                 factor *= window.factor
         return factor

@@ -64,6 +64,25 @@ TIMESERIES_VERSION = 1
 DEFAULT_BUDGET = 512
 
 
+def _marker(t: float, kind: str, node: int | None, detail: str) -> dict[str, Any]:
+    return {"t": float(t), "kind": kind, "node": node, "detail": detail}
+
+
+def _slowdown_markers(spec: FaultSpec) -> list[dict[str, Any]]:
+    """A start and an end marker per link-slowdown window of ``spec``."""
+    markers = []
+    for w in spec.link_slowdowns:
+        detail = f"x{w.factor:g} ({w.scope})"
+        markers.append(_marker(w.start, "slowdown-start", None, detail))
+        markers.append(_marker(w.end, "slowdown-end", None, detail))
+    return markers
+
+
+def _event_order(e: Mapping[str, Any]) -> tuple[float, str, int, str]:
+    node = -1 if e["node"] is None else e["node"]
+    return (e["t"], e["kind"], node, e["detail"] or "")
+
+
 class _Series:
     """One named series: a unit label and simulated-time points."""
 
@@ -119,10 +138,7 @@ class TimeSeriesProbe:
         # pruned at sub-batch boundaries.
         self._inflight: list[tuple[float, float]] = []
         if fault_spec is not None:
-            for w in fault_spec.link_slowdowns:
-                detail = f"x{w.factor:g} ({w.scope})"
-                self._mark(w.start, "slowdown-start", None, detail)
-                self._mark(w.end, "slowdown-end", None, detail)
+            self._events.extend(_slowdown_markers(fault_spec))
 
     # -- point recording ------------------------------------------------------
     def _point(self, name: str, unit: str, t: float, value: float) -> None:
@@ -140,9 +156,7 @@ class TimeSeriesProbe:
             self.compactions += 1
 
     def _mark(self, t: float, kind: str, node: int | None, detail: str) -> None:
-        self._events.append(
-            {"t": float(t), "kind": kind, "node": node, "detail": detail}
-        )
+        self._events.append(_marker(t, kind, node, detail))
 
     def _sample(self, node: int, t: float) -> None:
         self._point(f"disk_used_mb/compute{node}", "MB", t, self._used_mb[node])
@@ -284,27 +298,19 @@ class TimeSeriesProbe:
             name: {"unit": s.unit, "points": [[t, v] for t, v in s.points]}
             for name, s in sorted(self._series.items())
         }
-        events = sorted(
-            self._events,
-            key=lambda e: (
-                e["t"],
-                e["kind"],
-                -1 if e["node"] is None else e["node"],
-                e["detail"] or "",
-            ),
-        )
         return {
             "version": TIMESERIES_VERSION,
             "budget": self.budget,
             "samples": self.samples,
             "compactions": self.compactions,
             "series": series,
-            "events": events,
+            "events": sorted(self._events, key=_event_order),
         }
 
 
 def stitch_timeseries(
     blocks: list[tuple[float, Mapping[str, Any]]],
+    fault_spec: FaultSpec | None = None,
 ) -> dict[str, Any]:
     """Concatenate per-batch ``timeseries`` blocks onto one stream clock.
 
@@ -316,13 +322,16 @@ def stitch_timeseries(
     each dispatch — the same mechanism as the ``subbatch`` markers, one
     level up. Samples and compactions sum; the budget is the per-batch
     budget (individual batches were downsampled, the stitched series is
-    their concatenation and may exceed it).
+    their concatenation and may exceed it). ``fault_spec`` is given when the
+    windows read it on the stream clock (a warm session): their blocks
+    carry no slowdown markers, and each of its slowdown windows is marked
+    here once, at its stream times.
     """
     if not blocks:
         raise ValueError("no timeseries blocks to stitch")
     ordered = sorted(blocks, key=lambda b: b[0])
     series: dict[str, dict[str, Any]] = {}
-    events: list[dict[str, Any]] = []
+    events = _slowdown_markers(fault_spec) if fault_spec is not None else []
     samples = 0
     compactions = 0
     budget = int(ordered[0][1]["budget"])
@@ -331,10 +340,7 @@ def stitch_timeseries(
             raise ValueError(
                 f"cannot stitch timeseries version {block['version']}"
             )
-        events.append(
-            {"t": float(dispatch), "kind": "batch", "node": None,
-             "detail": f"#{index}"}
-        )
+        events.append(_marker(dispatch, "batch", None, f"#{index}"))
         samples += int(block["samples"])
         compactions += int(block["compactions"])
         for name, s in block["series"].items():
@@ -346,14 +352,7 @@ def stitch_timeseries(
             )
         for e in block["events"]:
             events.append({**e, "t": float(e["t"]) + dispatch})
-    events.sort(
-        key=lambda e: (
-            e["t"],
-            e["kind"],
-            -1 if e["node"] is None else e["node"],
-            e["detail"] or "",
-        )
-    )
+    events.sort(key=_event_order)
     return {
         "version": TIMESERIES_VERSION,
         "budget": budget,

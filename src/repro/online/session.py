@@ -15,28 +15,30 @@ Two modes differ only in what survives between batches:
   every call: disk-cache contents, dead nodes and fault history carry
   over, so a batch can hit files staged by its predecessors. Cross-batch
   reuse is measured exactly (``cross_batch_hit_volume_mb``) and certified
-  by audit invariant E8.
+  by audit invariant E8. The fault spec's times are stream times.
 * ``cold`` — every dispatch window runs as an independent paper-style
-  batch from a fresh state; bit-identical to running each window alone.
+  batch from a fresh state and fault model; bit-identical to running each
+  window alone, its fault spec read on the window's own clock.
 
 Per job the session records response time (completion − arrival),
 queueing delay (dispatch − arrival) and slowdown (response over the job's
 isolated service time on an idle cluster). Batch-local clocks restart at
 zero each dispatch; the session maps completions to stream time as
-``dispatch + completion``.
+``dispatch + completion``, and tells a warm session's fault model each
+dispatch time (:attr:`~repro.faults.FaultModel.origin`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..batch import Batch
 from ..cluster.platform import Platform
 from ..cluster.state import ClusterState, TransferStats
 from ..core.driver import run_batch
-from ..faults import FaultModel, FaultSpec, FaultStats, resolve_spec
+from ..faults import FaultModel, FaultStats, resolve_spec
 from ..obs.timeseries import stitch_timeseries
 from .arrivals import JobStream
 from .queue import AdmissionPolicy, FIFOWindow, QueuedJob
@@ -49,6 +51,13 @@ __all__ = [
 ]
 
 ONLINE_VERSION = 1
+
+# The keywords of ExperimentConfig.run_options(): the only run options a
+# session passes on to every window's run_batch call.
+_RUN_OPTIONS = frozenset(
+    {"allow_replication", "candidate_limit", "scheduler_kwargs", "audit",
+     "timeseries", "faults"}
+)
 
 
 @dataclass(frozen=True)
@@ -278,16 +287,20 @@ class ClusterSession:
         Admission policy forming dispatch windows (default: FIFO drain).
     warm:
         Carry cache/state across batches (see module docstring).
-    audit:
-        Audit every batch (invariants E1–E8; E8 certifies the cross-batch
-        hit accounting whenever carryover is active).
-    faults:
-        Fault spec applied to the *stream*: in warm mode one fault model
-        spans all batches (crash/loss events fire once); in cold mode each
-        window draws independently, matching its standalone run.
-    timeseries:
-        Per-batch simulated-time probes, stitched onto the stream clock
-        with ``batch`` boundary markers (:func:`stitch_timeseries`).
+    options:
+        The run options every window's :func:`~repro.core.run_batch` call
+        takes, as :meth:`~repro.experiments.runner.ExperimentConfig.run_options`
+        returns them (``allow_replication``, ``candidate_limit``,
+        ``scheduler_kwargs``, ``audit``, ``timeseries``, ``faults``; any
+        other keyword is a :class:`TypeError`). ``audit``
+        checks every batch (invariants E1–E8; E8 certifies the cross-batch
+        hit accounting whenever carryover is active); ``timeseries``
+        stitches the per-batch series onto the stream clock with ``batch``
+        boundary markers (:func:`stitch_timeseries`). A ``faults`` spec
+        applies to the *stream*: in warm mode one fault model spans all
+        batches and reads the spec's times as stream times (crash/loss
+        events fire once); in cold mode each window reads it on its own
+        clock, matching its standalone run.
     """
 
     def __init__(
@@ -298,24 +311,21 @@ class ClusterSession:
         *,
         policy: AdmissionPolicy | None = None,
         warm: bool = True,
-        allow_replication: bool = True,
-        candidate_limit: int | None = None,
-        scheduler_kwargs: dict | None = None,
-        audit: bool = False,
-        faults: FaultSpec | dict | None = None,
-        timeseries: bool = False,
+        **options: Any,
     ) -> None:
         self.platform = platform
         self.stream = stream
         self.scheme = scheme
         self.policy: AdmissionPolicy = policy if policy is not None else FIFOWindow()
         self.warm = warm
-        self.allow_replication = allow_replication
-        self.candidate_limit = candidate_limit
-        self.scheduler_kwargs = scheduler_kwargs
-        self.audit = audit
-        self.fault_spec = resolve_spec(faults)
-        self.timeseries = timeseries
+        unknown = set(options).difference(_RUN_OPTIONS)
+        if unknown:
+            raise TypeError(
+                "ClusterSession got unexpected run option(s): "
+                + ", ".join(sorted(unknown))
+            )
+        self.fault_spec = resolve_spec(options.pop("faults", None))
+        self.options = options
 
     def run(self) -> StreamResult:
         """Drain the stream; returns the per-job/per-batch/aggregate result."""
@@ -328,13 +338,13 @@ class ClusterSession:
         if not stream.arrivals:
             return result
 
+        # The counters of every cluster state and fault model the windows
+        # ran on: one of each for a warm session, one per window for a cold
+        # one, whose states and models go once their window is done.
+        transfer_stats: list[TransferStats] = []
+        fault_stats: list[FaultStats] = []
         state: ClusterState | None = None
-        fault_model: FaultModel | None = None
-        if self.warm:
-            state = ClusterState.initial(self.platform, stream.batch)
-            if self.fault_spec is not None:
-                fault_model = FaultModel(self.fault_spec)
-
+        model: FaultModel | None = None
         ts_blocks: list[tuple[float, dict[str, Any]]] = []
         queue: list[QueuedJob] = []
         idx = 0
@@ -371,48 +381,27 @@ class ClusterSession:
             dispatch = now
             window = stream.batch.subset(selected)
 
+            if state is None or not self.warm:
+                state = ClusterState.initial(self.platform, window)
+                transfer_stats.append(state.stats)
+                if self.fault_spec is not None:
+                    model = FaultModel(self.fault_spec)
+                    fault_stats.append(model.stats)
             if self.warm:
-                assert state is not None
+                # Copies carried in count as cross-batch hits, and the
+                # fault spec reads on the stream clock.
                 state.begin_carryover()
-                before = replace(state.stats)
-                batch_result = run_batch(
-                    window,
-                    self.platform,
-                    self.scheme,
-                    allow_replication=self.allow_replication,
-                    candidate_limit=self.candidate_limit,
-                    scheduler_kwargs=self.scheduler_kwargs,
-                    audit=self.audit,
-                    timeseries=self.timeseries,
-                    state=state,
-                    faults=fault_model,
-                )
-                delta = batch_result.stats.minus(before)
-            else:
-                batch_result = run_batch(
-                    window,
-                    self.platform,
-                    self.scheme,
-                    allow_replication=self.allow_replication,
-                    candidate_limit=self.candidate_limit,
-                    scheduler_kwargs=self.scheduler_kwargs,
-                    audit=self.audit,
-                    timeseries=self.timeseries,
-                    faults=self.fault_spec,
-                )
-                delta = batch_result.stats
-                result.stats = result.stats.merge(delta)
-                if batch_result.fault_stats is not None:
-                    if result.fault_stats is None:
-                        result.fault_stats = FaultStats()
-                    merged = result.fault_stats
-                    for f in fields(FaultStats):
-                        setattr(
-                            merged,
-                            f.name,
-                            getattr(merged, f.name)
-                            + getattr(batch_result.fault_stats, f.name),
-                        )
+                if model is not None:
+                    model.origin = dispatch
+            before = replace(state.stats)
+            batch_result = run_batch(
+                window,
+                self.platform,
+                self.scheme,
+                **self.options,
+                state=state,
+                faults=model,
+            )
 
             result.batches.append(
                 BatchRecord(
@@ -423,7 +412,7 @@ class ClusterSession:
                     sub_batches=batch_result.num_sub_batches,
                     scheduling_seconds=batch_result.scheduling_seconds,
                     queue_depth=len(queue),
-                    stats=delta,
+                    stats=state.stats.minus(before),
                 )
             )
             if batch_result.timeseries is not None:
@@ -450,12 +439,15 @@ class ClusterSession:
             queue = [q for q in queue if q.task_id not in done]
             now = dispatch + batch_result.makespan
 
-        if self.warm:
-            assert state is not None
-            result.stats = state.stats
-            if fault_model is not None:
-                result.fault_stats = fault_model.stats
+        for stats in transfer_stats:
+            result.stats = result.stats.merge(stats)
+        if fault_stats:
+            result.fault_stats = FaultStats()
+            for counters in fault_stats:
+                result.fault_stats = result.fault_stats.merge(counters)
         result.jobs.sort(key=lambda j: (j.arrival, j.task_id))
         if ts_blocks:
-            result.timeseries = stitch_timeseries(ts_blocks)
+            result.timeseries = stitch_timeseries(
+                ts_blocks, self.fault_spec if self.warm else None
+            )
         return result

@@ -38,7 +38,9 @@ __all__ = ["CACHE_SALT", "DEFAULT_CACHE_DIR", "CacheStats", "ResultCache", "conf
 # v3: MinMin/MaxMin/Sufferage map with one full-rescan loop, so a cached
 # wall-clock ``scheduling_ms_per_task`` (Fig. 6(b)'s y-axis) from the old
 # incremental kernel would be stale.
-CACHE_SALT = "repro-cache-v3"
+# v4: a synthetic task that holds every hot file draws its remaining files
+# from the ones it does not hold, so some ``synthetic`` batches changed.
+CACHE_SALT = "repro-cache-v4"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 

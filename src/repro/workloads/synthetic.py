@@ -34,7 +34,9 @@ def generate_synthetic_batch(
     ----------
     hot_probability:
         Probability that each file draw comes from the hot pool (the first
-        ``hot_pool_fraction`` of the files). 0 gives uniform draws.
+        ``hot_pool_fraction`` of the files, at least one). 0 gives uniform
+        draws. A task that holds every hot file draws the rest of its files
+        from those it does not hold yet, so no value stalls the draws.
     size_spread:
         Relative +/- range of uniform file-size variation (0 = constant).
     """
@@ -58,7 +60,13 @@ def generate_synthetic_batch(
     for k in range(num_tasks):
         chosen: set[int] = set()
         while len(chosen) < files_per_task:
-            if rng.random() < hot_probability:
+            if chosen.issuperset(range(hot_count)):
+                rest = [i for i in range(num_files) if i not in chosen]
+                picks = rng.choice(
+                    len(rest), size=files_per_task - len(chosen), replace=False
+                )
+                chosen.update(rest[int(j)] for j in picks)
+            elif rng.random() < hot_probability:
                 chosen.add(int(rng.integers(0, hot_count)))
             else:
                 chosen.add(int(rng.integers(0, num_files)))

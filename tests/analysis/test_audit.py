@@ -15,7 +15,9 @@ from repro.cluster import (
     StorageNode,
     TaskRecord,
 )
+from repro.cluster.cache import DiskCache
 from repro.cluster.events import (
+    DiskLossEvent,
     EvictionEvent,
     ExecEvent,
     FailedTransferEvent,
@@ -25,7 +27,8 @@ from repro.cluster.gantt import Interval
 from repro.core import run_batch
 from repro.experiments import ExperimentConfig, run_config
 from repro.faults import FaultModel, FaultSpec
-from repro.workloads import generate_synthetic_batch
+from repro.cluster.platform import osc_xio
+from repro.workloads import generate_image_batch, generate_synthetic_batch
 
 
 def make_platform(num_compute=2, num_storage=2, disk_space_mb=math.inf):
@@ -202,6 +205,16 @@ class TestCorruptedTraces:
         report = audit_runtime(rt)
         assert any(v.code == "E3" for v in report.violations), str(report)
 
+    def test_disk_loss_below_occupancy_flagged_e3(self):
+        rt, _ = small_run(disk_space_mb=250.0)
+        # Node 0 holds both 100 MB inputs of t0; 150 MB of disk is left.
+        rt.events.append(DiskLossEvent(0, 5.0, 100.0))
+        report = audit_runtime(rt)
+        assert any(
+            v.code == "E3" and "after losing 100.0 MB" in v.message
+            for v in report.violations
+        ), str(report)
+
     def test_phantom_eviction_flagged_e3(self):
         rt, _ = small_run()
         rt.events.append(EvictionEvent(1, "never-staged", 50.0))
@@ -282,3 +295,37 @@ class TestReportApi:
         assert audited.audit_report is not None and audited.audit_report.ok
         assert plain.audit_report is None
         assert audited.makespan == pytest.approx(plain.makespan)
+
+
+class TestDiskLossReplay:
+    """E3 holds each disk to the capacity a disk loss left."""
+
+    SPEC = {"disk_losses": [{"node": 0, "time": 0.0, "lost_mb": 500.0}]}
+
+    def run(self):
+        # MinMin stages 748 MB on node 0 when its disk stays at 1200 MB.
+        return run_batch(
+            generate_image_batch(24, "high", 4, seed=0),
+            osc_xio(4, 4, disk_space_mb=1200.0),
+            "minmin",
+            candidate_limit=25,
+            faults=self.SPEC,
+            audit=True,
+        )
+
+    def test_loss_logged_once(self):
+        result = self.run()
+        log = result.runtime.events
+        losses = [e for e in log.events if isinstance(e, DiskLossEvent)]
+        assert losses == [DiskLossEvent(0, 0.0, 500.0)]
+        assert log.initial_capacity_mb == (1200.0,) * 4
+        assert result.runtime.state.caches[0].capacity_mb == 700.0
+        assert result.fault_stats.disk_losses == 1
+
+    def test_shrink_that_frees_nothing_trips_e3(self, monkeypatch):
+        def shrink(self, lost_mb, victim_order, on_evict=None):
+            return []
+
+        monkeypatch.setattr(DiskCache, "shrink", shrink)
+        with pytest.raises(AuditError, match=r"\[E3\] node 0 holds"):
+            self.run()

@@ -96,7 +96,7 @@ def _best_source(rt, file_id, node, plan, overlays, floor, exclude=frozenset()):
 def _retry_until_staged(rt, file_id, node, plan, overlays, first, failed):
     faults = rt.faults
     size = rt.state.size_of(file_id)
-    instance = rt._xfer_instance.get((file_id, node), 0)
+    instance = faults.staging_instances.get((file_id, node), 0)
     tried = set()
     opt = first
     attempt = 0

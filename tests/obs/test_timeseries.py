@@ -114,7 +114,8 @@ class TestGolden:
         result = faults_run()
         got = json.loads(json.dumps(result.timeseries, sort_keys=True))
         assert got == json.loads(FAULTS_GOLDEN_PATH.read_text())
-        assert result.audit_report.checked_events == 185
+        # 185 events plus the one applied disk loss, which the fold skips.
+        assert result.audit_report.checked_events == 186
         kinds = {e["kind"] for e in got["events"]}
         assert {"crash", "retry", "slowdown-start", "subbatch"} <= kinds
         assert result.stats.evictions > 0

@@ -91,6 +91,15 @@ class TestRecords:
         assert res.num_jobs == 0
         assert res.batches == []
 
+    @pytest.mark.parametrize("option", ["telemetry", "ordering", "audti"])
+    def test_only_run_options_are_accepted(self, option):
+        # A session takes ExperimentConfig.run_options() and nothing else;
+        # any other keyword fails at construction, even for an empty stream.
+        stream = _stream()
+        empty = stream_from_batch(stream.batch.subset([]), [])
+        with pytest.raises(TypeError, match=option):
+            ClusterSession(_platform(), empty, "minmin", **{option: True})
+
     def test_starvation_guard(self):
         class Starver:
             name = "starver"

@@ -119,6 +119,18 @@ class TestCommands:
         assert err.startswith(f"invalid stream spec {path}: ")
         assert message in err
 
+    def test_stream_both_modes_prints_each_modes_faults(self, capsys):
+        # Warm reads the spec on the stream clock, cold windows on their
+        # own, so the warm-vs-cold line comes with each mode's faults.
+        spec = EXAMPLES / "streams" / "trace-faults.json"
+        assert main(["stream", str(spec), "--mode", "both"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("warm vs cold"))
+        assert lines[at + 1].startswith(
+            "  faults warm vs cold (not the same exposure): "
+            "crashes 1 vs 0, disk losses 1 vs 0, transfer failures "
+        )
+
     def test_run_no_replication(self, capsys):
         rc = main(
             [
@@ -269,6 +281,31 @@ class TestCommands:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"invalid config {config}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["metrics", "profile"])
+    def test_unreadable_config_file_is_a_usage_error(self, command, tmp_path, capsys):
+        missing = tmp_path / "nosuch.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a readable config file" in err
+        assert "No such file or directory" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--tasks", "0"], "num_tasks must be an integer >= 1"),
+            (["audit", "--compute", "0"], "num_compute must be an integer >= 1"),
+        ],
+    )
+    def test_flags_describing_no_cell_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--schemes", "minmin"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
         assert message in err
 
     @pytest.mark.parametrize("command", ["metrics", "profile"])

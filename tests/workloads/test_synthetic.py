@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.batch import overlap_fraction
 from repro.workloads import generate_synthetic_batch, within_group_overlap
@@ -46,7 +46,17 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic_batch(5, 10, 2, 2, hot_probability=1.5)
 
+    @pytest.mark.parametrize("hot", [1.0, 0.9999999999999999])
+    def test_draws_end_once_the_hot_pool_is_held(self, hot):
+        # Five files make a hot pool of one; every task needs two.
+        b = generate_synthetic_batch(3, 5, 2, 1, hot_probability=hot, seed=0)
+        for t in b.tasks:
+            assert len(set(t.files)) == 2
+            assert "syn00000" in t.files
+
     @settings(max_examples=25, deadline=None)
+    @example(1, 5, 2, 1, 1.0, 0)
+    @example(1, 5, 2, 1, 0.9999999999999999, 0)
     @given(
         st.integers(1, 30),
         st.integers(5, 60),
