@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
-__all__ = ["FileInfo", "Task", "Batch", "overlap_fraction", "pairwise_overlap"]
+__all__ = [
+    "FileInfo",
+    "Task",
+    "Batch",
+    "overlap_fraction",
+    "pairwise_overlap",
+    "reader_counts",
+]
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,19 @@ class Batch:
             f"Batch({len(self.tasks)} tasks, {len(self.referenced_files())} files, "
             f"{self.distinct_file_mb:.0f} MB distinct)"
         )
+
+
+def reader_counts(tasks: Iterable[Task]) -> dict[str, int]:
+    """How many of ``tasks`` read each file (the paper's ``s_j``).
+
+    Files appear in the order the tasks first read them, so every sort
+    over the counts breaks ties the same way.
+    """
+    counts: dict[str, int] = {}
+    for t in tasks:
+        for f in t.files:
+            counts[f] = counts.get(f, 0) + 1
+    return counts
 
 
 def overlap_fraction(batch: Batch) -> float:

@@ -95,7 +95,7 @@ from .experiments import (
     run_config_result,
 )
 from .experiments.runner import disk_mb
-from .parallel import DEFAULT_CACHE_DIR, ResultCache, map_configs
+from .parallel import DEFAULT_CACHE_DIR, ResultCache
 from .workloads import available_workloads
 
 __all__ = ["main", "build_parser"]
@@ -123,7 +123,7 @@ def _scheme_cells(args, **fields) -> list[ExperimentConfig]:
     Flags that describe no valid cell (``--tasks 0``, say) are a usage
     error: the reason goes to stderr and the command exits 2.
     """
-    faults = _load_faults(args.faults) if args.faults else None
+    faults = _load_faults(args)
     try:
         return [
             _cell(
@@ -201,22 +201,31 @@ def _write_table(args, table: Table) -> None:
         print(f"JSON written to {args.json}")
 
 
-def _load_faults(path: str) -> dict:
-    """Load and eagerly validate a fault-spec JSON file."""
+def _load_faults(args) -> dict | None:
+    """The ``--faults`` file as a checked FaultSpec dict, or ``None``.
+
+    A file that cannot be read, is not a JSON object or is not a valid
+    spec is a usage error, found before any simulation runs: the reason
+    goes to stderr and the command exits 2.
+    """
+    if not args.faults:
+        return None
     import json as _json
 
     from .faults import FaultSpec
 
     try:
-        with open(path) as fh:
+        with open(args.faults) as fh:
             spec = _json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"cannot read fault spec {path!r}: {exc}") from None
-    try:
-        FaultSpec.from_dict(spec)  # fail before any simulation runs
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid fault spec {path!r}: {exc}") from None
-    assert isinstance(spec, dict)
+        if not isinstance(spec, dict):
+            raise ValueError("not a JSON object")
+        FaultSpec.from_dict(spec)
+    except (OSError, TypeError, ValueError) as exc:
+        print(
+            f"repro {args.command}: invalid fault spec {args.faults}: {exc}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2) from None
     return spec
 
 
@@ -267,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart of the last scheme")
     pr.add_argument("--trace", metavar="FILE", help="write a Chrome trace JSON of the last scheme")
-    pr.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write records, result-cache counters and telemetry as JSON",
-    )
-    _add_parallel_args(pr, cache_default_on=False)
 
     pf = sub.add_parser("figure", help="regenerate a paper figure")
     pf.add_argument(
@@ -322,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one cell with telemetry and emit its validated run manifest",
     )
     _add_obs_args(pm)
-    pm.add_argument(
-        "--ndjson", metavar="FILE", help="also write the manifest as NDJSON lines"
-    )
 
     pp = sub.add_parser(
         "profile",
@@ -476,16 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         "extension when more than one mode runs)",
     )
     pstream.add_argument(
-        "--ndjson", metavar="FILE", default=None,
-        help="also write the manifest as NDJSON (same mode suffix rule)",
-    )
-    pstream.add_argument(
         "--html", metavar="FILE", default=None,
         help="also render the manifest as a self-contained HTML report",
-    )
-    pstream.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write one JSON document with the queueing summary per mode",
     )
     return parser
 
@@ -514,19 +506,6 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    # A saved batch, I/O overlap, the Gantt chart, the trace and the fault
-    # counters need each scheme's BatchResult in this process; every other
-    # run fans its cells out through repro.parallel, which keeps Records.
-    in_process = bool(
-        args.load or args.overlap_io or args.gantt or args.trace or args.faults
-    )
-    # --clear-cache applies whichever path runs.
-    cache = _cell_cache(args, enabled=args.cache and not in_process)
-    if in_process and (args.workers > 1 or args.cache or args.json):
-        print(
-            "note: --workers/--cache/--json do not apply with "
-            "--load/--gantt/--trace/--overlap-io/--faults; running serially\n"
-        )
     configs = _scheme_cells(args)
     platform = configs[0].platform()
     if args.load:
@@ -550,34 +529,17 @@ def _cmd_run(args) -> int:
         f"{'scheme':14s} {'makespan':>10s} {'sched ms/task':>14s} "
         f"{'remote MB':>10s} {'replica MB':>11s} {'evict':>6s} {'sub':>4s}"
     )
-    if in_process:
-        results = [
-            run_batch(
-                batch,
-                platform,
-                cfg.scheme,
-                overlap_io_compute=args.overlap_io,
-                **cfg.run_options(),
-            )
-            for cfg in configs
-        ]
-        records = [cfg.record(result) for cfg, result in zip(configs, results)]
-    else:
-        # With --json, record result-cache hit/miss counters (and anything
-        # else this process touches) through the telemetry registry.
-        from .obs.core import telemetry as tele
-
-        if args.json:
-            tele.reset()
-            tele.enable()
-        try:
-            records = map_configs(configs, workers=args.workers, cache=cache)
-        finally:
-            snapshot = tele.snapshot() if args.json else None
-            if args.json:
-                tele.disable()
-                tele.reset()
-    for cfg, rec in zip(configs, records, strict=True):
+    results = []
+    for cfg in configs:
+        result = run_batch(
+            batch,
+            platform,
+            cfg.scheme,
+            overlap_io_compute=args.overlap_io,
+            **cfg.run_options(),
+        )
+        results.append(result)
+        rec = cfg.record(result)
         print(
             f"{cfg.scheme:14s} {rec.makespan_s:9.1f}s "
             f"{rec.scheduling_ms_per_task:14.2f} "
@@ -586,42 +548,26 @@ def _cmd_run(args) -> int:
             f"{rec.evictions:6d} {rec.sub_batches:4d}"
         )
 
-    if in_process:
-        fault_lines = [
-            f"{cfg.scheme:14s} {fs.node_crashes} crash(es), "
-            f"{fs.transfer_failures} failed transfer(s) / "
-            f"{fs.retries} retried / {fs.failovers} re-sourced, "
-            f"{fs.tasks_rescheduled} task(s) rescheduled, "
-            f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
-            for cfg, result in zip(configs, results)
-            if (fs := result.fault_stats) is not None
-        ]
-        if fault_lines:
-            print("\nfault injection:")
-            for line in fault_lines:
-                print(line)
-        last_runtime = results[-1].runtime
-        if last_runtime is not None and args.gantt:
-            print("\n" + render_ascii(last_runtime))
-        if last_runtime is not None and args.trace:
-            with open(args.trace, "w") as fh:
-                fh.write(to_chrome_trace(last_runtime))
-            print(f"\nChrome trace written to {args.trace}")
-        return 0
-    if cache is not None:
-        print(f"\ncache: {cache.stats.summary()} in {cache.root}")
-    if args.json:
-        import json as _json
-        from dataclasses import asdict
-
-        doc = {
-            "records": [asdict(r) for r in records],
-            "cache": asdict(cache.stats) if cache is not None else None,
-            "telemetry": snapshot,
-        }
-        with open(args.json, "w") as fh:
-            _json.dump(doc, fh, indent=2)
-        print(f"JSON written to {args.json}")
+    fault_lines = [
+        f"{cfg.scheme:14s} {fs.node_crashes} crash(es), "
+        f"{fs.transfer_failures} failed transfer(s) / "
+        f"{fs.retries} retried / {fs.failovers} re-sourced, "
+        f"{fs.tasks_rescheduled} task(s) rescheduled, "
+        f"{fs.files_lost} file(s) lost ({fs.lost_mb:.0f} MB)"
+        for cfg, result in zip(configs, results)
+        if (fs := result.fault_stats) is not None
+    ]
+    if fault_lines:
+        print("\nfault injection:")
+        for line in fault_lines:
+            print(line)
+    last_runtime = results[-1].runtime
+    if last_runtime is not None and args.gantt:
+        print("\n" + render_ascii(last_runtime))
+    if last_runtime is not None and args.trace:
+        with open(args.trace, "w") as fh:
+            fh.write(to_chrome_trace(last_runtime))
+        print(f"\nChrome trace written to {args.trace}")
     return 0
 
 
@@ -705,6 +651,7 @@ def _obs_config(args) -> ExperimentConfig:
     import json as _json
 
     name = args.config
+    faults = _load_faults(args)
     try:
         if name in _OBS_PRESETS:
             fields = {"num_tasks": 24, "scheme": "bipartition", **_OBS_PRESETS[name]}
@@ -720,8 +667,8 @@ def _obs_config(args) -> ExperimentConfig:
             fields["seed"] = args.seed
         if args.timeseries:
             fields["timeseries"] = True
-        if args.faults:
-            fields["faults"] = _load_faults(args.faults)
+        if faults is not None:
+            fields["faults"] = faults
         return ExperimentConfig.from_dict(fields)
     except OSError as exc:
         print(
@@ -783,7 +730,7 @@ def _print_manifest_summary(manifest: dict):
 
 
 def _cmd_metrics(args) -> int:
-    from .obs import validate_manifest, write_manifest, write_ndjson
+    from .obs import validate_manifest, write_manifest
 
     cfg = _obs_config(args)
     result = run_config_result(cfg, telemetry=True)
@@ -793,9 +740,6 @@ def _cmd_metrics(args) -> int:
     if args.out:
         write_manifest(manifest, args.out)
         print(f"manifest written to {args.out}")
-    if args.ndjson:
-        write_ndjson(manifest, args.ndjson)
-        print(f"NDJSON written to {args.ndjson}")
     if errors:
         for err in errors:
             print(f"schema violation: {err}", file=sys.stderr)
@@ -995,12 +939,7 @@ def _cmd_stream(args) -> int:
     import json as _json
 
     from .experiments import run_stream_config, stream_config_from_dict
-    from .obs import (
-        build_stream_manifest,
-        validate_manifest,
-        write_manifest,
-        write_ndjson,
-    )
+    from .obs import build_stream_manifest, validate_manifest, write_manifest
     from .obs.report import write_report
 
     try:
@@ -1017,7 +956,6 @@ def _cmd_stream(args) -> int:
     modes = ("warm", "cold") if args.mode == "both" else (args.mode,)
     suffixed = len(modes) > 1
     rc = 0
-    summaries: dict[str, dict] = {}
     results = {}
     for mode in modes:
         res = run_stream_config(cfg, warm=(mode == "warm"))
@@ -1025,16 +963,11 @@ def _cmd_stream(args) -> int:
         print(res.summary())
         manifest = build_stream_manifest(res, config=spec, config_digest=digest)
         errors = validate_manifest(manifest)
-        summaries[mode] = manifest["online"]["queueing"]
         suffix = f"-{mode}" if suffixed else ""
         if args.out:
             out = _with_mode_suffix(args.out, suffix)
             write_manifest(manifest, out)
             print(f"manifest written to {out}")
-        if args.ndjson:
-            out = _with_mode_suffix(args.ndjson, suffix)
-            write_ndjson(manifest, out)
-            print(f"NDJSON written to {out}")
         if args.html:
             out = write_report(
                 manifest,
@@ -1066,14 +999,6 @@ def _cmd_stream(args) -> int:
                 f"{w.disk_losses} vs {c.disk_losses}, transfer failures "
                 f"{w.transfer_failures} vs {c.transfer_failures}"
             )
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(
-                {"spec": spec, "config_digest": digest, "modes": summaries},
-                fh,
-                indent=2,
-            )
-        print(f"JSON summary written to {args.json}")
     return rc
 
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ..batch import Batch, Task
+from ..batch import Batch, Task, reader_counts
 from ..cluster.platform import Platform
 from ..cluster.state import ClusterState
 from ..hypergraph import Hypergraph, binw_partition, kway_partition
@@ -53,10 +53,7 @@ def estimated_exec_times(
     k = platform.num_compute
     t_count = max(1, len(tasks))
 
-    sharers: dict[str, int] = {}
-    for t in tasks:
-        for f in t.files:
-            sharers[f] = sharers.get(f, 0) + 1
+    sharers = reader_counts(tasks)
 
     mean_speed = float(
         np.mean([n.speed for n in platform.compute_nodes])
@@ -249,10 +246,7 @@ class BiPartitionScheduler(Scheduler):
         (``s_j``), until the remaining files fit the node's current disk;
         tasks that lose a file are deferred to a later sub-batch.
         """
-        sharers: dict[str, int] = {}
-        for t in tasks:
-            for f in t.files:
-                sharers[f] = sharers.get(f, 0) + 1
+        sharers = reader_counts(tasks)
 
         deferred: list[str] = []
         by_node: dict[int, list[Task]] = {}

@@ -20,7 +20,7 @@ import time
 from collections.abc import Callable, Iterable
 from functools import partial
 
-from ..batch import Batch
+from ..batch import Batch, reader_counts
 from ..cluster.platform import Platform
 from ..cluster.runtime import Runtime
 from ..cluster.state import ClusterState
@@ -32,14 +32,6 @@ from .eviction import EvictionPolicy
 from .plan import BatchResult, SubBatchPlan, SubBatchResult
 
 __all__ = ["run_batch"]
-
-
-def _pending_counts(batch: Batch, pending: Iterable[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for t in pending:
-        for f in batch.task(t).files:
-            counts[f] = counts.get(f, 0) + 1
-    return counts
 
 
 def _pre_evict(
@@ -242,7 +234,7 @@ def run_batch(
             # Every pass completes at least one pending task or crashes a
             # node (checked below), so the loop ends by construction.
             while pending:
-                policy.update_pending(_pending_counts(batch, pending))
+                policy.update_pending(reader_counts(map(batch.task, pending)))
 
                 t0 = time.perf_counter()
                 with tele.span("schedule"):

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from typing import Protocol
 
 from ..analysis.dims import MB
-from ..batch import Batch
+from ..batch import Batch, reader_counts
 from ..cluster.state import ClusterState
 
 __all__ = ["EvictionPolicy", "PopularityPolicy", "LRUPolicy", "SizePolicy"]
@@ -50,11 +50,7 @@ class PopularityPolicy:
 
     @classmethod
     def for_batch(cls, batch: Batch) -> PopularityPolicy:
-        counts: dict[str, int] = {}
-        for t in batch.tasks:
-            for f in t.files:
-                counts[f] = counts.get(f, 0) + 1
-        return cls(counts)
+        return cls(reader_counts(batch.tasks))
 
     def update_pending(self, pending_counts: dict[str, int]) -> None:
         self._pending = dict(pending_counts)

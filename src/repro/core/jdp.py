@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..batch import Batch, Task
+from ..batch import Batch, Task, reader_counts
 from ..cluster.platform import Platform
 from ..cluster.runtime import StagingPlan
 from ..cluster.state import ClusterState
@@ -69,10 +69,7 @@ class JobDataPresentScheduler(Scheduler):
         c = len(nodes)
 
         # --- Data Least Loaded: pick replication pushes up front -------------
-        counts: dict[str, int] = {}
-        for t in tasks:
-            for f in t.files:
-                counts[f] = counts.get(f, 0) + 1
+        counts = reader_counts(tasks)
         threshold = self.popularity_threshold
         if threshold is None:
             threshold = max(2, round(len(tasks) / (4 * c)))

@@ -9,7 +9,6 @@ from .figures import (
     fig6a_compute_scaling,
     fig6b_scheduling_overhead,
 )
-from .markdown import generate_experiments_markdown
 from .report import Record, Table
 from .runner import (
     ExperimentConfig,
@@ -38,7 +37,6 @@ __all__ = [
     "fig6a_compute_scaling",
     "fig6b_scheduling_overhead",
     "replication_advantage_sweep",
-    "generate_experiments_markdown",
     "CHAOS_SCHEMES",
     "degradation_curve",
     "StreamConfig",

@@ -24,9 +24,7 @@ traces, which the golden-manifest test enforces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Any
 
 from ..analysis.dims import MB, Dimensionless, Seconds
@@ -174,12 +172,3 @@ class FaultSpec:
             DiskLoss(**d) for d in fields.get("disk_losses", ())
         )
         return cls(**fields)
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> FaultSpec:
-        """Load a spec from a JSON file (the ``--faults spec.json`` format)."""
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"fault spec {path} must be a JSON object")
-        return cls.from_dict(doc)

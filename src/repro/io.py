@@ -1,10 +1,12 @@
-"""Batch and result serialization (JSON) for reproducible experiments.
+"""Batch serialization (JSON) for reproducible experiments.
 
 Workload generators are deterministic given a seed, but downstream users
 often need to pin the *exact* batch (e.g. to compare schedulers across
 machines or library versions, or to feed externally-defined workloads into
-the schedulers). This module round-trips batches and batch results through
-a small, versioned JSON schema.
+the schedulers). This module round-trips batches through a small, versioned
+JSON schema: ``repro workload --save`` writes it and ``repro run --load``
+reads it. A finished run is serialized as its run manifest
+(:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -14,15 +16,12 @@ from pathlib import Path
 from typing import Any
 
 from .batch import Batch, FileInfo, Task
-from .core.plan import BatchResult
 
 __all__ = [
     "batch_to_dict",
     "batch_from_dict",
     "save_batch",
     "load_batch",
-    "result_to_dict",
-    "save_result",
 ]
 
 SCHEMA_VERSION = 1
@@ -80,39 +79,3 @@ def save_batch(batch: Batch, path: str | Path):
 def load_batch(path: str | Path) -> Batch:
     """Read a batch written by :func:`save_batch`."""
     return batch_from_dict(json.loads(Path(path).read_text()))
-
-
-def result_to_dict(result: BatchResult) -> dict[str, Any]:
-    """Lower a batch result (summary level) to JSON-ready data."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "batch_result",
-        "scheduler": result.scheduler,
-        "makespan_s": result.makespan,
-        "scheduling_seconds": result.scheduling_seconds,
-        "num_tasks": result.num_tasks,
-        "num_sub_batches": result.num_sub_batches,
-        "stats": {
-            "remote_transfers": result.stats.remote_transfers,
-            "remote_volume_mb": result.stats.remote_volume_mb,
-            "replications": result.stats.replications,
-            "replication_volume_mb": result.stats.replication_volume_mb,
-            "evictions": result.stats.evictions,
-            "evicted_volume_mb": result.stats.evicted_volume_mb,
-        },
-        "sub_batches": [
-            {
-                "tasks": list(sb.plan.task_ids),
-                "mapping": dict(sb.plan.mapping),
-                "start": sb.execution.start_time,
-                "makespan": sb.execution.makespan,
-                "scheduling_seconds": sb.scheduling_seconds,
-            }
-            for sb in result.sub_batches
-        ],
-    }
-
-
-def save_result(result: BatchResult, path: str | Path):
-    """Write a batch result as JSON."""
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=1))

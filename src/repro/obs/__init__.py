@@ -5,16 +5,15 @@ The measurement substrate of the reproduction, in three parts:
 * :mod:`repro.obs.core` — a process-local :class:`Telemetry` registry of
   counters, gauges and hierarchical timed spans, disabled by default and
   near-free when disabled. Every producer in the pipeline (driver,
-  schedulers, hypergraph partitioner, MILP backends, result cache) reports
+  schedulers, runtime, hypergraph partitioner, MILP backends) reports
   into the shared :data:`telemetry` singleton.
 * :mod:`repro.obs.decisions` — one structured record per scheduler task
   placement, replayable against executed
   :class:`~repro.cluster.stats.TaskRecord`\\ s to quantify estimation error.
 * :mod:`repro.obs.metrics` / :mod:`repro.obs.export` — paper-facing metrics
   derived from an executed runtime (utilization, port contention, transfer
-  and cache ratios; Eqs. 9–13) and the single-JSON *run manifest*
-  (+ NDJSON and merged Chrome trace exports) that carries everything,
-  each number once.
+  and cache ratios; Eqs. 9–13), the single-JSON *run manifest* that
+  carries everything, each number once, and the merged Chrome trace.
 
 This package sits directly above :mod:`repro.cluster` and below
 :mod:`repro.core`: it may import the simulator's data types but never the
@@ -30,11 +29,9 @@ from .export import (
     build_manifest,
     build_stream_manifest,
     load_schema,
-    manifest_to_ndjson,
     merged_chrome_trace,
     validate_manifest,
     write_manifest,
-    write_ndjson,
 )
 from .metrics import RunMetrics, compute_metrics, conservation_residual_mb
 from .report import render_report, write_report
@@ -63,7 +60,6 @@ __all__ = [
     "format_diff",
     "load_run",
     "load_schema",
-    "manifest_to_ndjson",
     "merged_chrome_trace",
     "render_report",
     "stitch_timeseries",
@@ -71,5 +67,4 @@ __all__ = [
     "validate",
     "validate_manifest",
     "write_manifest",
-    "write_ndjson",
 ]

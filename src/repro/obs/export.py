@@ -1,4 +1,4 @@
-"""Run manifest assembly and export (JSON, NDJSON, merged Chrome trace).
+"""Run manifest assembly and export (JSON, merged Chrome trace).
 
 A *run manifest* is the single JSON artifact describing one executed batch
 run: what was run (config + content digest + package versions), what came
@@ -15,9 +15,7 @@ Exports:
 * :func:`build_manifest` — assemble the manifest from a finished
   :class:`~repro.core.plan.BatchResult` (duck-typed so this module never
   imports the scheduler layer above it);
-* :func:`write_manifest` / :func:`write_ndjson` — persist as one JSON
-  document or as newline-delimited records (one line per counter, gauge,
-  span, metric and decision — greppable and stream-appendable);
+* :func:`write_manifest` — persist it as one JSON document;
 * :func:`merged_chrome_trace` — the simulated-time Gantt trace
   (:func:`~repro.cluster.trace.to_chrome_trace`) merged with the
   wall-clock telemetry span events as a second Perfetto process.
@@ -28,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import platform as _platform
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -47,11 +45,9 @@ __all__ = [
     "build_manifest",
     "build_stream_manifest",
     "load_schema",
-    "manifest_to_ndjson",
     "merged_chrome_trace",
     "validate_manifest",
     "write_manifest",
-    "write_ndjson",
 ]
 
 MANIFEST_KIND = "repro-run-manifest"
@@ -220,90 +216,6 @@ def write_manifest(manifest: Mapping[str, Any], path: str | Path) -> Path:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    return path
-
-
-def manifest_to_ndjson(manifest: Mapping[str, Any]) -> Iterator[str]:
-    """Flatten a manifest into newline-delimited JSON records.
-
-    The first line is a ``header`` record carrying run identity (digest,
-    scheme, versions, result and transfer stats); every counter, gauge,
-    span, metric and the decision summary follow as one typed line each.
-    """
-    header = {
-        "type": "header",
-        "kind": manifest.get("kind"),
-        "manifest_version": manifest.get("manifest_version"),
-        "versions": manifest.get("versions"),
-        "config_digest": manifest.get("config_digest"),
-        "scheme": manifest.get("scheme"),
-        "result": manifest.get("result"),
-        "stats": manifest.get("stats"),
-    }
-    yield json.dumps(header, sort_keys=True, allow_nan=False)
-    telemetry = manifest.get("telemetry") or {}
-    for name, value in sorted(telemetry.get("counters", {}).items()):
-        yield json.dumps({"type": "counter", "name": name, "value": value})
-    for name, value in sorted(telemetry.get("gauges", {}).items()):
-        yield json.dumps({"type": "gauge", "name": name, "value": value})
-    for path, span in sorted(telemetry.get("spans", {}).items()):
-        yield json.dumps({"type": "span", "path": path, **span})
-    metrics = manifest.get("metrics") or {}
-    for name, value in sorted(metrics.items()):
-        yield json.dumps(
-            {"type": "metric", "name": name, "value": value}, allow_nan=False
-        )
-    decisions = manifest.get("decisions")
-    if decisions is not None:
-        yield json.dumps({"type": "decisions", **decisions}, allow_nan=False)
-    faults = manifest.get("faults")
-    if faults is not None:
-        yield json.dumps({"type": "faults", **faults}, allow_nan=False)
-    online = manifest.get("online")
-    if online is not None:
-        # One summary line for the stream, one per dispatched batch; the
-        # per-job array stays in the JSON manifest (it can be long).
-        yield json.dumps(
-            {
-                "type": "online",
-                "mode": online.get("mode"),
-                "policy": online.get("policy"),
-                "scheme": online.get("scheme"),
-                **(online.get("queueing") or {}),
-            },
-            allow_nan=False,
-        )
-        for batch in online.get("batches", []):
-            yield json.dumps({"type": "online-batch", **batch}, allow_nan=False)
-    timeseries = manifest.get("timeseries")
-    if timeseries is not None:
-        # One summary line per series (name, unit, point count, last value)
-        # keeps the NDJSON greppable without inlining whole point arrays;
-        # events are small and flatten one per line.
-        for name, series in sorted(timeseries.get("series", {}).items()):
-            points = series.get("points", [])
-            yield json.dumps(
-                {
-                    "type": "timeseries",
-                    "name": name,
-                    "unit": series.get("unit"),
-                    "points": len(points),
-                    "last": points[-1][1] if points else None,
-                },
-                allow_nan=False,
-            )
-        for event in timeseries.get("events", []):
-            yield json.dumps(
-                {"type": "timeseries-event", **event}, allow_nan=False
-            )
-
-
-def write_ndjson(manifest: Mapping[str, Any], path: str | Path) -> Path:
-    """Write the manifest's NDJSON form, one record per line."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        for line in manifest_to_ndjson(manifest):
-            fh.write(line + "\n")
     return path
 
 

@@ -22,7 +22,6 @@ from .queue import (
     AdmissionPolicy,
     FIFOWindow,
     LocalityWindow,
-    QueuedJob,
     SizeCappedWindow,
     make_policy,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "JobRecord",
     "JobStream",
     "LocalityWindow",
-    "QueuedJob",
     "SizeCappedWindow",
     "StreamResult",
     "arrivals_from_spec",

@@ -26,30 +26,21 @@ replay deterministically.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Protocol
 
 from ..batch import Batch
 from ..hypergraph import Hypergraph
 from ..hypergraph.metrics import cut_weight
+from .arrivals import JobArrival
 
 __all__ = [
     "POLICIES",
     "AdmissionPolicy",
     "FIFOWindow",
     "LocalityWindow",
-    "QueuedJob",
     "SizeCappedWindow",
     "make_policy",
 ]
-
-
-@dataclass(frozen=True)
-class QueuedJob:
-    """One job waiting for dispatch."""
-
-    task_id: str
-    arrival: float
 
 
 class AdmissionPolicy(Protocol):
@@ -58,7 +49,7 @@ class AdmissionPolicy(Protocol):
     name: str
 
     def select(
-        self, queued: Sequence[QueuedJob], batch: Batch, now: float
+        self, queued: Sequence[JobArrival], batch: Batch, now: float
     ) -> list[str]:
         """Task ids of the next batch; non-empty, must include ``queued[0]``."""
         ...
@@ -70,7 +61,7 @@ class FIFOWindow:
     name = "fifo"
 
     def select(
-        self, queued: Sequence[QueuedJob], batch: Batch, now: float
+        self, queued: Sequence[JobArrival], batch: Batch, now: float
     ) -> list[str]:
         if not queued:
             raise ValueError("cannot select from an empty queue")
@@ -88,7 +79,7 @@ class SizeCappedWindow:
         self.max_jobs = max_jobs
 
     def select(
-        self, queued: Sequence[QueuedJob], batch: Batch, now: float
+        self, queued: Sequence[JobArrival], batch: Batch, now: float
     ) -> list[str]:
         if not queued:
             raise ValueError("cannot select from an empty queue")
@@ -115,7 +106,7 @@ class LocalityWindow:
         self.max_jobs = max_jobs
 
     def select(
-        self, queued: Sequence[QueuedJob], batch: Batch, now: float
+        self, queued: Sequence[JobArrival], batch: Batch, now: float
     ) -> list[str]:
         if not queued:
             raise ValueError("cannot select from an empty queue")

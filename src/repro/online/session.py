@@ -40,8 +40,8 @@ from ..cluster.state import ClusterState, TransferStats
 from ..core.driver import run_batch
 from ..faults import FaultModel, FaultStats, resolve_spec
 from ..obs.timeseries import stitch_timeseries
-from .arrivals import JobStream
-from .queue import AdmissionPolicy, FIFOWindow, QueuedJob
+from .arrivals import JobArrival, JobStream
+from .queue import AdmissionPolicy, FIFOWindow
 
 __all__ = [
     "BatchRecord",
@@ -346,7 +346,7 @@ class ClusterSession:
         state: ClusterState | None = None
         model: FaultModel | None = None
         ts_blocks: list[tuple[float, dict[str, Any]]] = []
-        queue: list[QueuedJob] = []
+        queue: list[JobArrival] = []
         idx = 0
         now = 0.0
         # Every window holds the oldest queued job (checked below), so each
@@ -356,8 +356,7 @@ class ClusterSession:
                 # Idle cluster, empty queue: jump to the next arrival.
                 now = max(now, stream.arrivals[idx].arrival)
             while idx < len(stream.arrivals) and stream.arrivals[idx].arrival <= now:
-                a = stream.arrivals[idx]
-                queue.append(QueuedJob(a.task_id, a.arrival))
+                queue.append(stream.arrivals[idx])
                 idx += 1
 
             batch_index = len(result.batches)

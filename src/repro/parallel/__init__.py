@@ -7,8 +7,8 @@ replays previously simulated cells from an on-disk JSON cache
 exploit for throughput. A cell's one product is its
 :class:`~repro.experiments.report.Record`: that is what a sweep returns and
 what the cache stores. ``repro.experiments.figures``, the CLI's
-``run``/``figure`` commands and the benchmark harness all route through
-this layer.
+``figure``/``chaos`` sweeps and the benchmark harness all route through
+this layer; ``repro run`` runs its few cells in process.
 """
 
 from .cache import CACHE_SALT, DEFAULT_CACHE_DIR, CacheStats, ResultCache, config_key

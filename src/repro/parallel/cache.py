@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from .. import __version__
 from ..experiments.report import Record
-from ..obs.core import telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.runner import ExperimentConfig
@@ -120,10 +119,8 @@ class ResultCache:
             record = Record(**doc["record"])
         except (OSError, ValueError, KeyError, TypeError):
             self.stats.misses += 1
-            telemetry.count("repro-cache/misses")
             return None
         self.stats.hits += 1
-        telemetry.count("repro-cache/hits")
         return record
 
     def put(
@@ -146,7 +143,6 @@ class ResultCache:
             json.dump(doc, fh, indent=None)
         os.replace(tmp, path)
         self.stats.stores += 1
-        telemetry.count("repro-cache/stores")
         return path
 
     def clear(self) -> int:

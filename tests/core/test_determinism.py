@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import osc_osumed, osc_xio
 from repro.core import run_batch
-from repro.io import batch_to_dict, result_to_dict
+from repro.io import batch_to_dict
 from repro.workloads import generate_image_batch, generate_sat_batch
 
 SCHEMES = ("bipartition", "minmin", "jdp", "maxmin", "sufferage")
@@ -22,13 +22,14 @@ def test_run_twice_identical(scheme):
     batch = generate_image_batch(24, "high", 4, seed=5)
     a = run_batch(batch, platform, scheme, scheduler_kwargs={"seed": 3})
     b = run_batch(batch, platform, scheme, scheduler_kwargs={"seed": 3})
-    da, db = result_to_dict(a), result_to_dict(b)
-    # Wall-clock scheduling time differs; everything else must match.
-    for d in (da, db):
-        d.pop("scheduling_seconds")
-        for sb in d["sub_batches"]:
-            sb.pop("scheduling_seconds")
-    assert da == db
+    # Wall-clock scheduling time differs; everything else must match:
+    # each sub-batch's plan and execution (every TaskRecord), the transfer
+    # statistics and the makespan.
+    assert [(sb.plan, sb.execution) for sb in a.sub_batches] == [
+        (sb.plan, sb.execution) for sb in b.sub_batches
+    ]
+    assert a.stats == b.stats
+    assert a.makespan == b.makespan
 
 
 def test_generators_stable_across_calls():

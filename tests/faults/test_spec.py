@@ -1,7 +1,5 @@
 """Tests for the declarative fault-spec layer (repro.faults.spec)."""
 
-import json
-
 import pytest
 
 from repro.faults import (
@@ -74,18 +72,6 @@ class TestSerialisation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown fault-spec key"):
             FaultSpec.from_dict({"transfer_failure_rate": 0.1, "typo": 1})
-
-    def test_from_json_file(self, tmp_path):
-        spec = self.full_spec()
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
-        assert FaultSpec.from_json_file(path) == spec
-
-    def test_from_json_file_rejects_non_object(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="JSON object"):
-            FaultSpec.from_json_file(path)
 
 
 class TestResolveSpec:

@@ -1,4 +1,4 @@
-"""Run-manifest assembly, schema validation, golden file, NDJSON, traces."""
+"""Run-manifest assembly, schema validation, golden file, traces."""
 
 import copy
 import json
@@ -15,11 +15,9 @@ from repro.obs import (
     build_manifest,
     build_stream_manifest,
     load_schema,
-    manifest_to_ndjson,
     merged_chrome_trace,
     validate_manifest,
     write_manifest,
-    write_ndjson,
 )
 from repro.obs.core import telemetry
 from repro.obs.schema import validate
@@ -155,23 +153,6 @@ class TestBuildManifest:
         manifest = build_manifest(golden_result(), config_digest="0" * 64)
         path = write_manifest(manifest, tmp_path / "m.json")
         assert json.loads(path.read_text()) == manifest
-
-
-class TestNdjson:
-    def test_lines_parse_and_header_leads(self, tmp_path):
-        manifest = build_manifest(golden_result(), config_digest="0" * 64)
-        path = write_ndjson(manifest, tmp_path / "m.ndjson")
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0]["type"] == "header"
-        assert lines[0]["scheme"] == "minmin"
-        kinds = {line["type"] for line in lines}
-        assert {"header", "counter", "span", "metric", "decisions"} <= kinds
-
-    def test_every_counter_becomes_a_line(self):
-        manifest = build_manifest(golden_result(), config_digest="0" * 64)
-        lines = [json.loads(s) for s in manifest_to_ndjson(manifest)]
-        names = {ln["name"] for ln in lines if ln["type"] == "counter"}
-        assert names == set(manifest["telemetry"]["counters"])
 
 
 class TestMergedChromeTrace:

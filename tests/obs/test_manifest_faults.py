@@ -2,8 +2,8 @@
 
 The golden-manifest test (test_manifest.py) pins the fault-free shape; here
 the other side of the contract is pinned: a run with an active fault spec
-gains a ``faults`` object that validates against the schema, flows through
-NDJSON, and never appears on fault-free runs.
+gains a ``faults`` object that validates against the schema and never
+appears on fault-free runs.
 """
 
 import json
@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster.platform import osc_xio
 from repro.core.driver import run_batch
-from repro.obs import build_manifest, manifest_to_ndjson, validate_manifest
+from repro.obs import build_manifest, validate_manifest
 from repro.obs.core import telemetry
 from repro.workloads import generate_image_batch
 
@@ -74,17 +74,3 @@ class TestFaultsInManifest:
         extra = json.loads(json.dumps(manifest))
         extra["faults"]["surprise"] = 1
         assert validate_manifest(extra)
-
-    def test_ndjson_gains_a_faults_line(self):
-        manifest = build_manifest(faulty_result(), config_digest="0" * 64)
-        lines = [json.loads(s) for s in manifest_to_ndjson(manifest)]
-        fault_lines = [ln for ln in lines if ln["type"] == "faults"]
-        assert len(fault_lines) == 1
-        assert fault_lines[0]["transfer_failures"] == (
-            manifest["faults"]["transfer_failures"]
-        )
-
-    def test_fault_free_ndjson_has_no_faults_line(self):
-        manifest = build_manifest(faulty_result(faults=None), config_digest="0" * 64)
-        lines = [json.loads(s) for s in manifest_to_ndjson(manifest)]
-        assert not [ln for ln in lines if ln["type"] == "faults"]

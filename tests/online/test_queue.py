@@ -5,8 +5,8 @@ import pytest
 from repro.batch import Batch, FileInfo, Task
 from repro.online import (
     FIFOWindow,
+    JobArrival,
     LocalityWindow,
-    QueuedJob,
     SizeCappedWindow,
     make_policy,
 )
@@ -29,7 +29,7 @@ def _batch_two_groups():
 
 
 def _queue(batch):
-    return [QueuedJob(t.task_id, float(i)) for i, t in enumerate(batch.tasks)]
+    return [JobArrival(t.task_id, float(i)) for i, t in enumerate(batch.tasks)]
 
 
 class TestFIFO:

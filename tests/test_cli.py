@@ -68,28 +68,6 @@ class TestCommands:
         assert "jdp" in out
         assert "makespan" in out
 
-    def test_run_synthetic_takes_the_parallel_path(self, capsys):
-        argv = ["run", "--workload", "synthetic", "--tasks", "12",
-                "--schemes", "minmin"]
-        assert main(argv + ["--workers", "2"]) == 0
-        fanned = capsys.readouterr().out
-        assert main(argv + ["--workers", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert "note:" not in fanned
-        assert scheme_row(fanned, "minmin") == scheme_row(serial, "minmin")
-
-    def test_run_clear_cache_applies_on_the_serial_path(self, capsys, tmp_path):
-        argv = ["run", "--workload", "synthetic", "--tasks", "6",
-                "--schemes", "minmin", "--cache-dir", str(tmp_path)]
-        assert main([*argv, "--cache"]) == 0
-        assert list(tmp_path.rglob("*.json"))
-        capsys.readouterr()
-        # --gantt takes the serial path, which never reads the cache; the
-        # clear must still happen.
-        assert main([*argv, "--clear-cache", "--gantt"]) == 0
-        assert "cache cleared: 1 entry removed" in capsys.readouterr().out
-        assert not list(tmp_path.rglob("*.json"))
-
     def test_stream_rejects_an_unknown_storage(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -216,20 +194,6 @@ class TestCommands:
         assert "x=transfer" in out
         assert json.loads(trace_file.read_text())["traceEvents"]
 
-    def test_run_faults_output_does_not_depend_on_workers(self, capsys):
-        argv = ["run", "--tasks", "12", "--schemes", "bipartition", "minmin",
-                "--faults", str(FAULT_SPEC)]
-        assert main([*argv, "--workers", "2"]) == 0
-        fanned = capsys.readouterr().out
-        assert main([*argv, "--workers", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert "--faults; running serially" in fanned
-        for scheme in ("bipartition", "minmin"):
-            assert scheme_row(fanned, scheme) == scheme_row(serial, scheme)
-        block = serial.split("fault injection:")[1]
-        assert "1 crash(es)" in block
-        assert fanned.split("fault injection:")[1] == block
-
     def test_chaos_audits_and_writes_both_files(self, tmp_path, capsys):
         csv_file, json_file = tmp_path / "c.csv", tmp_path / "c.json"
         rc = main(
@@ -308,15 +272,38 @@ class TestCommands:
         assert err.startswith(f"repro {argv[0]}: ")
         assert message in err
 
-    @pytest.mark.parametrize("command", ["metrics", "profile"])
-    def test_obs_commands_validate_the_fault_spec(self, command, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"transfer_failure_rate": 2.0}))
-        with pytest.raises(SystemExit, match="invalid fault spec"):
-            main([command, "fig5b", "--tasks", "8", "--faults", str(bad)])
-        missing = tmp_path / "missing.json"
-        with pytest.raises(SystemExit, match="cannot read fault spec"):
-            main([command, "fig5b", "--tasks", "8", "--faults", str(missing)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--tasks", "8"],
+            ["audit", "--tasks", "8"],
+            ["metrics", "fig5b", "--tasks", "8"],
+            ["profile", "fig5b", "--tasks", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file or directory"),
+            ('{"transfer_failure_rate": 0.1', "Expecting ',' delimiter"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"transfer_failure_rate": 2.0}', "must be in [0, 1]"),
+        ],
+        ids=["missing", "truncated", "list", "rate"],
+    )
+    def test_a_bad_fault_spec_is_a_usage_error(
+        self, argv, text, message, tmp_path, capsys
+    ):
+        spec = tmp_path / "faults.json"
+        if text is not None:
+            spec.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--faults", str(spec)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: invalid fault spec {spec}: ")
+        assert message in err
 
     def test_profile_shows_work_counters(self, capsys):
         rc = main(["profile", "fig6b", "--tasks", "12", "--scheme", "minmin"])
@@ -338,6 +325,17 @@ class TestCommands:
         lines = csv_file.read_text().strip().splitlines()
         assert lines[0].startswith("experiment,")
         assert len(lines) == 5  # header + 2 workloads x (rep, norep)
+
+    def test_figure_clear_cache_applies_without_the_cache(self, capsys, tmp_path):
+        argv = ["figure", "fig5b", "--sizes", "8", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(list(tmp_path.rglob("*.json"))) == 3  # one cell per scheme
+        capsys.readouterr()
+        # --no-cache never reads or writes the cache; the clear must still
+        # happen.
+        assert main([*argv, "--no-cache", "--clear-cache"]) == 0
+        assert "cache cleared: 3 entries removed" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.json"))
 
     def test_workload_save_and_run_load(self, tmp_path, capsys):
         saved = tmp_path / "batch.json"

@@ -1,19 +1,15 @@
-"""Tests for batch/result JSON serialization."""
+"""Tests for batch JSON serialization."""
 
 import json
 
 import pytest
 
 from repro.batch import Batch, FileInfo, Task
-from repro.cluster import osc_xio
-from repro.core import run_batch
 from repro.io import (
     batch_from_dict,
     batch_to_dict,
     load_batch,
-    result_to_dict,
     save_batch,
-    save_result,
 )
 from repro.workloads import generate_sat_batch
 
@@ -82,23 +78,3 @@ class TestBatchRoundTrip:
         save_batch(batch, p1)
         save_batch(batch, p2)
         assert p1.read_text() == p2.read_text()
-
-
-class TestResultSerialization:
-    def test_result_dict(self, batch):
-        platform = osc_xio(2, 2)
-        result = run_batch(batch, platform, "bipartition")
-        doc = result_to_dict(result)
-        assert doc["kind"] == "batch_result"
-        assert doc["scheduler"] == "bipartition"
-        assert doc["num_tasks"] == 2
-        assert doc["makespan_s"] == pytest.approx(result.makespan)
-        assert doc["sub_batches"][0]["mapping"]["t0"] in (0, 1)
-
-    def test_result_file(self, batch, tmp_path):
-        platform = osc_xio(2, 2)
-        result = run_batch(batch, platform, "minmin")
-        p = tmp_path / "res.json"
-        save_result(result, p)
-        doc = json.loads(p.read_text())
-        assert doc["stats"]["remote_transfers"] >= 1
