@@ -123,7 +123,9 @@ for run in jobs:
         rt = result.runtime
         out["work"] = {"seconds": round(seconds, 2)} | {
             name: getattr(rt, name)
-            for name in ("evaluations", "first_evaluations", "slot_searches")
+            for name in (
+                "evaluations", "first_evaluations", "slot_searches", "slot_skips"
+            )
             if hasattr(rt, name)
         }
     print(json.dumps(out))

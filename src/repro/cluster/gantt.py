@@ -9,7 +9,8 @@ reserving a task's transfers on the real charts and releasing them again
 (paper: files are "tentatively scheduled"). :func:`earliest_common_slot`
 finds the first instant a set of resources is simultaneously free
 (single-port model: a transfer occupies both its endpoints, plus the shared
-inter-cluster link when present).
+inter-cluster link when present). Both searches run one walk,
+:func:`_walk`.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class Timeline:
     """Busy intervals of one resource, kept sorted and non-overlapping.
 
     Starts and ends are mirrored in two float lists, for bisection and for
-    the walk in :meth:`earliest_slot`; :meth:`reserve` and :meth:`release`
-    update them in place with the interval list, so all three hold the
-    same floats.
+    the slot searches' walk (:func:`_walk`); :meth:`reserve` and
+    :meth:`release` update them in place with the interval list, so all
+    three hold the same floats.
 
     A reservation no longer than ``_EPS`` occupies no time under
     :meth:`is_free`'s rule and is not stored, so every stored interval is
@@ -89,35 +90,11 @@ class Timeline:
 
     def next_free(self, t: Seconds) -> Seconds:
         """Earliest instant >= t that is not inside a reservation."""
-        i = bisect_right(self._starts, t + _EPS)
-        if i > 0 and self._ends[i - 1] > t + _EPS:
-            return self._ends[i - 1]
-        return t
+        return _walk(self._starts, self._ends, 0.0, t, 0)[0]
 
     def earliest_slot(self, duration: Seconds, not_before: Seconds = 0.0) -> Seconds:
         """Earliest start >= not_before of a free gap of ``duration``."""
-        if duration <= _EPS:
-            return self.next_free(not_before)
-        t = max(0.0, not_before)
-        starts = self._starts
-        n = len(starts)
-        i = bisect_right(starts, t + _EPS)
-        ends = self._ends
-        if i > 0 and ends[i - 1] > t + _EPS:
-            t = ends[i - 1]
-        if i == n:
-            return t
-        if t + duration <= starts[i] + _EPS:
-            return t
-        while True:
-            e = ends[i]
-            if e > t:
-                t = e
-            i += 1
-            if i == n:
-                return t
-            if t + duration <= starts[i] + _EPS:
-                return t
+        return _walk(self._starts, self._ends, duration, max(0.0, not_before), 0)[0]
 
     def free_time_end(
         self, work: Seconds, min_gap: Seconds, not_before: Seconds
@@ -181,6 +158,37 @@ class Timeline:
         return f"Timeline({self.name!r}, {len(self)} reservations)"
 
 
+def _walk(
+    starts: list[float], ends: list[float], duration: Seconds, t: Seconds, i: int
+) -> tuple[Seconds, int]:
+    """One timeline's earliest start >= ``t`` for ``duration``, walking from
+    index ``i``; returns the start and the index the walk stopped at.
+
+    ``i`` may be any index whose starts before it are all at most
+    ``t + _EPS``, since the bisection for ``t`` lands at or after it. 0
+    always is. So is the index a walk stopped at, for any ``t`` at or
+    after the start it returned: the starts it bisected past were at most
+    its own ``t + _EPS``, and the ones it walked past are below the start
+    it returned.
+
+    A start inside a reservation (by more than ``_EPS``) moves to its end.
+    With ``duration <= _EPS`` that is all; otherwise the start moves past
+    every following reservation that begins less than ``duration - _EPS``
+    after it, onto the reservation's end.
+    """
+    i = bisect_right(starts, t + _EPS, i)
+    if i > 0 and ends[i - 1] > t + _EPS:
+        t = ends[i - 1]
+    if duration > _EPS:
+        n = len(starts)
+        while i < n and t + duration > starts[i] + _EPS:
+            e = ends[i]
+            if e > t:
+                t = e
+            i += 1
+    return t, i
+
+
 def earliest_common_slot(
     resources: Sequence[Timeline],
     duration: Seconds,
@@ -188,24 +196,31 @@ def earliest_common_slot(
 ) -> Seconds:
     """Earliest start where *all* resources are free for ``duration``.
 
-    Fixpoint iteration over per-resource ``earliest_slot``, calling the
-    resources in turn: each call returns the candidate start ``t``
-    unchanged or moves it more than ``_EPS`` later, onto the end of a
-    reservation. Once every resource in a row has returned ``t`` unchanged,
-    ``t`` is the common slot. Terminates because the resources hold
-    finitely many reservations.
+    The fixpoint of :meth:`Timeline.earliest_slot` over the resources,
+    called in turn: each call returns the candidate start ``t`` unchanged
+    or moves it more than ``_EPS`` later, onto the end of a reservation.
+    Once every resource in a row has returned ``t`` unchanged, ``t`` is the
+    common slot. Terminates because the resources hold finitely many
+    reservations.
+
+    The calls are one joint walk: each resource's walk resumes at the index
+    where its previous one stopped, since ``t`` never decreases. The moves,
+    and so the returned float, are the fixpoint's.
     """
     t = max(0.0, not_before)
     count = len(resources)
-    unchanged = 0
+    lists = [(tl._starts, tl._ends) for tl in resources]
+    stops = [0] * count
+    k = unchanged = 0
     while unchanged < count:
-        for res in resources:
-            t_new = res.earliest_slot(duration, t)
-            if t_new > t:
-                t = t_new
-                unchanged = 0
-            else:
-                unchanged += 1
-                if unchanged == count:
-                    break
+        starts, ends = lists[k]
+        t_new, stops[k] = _walk(starts, ends, duration, t, stops[k])
+        if t_new > t:
+            t = t_new
+            unchanged = 0
+        else:
+            unchanged += 1
+        k += 1
+        if k == count:
+            k = 0
     return t

@@ -26,7 +26,8 @@ inter-cluster link (when present):
   reserved, nothing cached) of one speed and local disk. A candidate tied
   on its bound with an earlier one of the same *shape* (inputs that differ
   only in name) is not evaluated. Within one min-TCT round of an
-  evaluation, identical slot queries share one search.
+  evaluation, identical slot queries share one search, and a source whose
+  transfer cannot end before the round's best so far is not searched.
 
 Single-port model: a transfer occupies both endpoints' timelines; a compute
 node's timeline also carries task execution, so no file is staged on a node
@@ -41,6 +42,7 @@ modification" for realising the IP solution at run time.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -135,7 +137,7 @@ _BOUND_REL_SLACK = 1e-9
 #: per :meth:`Runtime.execute` call as ``runtime/<name>`` telemetry counters.
 _WORK_COUNTERS = (
     "candidates", "duplicates", "shape_skips", "evaluations",
-    "first_evaluations", "slot_searches", "slot_reuses",
+    "first_evaluations", "slot_searches", "slot_reuses", "slot_skips",
 )
 
 #: Every transfer and execution must last longer than this. Then
@@ -227,8 +229,9 @@ class Runtime:
         # disk); candidates skipped for having the bound and shape of an
         # earlier one; pairs it evaluated, and how many of those the first
         # commits of a sub-batch made; the common-slot searches that costed
-        # their transfers, and the slot queries answered by an identical
-        # query earlier in the same round.
+        # their transfers, the slot queries answered by an identical query
+        # earlier in the same round, and the sources not searched because
+        # their transfer could not end before the best so far.
         self.candidates = 0
         self.duplicates = 0
         self.shape_skips = 0
@@ -236,6 +239,7 @@ class Runtime:
         self.first_evaluations = 0
         self.slot_searches = 0
         self.slot_reuses = 0
+        self.slot_skips = 0
 
     # -- resource helpers -------------------------------------------------------
     def timelines(self) -> list[Timeline]:
@@ -318,22 +322,35 @@ class Runtime:
         sources: Sequence[_Source],
         floor: Seconds,
         slots: dict[_SlotQuery, Seconds],
+        cutoff: Seconds = math.inf,
         exclude: AbstractSet[tuple[str, int | None]] = frozenset(),
     ) -> _Attempt | None:
-        """Min-TCT transfer of ``file_id`` from one of ``sources``.
+        """Min-TCT transfer of ``file_id`` from one of ``sources``, if it
+        completes before ``cutoff``.
 
-        Returns the first source with the least transfer completion time,
-        starting no earlier than ``floor``. Under a fault model, link
-        slowdowns stretch the transfer and a replica whose node dies before
-        the copy ends is skipped; a retry excludes the sources it already
-        tried. ``None`` means every source was excluded or
+        Returns the first source with the least transfer completion time
+        below ``cutoff``, starting no earlier than ``floor``. Under a fault
+        model, link slowdowns stretch the transfer and a replica whose node
+        dies before the copy ends is skipped; a retry excludes the sources
+        it already tried. ``None`` means no source completes before
+        ``cutoff``; with no cutoff, that every source was excluded or
         crash-unreachable, which takes a fault model: the storage cluster
         never crashes.
 
-        ``slots`` memoises ``earliest_common_slot`` by its arguments. The
-        caller must reserve nothing while one memo is in use, so an answer
-        stays valid for as long as the memo lives; a caller that reserves
-        between calls passes a fresh one to each.
+        Every transfer occupies the destination's port, ``res[0]``, so it
+        starts no earlier than the port's own earliest slot, its *head*,
+        and that is where its common-slot search starts. IEEE addition is
+        monotone, so a source whose head plus duration is not below the
+        cutoff, or the best completion so far, cannot win and is not
+        searched.
+
+        ``slots`` memoises ``earliest_common_slot`` by its arguments; a
+        head is memoised as the query on the port alone, ``(res[:1],
+        duration, not_before)``, whose answer it is for any transfer (one
+        longer than ``_MIN_DURATION``). The caller must reserve nothing
+        while one memo is in use, so an answer stays valid for as long as
+        the memo lives; a caller that reserves between calls passes a
+        fresh one to each.
         """
         faults = self.faults
         size = self.state.size_of(file_id)
@@ -349,11 +366,18 @@ class Runtime:
                 # sampled at the transfer's earliest possible start
                 # (deterministic even though the actual slot may land later).
                 duration = size * faults.slowdown_factor(kind, not_before) / bw
-            query = (res, duration, not_before)
+            port = (res[:1], duration, not_before)
+            head = slots.get(port)
+            if head is None:
+                head = slots[port] = res[0].earliest_slot(duration, not_before)
+            if head + duration >= cutoff:
+                self.slot_skips += 1
+                continue
+            query = (res, duration, head)
             known = slots.get(query)
             if known is None:
                 self.slot_searches += 1
-                start = slots[query] = earliest_common_slot(res, duration, not_before)
+                start = slots[query] = earliest_common_slot(res, duration, head)
             else:
                 self.slot_reuses += 1
                 start = known
@@ -362,8 +386,9 @@ class Runtime:
                 assert src is not None
                 if tct > faults.crash_time(src):
                     continue  # source node dies mid-copy: not a usable source
-            if best is None or tct < best[0]:
+            if tct < cutoff:
                 best = (tct, kind, src, start, duration, res)
+                cutoff = tct
         return best
 
     def _retry_until_staged(
@@ -405,7 +430,7 @@ class Runtime:
             tried.add((kind, src))
             floor = start + duration + faults.backoff(attempt)
             attempt += 1
-            nxt = self._best_source(file_id, sources, floor, {}, tried)
+            nxt = self._best_source(file_id, sources, floor, {}, exclude=tried)
             if nxt is None:
                 tried.clear()  # every source tried: cycle through again
                 nxt = self._best_source(file_id, sources, floor, {})
@@ -604,8 +629,11 @@ class Runtime:
 
         A round costs every remaining file before it reserves anything, so
         its identical slot queries (files of one size on one storage node,
-        say) share one search. The memo is dropped when the round's pick is
-        staged.
+        say) share one search, and the port walk that heads every transfer
+        of one duration and earliest start is made once. The memo is
+        dropped when the round's pick is staged. The round keeps the first
+        strictly least TCT, so every file after the first is costed with
+        the round's best so far as its cutoff.
         """
         clock = self.clock
         missing = [f for f in task.files if not self.state.has_file(node, f)]
@@ -624,14 +652,24 @@ class Runtime:
                 pick: tuple[_Attempt, str] | None = None
                 slots: dict[_SlotQuery, Seconds] = {}
                 for f, sources in remaining.items():
-                    opt = self._best_source(f, sources, clock, slots)
-                    if opt is None:  # planned source unusable: dynamic fallback
-                        opt = self._best_source(
-                            f, self._sources(f, node, None), clock, slots
-                        )
-                    assert opt is not None  # the storage cluster never crashes
-                    if pick is None or opt[0] < pick[0][0]:
+                    cutoff = math.inf if pick is None else pick[0][0]
+                    if sources[0][0] == "replica":
+                        # Dynamic sources start with the storage node, so
+                        # this is a plan's one source. It is costed
+                        # whatever the cutoff, so that the fallback runs
+                        # exactly when the planned replica is unusable.
+                        opt = self._best_source(f, sources, clock, slots)
+                        if opt is None:  # planned source unusable: dynamic fallback
+                            opt = self._best_source(
+                                f, self._sources(f, node, None), clock, slots, cutoff
+                            )
+                    else:
+                        opt = self._best_source(f, sources, clock, slots, cutoff)
+                    if opt is not None and opt[0] < cutoff:
                         pick = (opt, f)
+                # The first file is costed without a cutoff, and the storage
+                # node, which never crashes, is among its sources or its
+                # fallback's.
                 assert pick is not None
                 opt, f = pick
                 if self.faults is not None:

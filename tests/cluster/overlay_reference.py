@@ -5,9 +5,51 @@ placed on the real timelines: each timeline a task's staging touches gets an
 :class:`Overlay` holding the task's own reservations, and slot searches see
 the timeline and its overlay together. ``test_ect_search.py`` checks the
 runtime against it. It reads the runtime's state and never modifies it.
+Its slot searches are its own, so it shares none with the code it checks:
+each timeline is walked from a fresh bisection, and a common slot is the
+fixpoint over the resources' ``earliest_slot`` calls.
 """
 
-from repro.cluster.gantt import _EPS, Interval, earliest_common_slot
+from bisect import bisect_right
+
+from repro.cluster.gantt import _EPS, Interval
+
+
+def timeline_earliest_slot(tl, duration, not_before):
+    """Earliest start >= ``not_before`` of a free gap of ``duration`` on
+    timeline ``tl``: the first start that no reservation overlaps by more
+    than ``_EPS`` (for ``duration <= _EPS``, the first instant not inside
+    one)."""
+    starts, ends = tl._starts, tl._ends
+    t = not_before
+    i = bisect_right(starts, t + _EPS)
+    if i > 0 and ends[i - 1] > t + _EPS:
+        t = ends[i - 1]
+    if duration <= _EPS:
+        return t
+    while i < len(starts) and t + duration > starts[i] + _EPS:
+        t = max(t, ends[i])
+        i += 1
+    return t
+
+
+def earliest_common_slot(resources, duration, not_before=0.0):
+    """Call the resources' ``earliest_slot`` in turn, from ``not_before``,
+    until every resource in a row returns the candidate start unchanged."""
+    t = max(0.0, not_before)
+    count = len(resources)
+    unchanged = 0
+    while unchanged < count:
+        for res in resources:
+            t_new = res.earliest_slot(duration, t)
+            if t_new > t:
+                t = t_new
+                unchanged = 0
+            else:
+                unchanged += 1
+                if unchanged == count:
+                    break
+    return t
 
 
 class Overlay:
@@ -25,16 +67,13 @@ class Overlay:
         )
 
     def earliest_slot(self, duration, not_before=0.0):
-        virtual = self.virtual
-        if not virtual:
-            return self.base.earliest_slot(duration, max(0.0, not_before))
         t = max(0.0, not_before)
         # Alternate between the base timeline and the virtual intervals
         # until both agree on a start.
         while True:
-            t2 = self.base.earliest_slot(duration, t)
+            t2 = timeline_earliest_slot(self.base, duration, t)
             bumped = False
-            for iv in virtual:
+            for iv in self.virtual:
                 if iv.start < t2 + duration - _EPS and iv.end > t2 + _EPS:
                     t2 = max(t2, iv.end)
                     bumped = True

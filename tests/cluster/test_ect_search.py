@@ -556,14 +556,10 @@ class TestNearShapesStayApart:
         assert rt.duplicates == 0
 
 
-def test_identical_slot_queries_share_one_search_per_round():
-    # f0-f2 have one size and one storage node, so in every min-TCT round
-    # they ask the same slot query; f3 is shorter and staged first. Ties
-    # between f0-f2 go to the task's file order.
-    files = [FileInfo(f"f{i}", 100.0, 0) for i in range(3)]
-    files.append(FileInfo("f3", 50.0, 0))
-    task = Task("t0", ("f0", "f1", "f2", "f3"), 1.0)
-    rt = small_runtime(files, [task])
+def counted_searches(rt, task, node, plan=None):
+    """``rt.evaluate(task, node, plan)``, checked against the overlay-based
+    reference, and the ``(timeline names, duration, not_before)`` of every
+    common-slot search it made."""
     calls = []
     search = runtime.earliest_common_slot
 
@@ -571,14 +567,9 @@ def test_identical_slot_queries_share_one_search_per_round():
         calls.append((tuple(tl.name for tl in res), duration, not_before))
         return search(res, duration, not_before)
 
-    want = overlay_reference.evaluate(rt, task, 0, None)
+    want = overlay_reference.evaluate(rt, task, node, plan)
     with mock.patch.object(runtime, "earliest_common_slot", counted):
-        tent = rt.evaluate(task, 0)
-    assert [f for f, *_ in tent.transfers] == ["f3", "f0", "f1", "f2"]
-    query = ("compute0", "storage0")
-    # Round 1: one search for f0-f2 and one for f3; rounds 2-4: one each.
-    assert calls == [(query, 1.0, 0.0), (query, 0.5, 0.0), *[(query, 1.0, 0.0)] * 3]
-    assert (rt.slot_searches, rt.slot_reuses) == (5, 2 + 2 + 1)
+        tent = rt.evaluate(task, node, plan)
     assert (
         tent.transfers,
         tent.failed_attempts,
@@ -587,6 +578,87 @@ def test_identical_slot_queries_share_one_search_per_round():
         tent.ect,
         reservations(tent),
     ) == want
+    return tent, calls
+
+
+def test_identical_slot_queries_share_one_search_per_round():
+    # f0-f2 have one size and one storage node, so in every min-TCT round
+    # they ask the same slot query; f3 is shorter and staged first. Ties
+    # between f0-f2 go to the task's file order. The storage node is busy
+    # until 0.25 s, so in round 1 the port's slot (0 s) cannot rule out
+    # f1 and f2, and they reuse f0's search; from round 2 on the port's
+    # slot is the common one, so they cannot beat f0 and are skipped.
+    files = [FileInfo(f"f{i}", 100.0, 0) for i in range(3)]
+    files.append(FileInfo("f3", 50.0, 0))
+    task = Task("t0", ("f0", "f1", "f2", "f3"), 1.0)
+    rt = small_runtime(files, [task])
+    rt.storage_tl[0].reserve(0.0, 0.25)
+    tent, calls = counted_searches(rt, task, 0)
+    assert [f for f, *_ in tent.transfers] == ["f3", "f0", "f1", "f2"]
+    query = ("compute0", "storage0")
+    # Each search starts at the port's slot: round 1 has one search for
+    # f0-f2 and one for f3; rounds 2-4 one each.
+    assert calls == [
+        (query, 1.0, 0.0), (query, 0.5, 0.0),
+        (query, 1.0, 0.75), (query, 1.0, 1.75), (query, 1.0, 2.75),
+    ]
+    assert (rt.slot_searches, rt.slot_reuses, rt.slot_skips) == (5, 2, 2 + 1)
+
+
+@pytest.mark.parametrize(
+    "f0_mb", [pytest.param(50.0, id="faster"), pytest.param(100.0, id="tie")]
+)
+def test_source_that_cannot_beat_the_round_is_not_searched(f0_mb):
+    # f0 and f1 (1 s) come from two storage nodes. In round 1 f1's port
+    # slot is 0 s, so f1 cannot complete before f0 does: f0 takes 0.5 s,
+    # or 1 s, a tie that f0, first in file order, keeps. f1 is skipped
+    # without a search, and searched in round 2 from its port slot.
+    files = [FileInfo("f0", f0_mb, 0), FileInfo("f1", 100.0, 1)]
+    task = Task("t0", ("f0", "f1"), 1.0)
+    rt = small_runtime(files, [task], num_storage=2)
+    tent, calls = counted_searches(rt, task, 0)
+    f0_s = f0_mb / 100.0
+    assert calls == [
+        (("compute0", "storage0"), f0_s, 0.0),
+        (("compute0", "storage1"), 1.0, f0_s),
+    ]
+    assert (rt.slot_searches, rt.slot_reuses, rt.slot_skips) == (2, 0, 1)
+    assert [(f, start) for f, _kind, _src, start, _d in tent.transfers] == [
+        ("f0", 0.0), ("f1", f0_s),
+    ]
+
+
+@pytest.mark.parametrize(
+    "crash_s, want",
+    [
+        # Node 1 dies before the 2 s copy ends: the planned replica is
+        # unusable, and the dynamic fallback's remote copy (0.5 s) beats
+        # f1 (1 s) in round 1.
+        (1.5, [("f0", "remote", None, 0.0, 0.5), ("f1", "remote", None, 0.5, 1.0)]),
+        # Node 1 outlives the copy: the planned replica is used, after f1.
+        (10.0, [("f1", "remote", None, 0.0, 1.0), ("f0", "replica", 1, 1.0, 2.0)]),
+    ],
+)
+def test_planned_replica_is_costed_whatever_the_round(crash_s, want):
+    # The plan fixes f0's source: a replica on node 1, copied at 25 MB/s
+    # (2 s). In round 1 its port slot plus duration cannot beat f1's 1 s,
+    # but it is costed anyway, since only its search tells whether node 1
+    # dies mid-copy and the dynamic fallback must run.
+    platform = Platform(
+        compute_nodes=(ComputeNode(0), ComputeNode(1)),
+        storage_nodes=(StorageNode(0, disk_bw=100.0),),
+        storage_network_bw=1000.0,
+        compute_network_bw=25.0,
+    )
+    files = {"f0": FileInfo("f0", 50.0, 0), "f1": FileInfo("f1", 100.0, 0)}
+    task = Task("t0", ("f1", "f0"), 1.0)
+    state = ClusterState.initial(platform, Batch([task], files))
+    faults = FaultModel(FaultSpec(node_crashes=(NodeCrash(1, crash_s),)))
+    rt = Runtime(platform, state, faults=faults)
+    rt.state.place(1, "f0")
+    plan = StagingPlan(sources={("f0", 0): PlannedSource("replica", 1)})
+    tent, _calls = counted_searches(rt, task, 0, plan)
+    assert tent.transfers == want
 
 
 def test_bound_allows_eps_overlap():
@@ -664,10 +736,13 @@ class TestCounters:
         assert counters["runtime/evaluations"] == 23.0
         assert counters["runtime/first_evaluations"] == 9.0
         # One common-slot search per distinct (timelines, duration, start)
-        # query per min-TCT round of every evaluation; the round's repeats
-        # reuse its answer.
-        assert counters["runtime/slot_searches"] == 1630.0
-        assert counters["runtime/slot_reuses"] == 368.0
+        # query per min-TCT round of every evaluation, each starting at the
+        # destination port's slot; the round's repeats reuse its answer,
+        # and sources whose port slot cannot beat the round's best are
+        # skipped. Each of the 1 998 costed sources is one of the three.
+        assert counters["runtime/slot_searches"] == 569.0
+        assert counters["runtime/slot_reuses"] == 288.0
+        assert counters["runtime/slot_skips"] == 1141.0
 
     def test_slot_searches_count_every_common_slot_call(self):
         calls = []

@@ -1,9 +1,15 @@
 """Unit tests for Gantt-chart timelines, releases and common-slot search."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Interval, Timeline, earliest_common_slot
+from repro.cluster.gantt import _EPS
+
+from . import overlay_reference
 
 #: Reservations past ``not_before`` that make a timeline's tail "long": the
 #: walk runs past the short tails that most runtime queries see.
@@ -72,6 +78,16 @@ class TestTimeline:
         tl = Timeline("t")
         tl.reserve(0.0, 2.0)
         assert tl.earliest_slot(0.0, not_before=1.0) == 2.0
+
+    def test_short_query_leaves_one_reservation(self):
+        # A query no longer than _EPS only leaves the reservation it starts
+        # in, even where the next one overlaps that one's end (by less than
+        # _EPS); the common-slot search then leaves the next one too.
+        tl = Timeline("t")
+        tl.reserve(0.0, 1.0)
+        nxt = tl.reserve(1.0 - 0.5e-9, 1.0)
+        assert tl.earliest_slot(_EPS, 0.5) == 1.0
+        assert earliest_common_slot([tl], _EPS, 0.5) == nxt.end
 
     def test_busy_time_and_horizon(self):
         tl = Timeline("t")
@@ -337,49 +353,89 @@ class TestSlotSearchOracle:
         assert got == brute_force_slot(busy, duration, not_before)
 
 
-# -- early-exit common-slot search against the round-based fixpoint -------------
-class Spy:
-    """Records every ``earliest_slot`` call made on a resource."""
-
-    def __init__(self, res, calls):
-        self.res = res
-        self.calls = calls
-
-    def earliest_slot(self, duration, not_before=0.0):
-        result = self.res.earliest_slot(duration, not_before)
-        self.calls.append((id(self.res), duration, not_before, result))
-        return result
+# -- the joint walk against the per-timeline fixpoint ----------------------------
+#: Durations for float timelines: zero, at most ``2 * _EPS`` (where a
+#: timeline's own search need not be idempotent), and longer ones.
+DURATIONS = [0.0, _EPS, 1.5 * _EPS, 2 * _EPS, 3 * _EPS, 0.5, 1.0, 2.5]
 
 
-def round_based_common_slot(resources, duration, not_before=0.0):
-    """The fixpoint in whole rounds: stop after a round that moved nothing."""
-    t = max(0.0, not_before)
-    while True:
-        t_new = t
-        for res in resources:
-            t_new = max(t_new, res.earliest_slot(duration, t_new))
-        if t_new <= t + 1e-9:
-            return t_new
-        t = t_new
+@st.composite
+def float_resource(draw, duration, min_intervals=LONG_TAIL, max_intervals=80):
+    """A Timeline with float endpoints, some reservations released.
+
+    Gaps are often ``duration - _EPS`` or ``duration``, the two thresholds
+    of the walk's comparisons, and every start is then moved a few ulps
+    either way, so the float rounding of ``t + duration`` and
+    ``start + _EPS`` decides whether a gap fits. Up to a quarter more
+    reservations are made in between and released again, in a random
+    order, as an ECT evaluation does with its tentative ones. The
+    endpoints come from a seeded generator: drawing each one through
+    Hypothesis makes a long timeline slow to build.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kept = draw(st.integers(min_intervals, max_intervals))
+    extra = rng.randint(0, kept // 4)
+    tl = Timeline("f")
+    t = rng.choice([0.0, 0.75, 3.0])
+    made = []
+    for _ in range(kept + extra):
+        start = max(t, t + rng.choice([0.0, duration - _EPS, duration, 0.25, 1.0]))
+        for _ in range(rng.randint(0, 3)):
+            start = math.nextafter(start, rng.choice([-math.inf, math.inf]))
+        made.append(tl.reserve(start, rng.choice([0.5, 1.0, 2.0, 3 * _EPS])))
+        t = made[-1].end
+    rng.shuffle(made)
+    for iv in made[:extra]:
+        tl.release(iv)
+    return tl
 
 
-class TestEarlyExit:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        resources=st.lists(resource(), min_size=1, max_size=4),
-        duration=st.integers(0, 6),
-        not_before=st.integers(0, 30),
+@st.composite
+def common_slot_query(draw, durations=DURATIONS):
+    """1-3 float timelines, a duration, and a start no later than the end
+    of some timeline's eighth reservation, so that the searches run down
+    long tails."""
+    duration = draw(st.sampled_from(durations))
+    resources = draw(st.lists(float_resource(duration), min_size=1, max_size=3))
+    early = [iv for tl in resources for iv in tl.intervals[:8]]
+    not_before = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([iv.start for iv in early] + [iv.end for iv in early]),
+            st.floats(0.0, min(iv.end for iv in early)),
+        )
     )
-    def test_prefix_of_round_based_calls(self, resources, duration, not_before):
-        plain = [r for r, _ in resources]
-        got_calls, want_calls = [], []
-        got = earliest_common_slot(
-            [Spy(r, got_calls) for r in plain], duration, not_before
+    return resources, duration, not_before
+
+
+def reference_common_slot(resources, duration, not_before):
+    """The reference's fixpoint over the timelines, seen through overlays
+    that add nothing."""
+    views = [overlay_reference.Overlay(tl) for tl in resources]
+    return overlay_reference.earliest_common_slot(views, duration, not_before)
+
+
+class TestJointWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(common_slot_query())
+    def test_matches_per_timeline_fixpoint(self, query):
+        # Bit for bit what walking each timeline in turn, each from a
+        # fresh bisection, until none moves returns.
+        resources, duration, not_before = query
+        got = earliest_common_slot(resources, duration, not_before)
+        assert got.hex() == reference_common_slot(resources, duration, not_before).hex()
+        # So is each timeline's own search.
+        for tl in resources:
+            want = overlay_reference.timeline_earliest_slot(tl, duration, not_before)
+            assert tl.earliest_slot(duration, not_before).hex() == want.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(common_slot_query([d for d in DURATIONS if d > 2 * _EPS]))
+    def test_search_from_the_first_timelines_slot(self, query):
+        # The runtime starts a transfer's search at its port's own slot;
+        # transfers last longer than 2 * _EPS.
+        resources, duration, not_before = query
+        head = resources[0].earliest_slot(duration, not_before)
+        assert earliest_common_slot(resources, duration, head).hex() == (
+            earliest_common_slot(resources, duration, not_before).hex()
         )
-        want = round_based_common_slot(
-            [Spy(r, want_calls) for r in plain], duration, not_before
-        )
-        assert got == want
-        assert got_calls == want_calls[: len(got_calls)]
-        # It saves at most the confirming round.
-        assert len(want_calls) - len(got_calls) < len(plain)

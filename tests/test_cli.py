@@ -314,13 +314,18 @@ class TestCommands:
         assert "runtime ECT search work" in out
         for counter in (
             "duplicates", "shape_skips", "evaluations", "first_evaluations",
-            "slot_searches", "slot_reuses",
+            "slot_searches", "slot_reuses", "slot_skips",
         ):
             assert counter in out
 
     def test_figure_fig5a_with_csv(self, tmp_path, capsys):
         csv_file = tmp_path / "fig.csv"
-        rc = main(["figure", "fig5a", "--tasks", "12", "--csv", str(csv_file)])
+        rc = main(
+            [
+                "figure", "fig5a", "--tasks", "12", "--csv", str(csv_file),
+                "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
         assert rc == 0
         lines = csv_file.read_text().strip().splitlines()
         assert lines[0].startswith("experiment,")
@@ -369,8 +374,13 @@ class TestCommands:
                 ]
             )
 
-    def test_figure_fig3b_reduced(self, capsys):
-        rc = main(["figure", "fig3b", "--tasks", "8", "--ip-time-limit", "5"])
+    def test_figure_fig3b_reduced(self, tmp_path, capsys):
+        rc = main(
+            [
+                "figure", "fig3b", "--tasks", "8", "--ip-time-limit", "5",
+                "--cache-dir", str(tmp_path),
+            ]
+        )
         assert rc == 0
         out = capsys.readouterr().out
         assert "bipartition" in out

@@ -84,7 +84,7 @@ def test_a_fig6b_batch_matches_itself(capsys):
     lines = out.strip().splitlines()
     # Wall time and work counters of each tree, then the verdict.
     assert [line.split(":")[0] for line in lines] == ["base", "change", "fig6b n24c4"]
-    assert "evaluations" in lines[0] and "slot_searches" in lines[0]
+    assert all(name in lines[0] for name in ("evaluations", "slot_searches", "slot_skips"))
     assert lines[-1].endswith("1 jobs, 24 task records: identical")
 
 
