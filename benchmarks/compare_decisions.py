@@ -6,23 +6,32 @@ Usage, from the repository root::
     python3 benchmarks/compare_decisions.py --base ../parent --change . \\
         --workload disk --seed 1
     python3 benchmarks/compare_decisions.py --base ../parent --change . \\
-        --fig6b 400 16
+        --fig6b 400 16 --repeat 5
 
 Each tree is a checkout of this repository. For each tree, a fresh
 interpreter with ``PYTHONHASHSEED=0`` (as perfbench pins it) imports
 ``repro`` from the tree's ``src/`` and builds the perfbench workload's jobs
 from the seed with the tree's own ``perfbench/bench_workloads.py``. With
-``--fig6b N C`` the one job is instead whole-batch MinMin at Fig. 6(b)
-scale: ``generate_image_batch(N, "high", 8, seed=0)`` on ``osc_xio(C, 8)``
-with ``candidate_limit=25``. It then runs every job once and records every
-batch the job ran: each ``TaskRecord`` in commit order, the batch's
-``TransferStats`` and fault statistics, its ``timeseries`` block and its
-audit's ``[checked_events, violations]`` (both ``None`` unless the job
-runs with them, as the ``stream`` jobs do), and for an online session
-also each job record and the session's totals. Floats are compared
-exactly, so a difference in the last bit counts. A ``--fig6b`` run also
-prints each tree's wall time and runtime work counters, which are not
-compared.
+``--fig6b N C`` the jobs are instead two whole batches at Fig. 6(b) scale,
+``generate_image_batch(N, "high", 8, seed=0)`` on ``osc_xio(C, 8)`` with
+``candidate_limit=25``: first under MinMin, then under BiPartition. It
+then runs every job once and records every batch the job ran: each
+``TaskRecord`` in commit order, the batch's ``TransferStats`` and fault
+statistics, its ``timeseries`` block and its audit's ``[checked_events,
+violations]`` (both ``None`` unless the job runs with them, as the
+``stream`` jobs do), and for an online session also each job record and
+the session's totals. Floats are compared exactly, so a difference in the
+last bit counts.
+
+A ``--fig6b`` run also prints, for each tree and job, the job's time and
+its ``scheduling_seconds`` and the runtime's work counters, which are not
+compared. Both times are at nominal machine speed: perfbench's reference
+loop (``perfbench/bench_calib.py``) runs just before and just after each
+job, and the times are scaled by its nominal over its measured time, so
+drift in the speed of a shared machine cancels. ``--repeat K`` runs the
+two trees K times, alternating, compares the decisions of the first run
+of each, and prints each tree's median times and the change's time over
+the base's for each pair of runs.
 
 The report goes to standard output. The exit status is 0 when every job
 matches, 1 when any differs and 2 when a tree cannot be run.
@@ -33,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +63,7 @@ import repro
 from pathlib import Path
 if Path(repro.__file__).resolve().parent != Path(src).resolve() / "repro":
     sys.exit(f"repro imported from {repro.__file__}, not {src}")
+import bench_calib
 import bench_workloads
 from repro.core import driver
 from repro.online import session
@@ -101,7 +112,12 @@ if job_args[0] == "fig6b":
     n, c = map(int, job_args[1:])
     images = generate_image_batch(n, "high", 8, seed=0)
     platform = osc_xio(num_compute=c, num_storage=8)
-    jobs = [lambda: driver.run_batch(images, platform, "minmin", candidate_limit=25)]
+    jobs = [
+        lambda scheme=scheme: driver.run_batch(
+            images, platform, scheme, candidate_limit=25
+        )
+        for scheme in ("minmin", "bipartition")
+    ]
 else:
     workload, seed = job_args
     jobs = [
@@ -109,8 +125,10 @@ else:
         for job in bench_workloads.WORKLOADS[workload].build(int(seed))
     ]
 
+fig6b = job_args[0] == "fig6b"
 for run in jobs:
     batches.clear()
+    before = bench_calib.reference() if fig6b else 0.0
     began = time.perf_counter()
     result = run()
     seconds = time.perf_counter() - began
@@ -119,9 +137,15 @@ for run in jobs:
         out["jobs"] = [fields(j) for j in result.jobs]
         out["stats"] = fields(result.stats)
         out["fault_stats"] = fields(result.fault_stats)
-    if job_args[0] == "fig6b":
+    if fig6b:
+        # Scale to nominal machine speed, as perfbench does.
+        scale = bench_calib.NOMINAL_S / ((before + bench_calib.reference()) / 2)
         rt = result.runtime
-        out["work"] = {"seconds": round(seconds, 2)} | {
+        out["work"] = {
+            "scheme": result.scheduler,
+            "seconds": seconds * scale,
+            "scheduling_seconds": result.scheduling_seconds * scale,
+        } | {
             name: getattr(rt, name)
             for name in (
                 "evaluations", "first_evaluations", "slot_searches", "slot_skips"
@@ -171,6 +195,19 @@ def differences(base: Any, change: Any, path: str = "") -> list[str]:
     return [] if base == change else [f"{path}: {base!r} in base, {change!r} in change"]
 
 
+def describe(runs: list[dict[str, Any]]) -> str:
+    """One ``--fig6b`` job in one tree: its median times over the runs and
+    its work counters, which are the same in every run."""
+    times = ("scheme", "seconds", "scheduling_seconds")
+    seconds = statistics.median(run["seconds"] for run in runs)
+    scheduling = statistics.median(run["scheduling_seconds"] for run in runs)
+    counters = [f"{k} {v}" for k, v in runs[0].items() if k not in times]
+    return ", ".join(
+        [f"{runs[0]['scheme']} {seconds:.3f} s (scheduling {scheduling:.4f} s)"]
+        + counters
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -179,10 +216,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--fig6b", nargs=2, type=int, metavar=("N", "C"),
-        help="compare whole-batch MinMin on N Fig. 6(b) tasks and C compute "
-        "nodes instead of a perfbench workload",
+        help="compare whole-batch MinMin and BiPartition on N Fig. 6(b) "
+        "tasks and C compute nodes instead of a perfbench workload",
+    )
+    parser.add_argument(
+        "--repeat", type=int, default=1, metavar="K",
+        help="with --fig6b: run the two trees K times, alternating, and "
+        "print median times and the ratio of each pair",
     )
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     if args.fig6b is not None:
         if args.workload is not None or args.seed is not None:
             parser.error("--fig6b takes no --workload or --seed")
@@ -190,21 +234,41 @@ def main(argv: list[str] | None = None) -> int:
         name = "fig6b n{}c{}".format(*args.fig6b)
     elif args.workload is None or args.seed is None:
         parser.error("give --workload and --seed, or --fig6b N C")
+    elif args.repeat != 1:
+        parser.error("--repeat needs --fig6b")
     else:
         job_args = [args.workload, args.seed]
         name = f"{args.workload} seed {args.seed}"
 
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    runs: dict[str, list[list[Any]]] = {"base": [], "change": []}
     try:
-        base = run_tree(args.base.resolve(), *job_args)
-        change = run_tree(args.change.resolve(), *job_args)
+        for _ in range(args.repeat):
+            for side, tree in trees.items():
+                runs[side].append(run_tree(tree, *job_args))
     except RuntimeError as exc:
         print(f"compare_decisions: {exc}")
         return 2
-    for side, jobs in (("base", base), ("change", change)):
-        for job in jobs:
-            work = job.pop("work", None)
-            if work is not None:
-                print(f"{side}: " + ", ".join(f"{k} {v}" for k, v in work.items()))
+    # Each job's "work" is its times and counters (--fig6b only): the
+    # decisions of the first run of each tree are what is compared.
+    work = {
+        side: [[job.pop("work", None) for job in run] for run in side_runs]
+        for side, side_runs in runs.items()
+    }
+    if args.fig6b is not None:
+        for side, side_work in work.items():
+            print(f"{side}: " + "; ".join(map(describe, zip(*side_work))))
+        if args.repeat > 1:
+            for base_runs, change_runs in zip(zip(*work["base"]), zip(*work["change"])):
+                ratios = [
+                    c["seconds"] / b["seconds"] for b, c in zip(base_runs, change_runs)
+                ]
+                print(
+                    f"{base_runs[0]['scheme']}: change over base per pair "
+                    + " ".join(f"{r:.3f}" for r in ratios)
+                    + f" (median {statistics.median(ratios):.3f})"
+                )
+    base, change = runs["base"][0], runs["change"][0]
     differing = 0
     for i, (b, c) in enumerate(zip(base, change)):
         found = differences(b, c, f"job[{i}]")

@@ -61,20 +61,22 @@ def estimated_exec_times(
     mean_local = float(
         np.mean([n.local_disk_bw for n in platform.compute_nodes])
     )
-    out = np.zeros(len(tasks))
-    for idx, t in enumerate(tasks):
+    local = 1.0 / mean_local
+    comp = platform.compute_cost_per_mb / mean_speed
+    # A file's term depends on the file alone: work it out once per file.
+    term: dict[str, float] = {}
+    for f, s_j in sharers.items():
+        p_fne = 1.0 / s_j
+        p_fe = (s_j / t_count) * (1.0 / k)
+        tr = p_fne / bw_s + (1.0 - p_fne) * (1.0 - p_fe) / bw_mix
+        term[f] = batch.file_size(f) * (tr + local + comp)
+    out: list[float] = []
+    for t in tasks:
         total = 0.0
         for f in t.files:
-            size = batch.file_size(f)
-            s_j = sharers[f]
-            p_fne = 1.0 / s_j
-            p_fe = (s_j / t_count) * (1.0 / k)
-            tr = p_fne / bw_s + (1.0 - p_fne) * (1.0 - p_fe) / bw_mix
-            local = 1.0 / mean_local
-            comp = platform.compute_cost_per_mb / mean_speed
-            total += size * (tr + local + comp)
-        out[idx] = total
-    return out
+            total += term[f]
+        out.append(total)
+    return np.array(out, dtype=float)
 
 
 @register_scheduler("bipartition")
@@ -160,7 +162,14 @@ class BiPartitionScheduler(Scheduler):
         # The BINW bound is the surviving disks' current capacity: crashed
         # disks are gone and disk losses shrink the rest (fault injection).
         bound = float(sum(state.caches[n].capacity_mb for n in state.alive_nodes()))
-        if math.isinf(bound) or batch.subset(pending).distinct_file_mb <= bound:
+        if math.isinf(bound):
+            return [list(pending)]
+        # The pending tasks' distinct files, summed in the order
+        # ``Batch.distinct_file_mb`` sums them, so the float is the same.
+        distinct_mb = sum(
+            batch.file_size(f) for f in {f for t in tasks for f in t.files}
+        )
+        if distinct_mb <= bound:
             return [list(pending)]
         h = self._build_hypergraph(batch, tasks, platform)
         res = binw_partition(h, bound, self.rng, epsilon=self.binw_epsilon)
@@ -296,7 +305,8 @@ class BiPartitionScheduler(Scheduler):
             self._queue = self._select_subbatches(batch, pending, platform, state)
             ids = self._queue.pop(0)
         mapping, deferred = self._map_subbatch(batch, ids, platform, state)
-        kept = [t for t in ids if t not in set(deferred)]
+        deferred_ids = set(deferred)
+        kept = [t for t in ids if t not in deferred_ids]
         if not kept:
             # Repair deferred every task (pathological): force one through —
             # the paper assumes any single task's files fit on a node.

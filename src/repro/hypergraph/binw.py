@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.dims import MB
+from ..obs.core import telemetry
 from .bisect import multilevel_bisect
 from .hypergraph import Hypergraph
 
@@ -44,6 +45,7 @@ class BinwResult:
     oversized_parts: tuple[int, ...]
 
 
+@telemetry.timed("binw-partition")
 def binw_partition(
     h: Hypergraph,
     bound: MB,
@@ -83,14 +85,15 @@ def binw_partition(
             next_part += 1
             continue
 
-        bis = multilevel_bisect(
-            sub,
-            rng,
-            target0_fraction=0.5,
-            epsilon=epsilon,
-            coarsen_to=coarsen_to,
-            initial_tries=initial_tries,
-        )
+        with telemetry.span("bisect"):
+            bis = multilevel_bisect(
+                sub,
+                rng,
+                target0_fraction=0.5,
+                epsilon=epsilon,
+                coarsen_to=coarsen_to,
+                initial_tries=initial_tries,
+            )
         side0 = np.flatnonzero(bis == 0)
         side1 = np.flatnonzero(bis == 1)
         if len(side0) == 0 or len(side1) == 0:

@@ -42,30 +42,31 @@ def heavy_connectivity_matching(
     weight exceeds the bound (keeps coarse graphs balanceable).
     """
     n = h.num_vertices
-    cluster_of = np.full(n, -1, dtype=int)
-    matched = np.zeros(n, dtype=bool)
+    cluster_of = [-1] * n
+    matched = [False] * n
     next_cluster = 0
+    vw, nw, sizes, pins, vnets = h._vw, h._nw, h._sizes, h._pins, h._vnets
 
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
     scores: dict[int, float] = {}
     for v in order:
         if matched[v]:
             continue
         scores.clear()
-        for j in h.nets_of(v):
-            size = h.net_size(j)
+        for j in vnets[v]:
+            size = sizes[j]
             if size < 2 or size > _MATCHING_NET_SIZE_LIMIT:
                 continue
-            contrib = float(h.net_weights[j]) / (size - 1)
-            for u in h.pins(j):
+            contrib = nw[j] / (size - 1)
+            for u in pins[j]:
                 if u != v and not matched[u]:
                     scores[u] = scores.get(u, 0.0) + contrib
 
         best_u = -1
         best_score = 0.0
-        wv = h.vertex_weights[v]
+        wv = vw[v]
         for u, s in scores.items():
-            if max_cluster_weight is not None and wv + h.vertex_weights[u] > max_cluster_weight:
+            if max_cluster_weight is not None and wv + vw[u] > max_cluster_weight:
                 continue
             if s > best_score or (s == best_score and best_u == -1):
                 best_u, best_score = u, s
@@ -77,7 +78,7 @@ def heavy_connectivity_matching(
             cluster_of[best_u] = next_cluster
         next_cluster += 1
 
-    return cluster_of
+    return np.array(cluster_of, dtype=int)
 
 
 def coarsen(

@@ -14,6 +14,11 @@ net degenerates to a single pin (during contraction or net splitting) it can
 no longer be cut, but its weight still counts toward its part's *incident net
 weight*. The paper modified PaToH to accumulate such weights in "a separate
 weight variable for each vertex"; that variable is ``anchored_weights``.
+
+The weights are public numpy arrays. Each hypergraph also keeps plain-list
+copies of them, made once at construction, which the partitioner's inner
+loops read one element at a time: indexing a list is several times cheaper
+than indexing a numpy array, and the floats are the same.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class Hypergraph:
 
         pins: list[tuple[int, ...]] = []
         for j, raw in enumerate(nets):
-            uniq = sorted(set(int(v) for v in raw))
+            uniq = sorted(set(map(int, raw)))
             if not uniq:
                 raise ValueError(f"net {j} is empty")
             if uniq[0] < 0 or uniq[-1] >= self._n:
@@ -82,6 +87,13 @@ class Hypergraph:
             for v in ps:
                 vnets[v].append(j)
         self._vnets = [tuple(ns) for ns in vnets]
+
+        # What the partitioner's loops read: the weights as lists, and each
+        # net's pin count.
+        self._vw: list[float] = self.vertex_weights.tolist()
+        self._nw: list[float] = self.net_weights.tolist()
+        self._aw: list[float] = self.anchored_weights.tolist()
+        self._sizes = [len(ps) for ps in pins]
 
     @staticmethod
     def _weights(values, expected, label, allow_zero: bool = True) -> np.ndarray:
@@ -166,15 +178,18 @@ class Hypergraph:
         if not present.all():
             raise ValueError("cluster ids must be contiguous 0..nc-1")
 
-        vweights = np.zeros(nc)
-        anchored = np.zeros(nc)
-        np.add.at(vweights, cluster_of, self.vertex_weights)
-        np.add.at(anchored, cluster_of, self.anchored_weights)
+        # Each cluster's weights are added in vertex order: the order
+        # fixes the last bits of the sums.
+        co = cluster_of.tolist()
+        vweights = [0.0] * nc
+        anchored = [0.0] * nc
+        for v, c in enumerate(co):
+            vweights[c] += self._vw[v]
+            anchored[c] += self._aw[v]
 
         merged: dict[tuple[int, ...], float] = {}
-        for j, ps in enumerate(self._pins):
-            coarse = tuple(sorted(set(int(cluster_of[v]) for v in ps)))
-            w = float(self.net_weights[j])
+        for ps, w in zip(self._pins, self._nw):
+            coarse = tuple(sorted({co[v] for v in ps}))
             if len(coarse) == 1:
                 anchored[coarse[0]] += w
             else:
@@ -197,25 +212,22 @@ class Hypergraph:
         recursive-bisection tree equals the connectivity-1 cost of the final
         partition (Section 5.1).
         """
-        idx = np.asarray(sorted(set(int(v) for v in vertices)), dtype=int)
-        if len(idx) and (idx[0] < 0 or idx[-1] >= self._n):
+        ids = sorted(set(map(int, vertices)))
+        if ids and (ids[0] < 0 or ids[-1] >= self._n):
             raise ValueError("vertex ids out of range")
-        local_of = {int(g): i for i, g in enumerate(idx)}
+        local_of = {g: i for i, g in enumerate(ids)}
 
-        vweights = self.vertex_weights[idx] if len(idx) else np.zeros(0)
-        anchored = self.anchored_weights[idx].copy() if len(idx) else np.zeros(0)
+        vweights = [self._vw[g] for g in ids]
+        anchored = [self._aw[g] for g in ids]
 
         merged: dict[tuple[int, ...], float] = {}
         seen_nets: set[int] = set()
-        for g in idx:
+        for g in ids:
             seen_nets.update(self._vnets[g])
         for j in sorted(seen_nets):
-            local = tuple(
-                sorted(local_of[v] for v in self._pins[j] if v in local_of)
-            )
-            if not local:
-                continue
-            w = float(self.net_weights[j])
+            # Pins are sorted and ``local_of`` keeps their order.
+            local = tuple(local_of[v] for v in self._pins[j] if v in local_of)
+            w = self._nw[j]
             if len(local) == 1:
                 anchored[local[0]] += w
             else:
@@ -223,7 +235,8 @@ class Hypergraph:
 
         nets = list(merged.keys())
         weights = [merged[p] for p in nets]
-        return Hypergraph(len(idx), nets, vweights, weights, anchored), idx
+        sub = Hypergraph(len(ids), nets, vweights, weights, anchored)
+        return sub, np.array(ids, dtype=int)
 
     def __repr__(self):
         return (

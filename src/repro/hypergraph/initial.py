@@ -23,13 +23,14 @@ def random_bipartition(
     h: Hypergraph, rng: np.random.Generator, target0: float
 ) -> np.ndarray:
     """Shuffle vertices and fill part 0 up to ``target0`` total weight."""
-    parts = np.ones(h.num_vertices, dtype=int)
+    parts = [1] * h.num_vertices
+    vw = h._vw
     acc = 0.0
-    for v in rng.permutation(h.num_vertices):
+    for v in rng.permutation(h.num_vertices).tolist():
         if acc < target0:
             parts[v] = 0
-            acc += h.vertex_weights[v]
-    return parts
+            acc += vw[v]
+    return np.array(parts, dtype=int)
 
 
 def greedy_growing_bipartition(
@@ -42,21 +43,22 @@ def greedy_growing_bipartition(
     approximated incrementally with per-net counts of already-absorbed pins.
     """
     n = h.num_vertices
-    parts = np.ones(n, dtype=int)
     if n == 0:
-        return parts
-    in0 = np.zeros(n, dtype=bool)
-    pins_in0 = np.zeros(h.num_nets, dtype=int)
+        return np.ones(0, dtype=int)
+    parts = [1] * n
+    in0 = [False] * n
+    pins_in0 = [0] * h.num_nets
+    vw, nw, sizes, pins, vnets = h._vw, h._nw, h._sizes, h._pins, h._vnets
 
     def absorb_gain(v: int) -> float:
         g = 0.0
-        for j in h.nets_of(v):
-            size = h.net_size(j)
+        for j in vnets[v]:
+            size = sizes[j]
             cnt = pins_in0[j]
             if cnt == size - 1:
-                g += float(h.net_weights[j])  # net becomes internal to part 0
+                g += nw[j]  # net becomes internal to part 0
             elif cnt == 0 and size > 1:
-                g -= float(h.net_weights[j])  # net becomes cut
+                g -= nw[j]  # net becomes cut
         return g
 
     seed = int(rng.integers(n))
@@ -68,17 +70,17 @@ def greedy_growing_bipartition(
             if not remaining:
                 break
             frontier.add(int(rng.choice(remaining)))
-        best_v = max(frontier, key=lambda v: (absorb_gain(v), -h.vertex_weights[v]))
+        best_v = max(frontier, key=lambda v: (absorb_gain(v), -vw[v]))
         frontier.discard(best_v)
         in0[best_v] = True
         parts[best_v] = 0
-        acc += h.vertex_weights[best_v]
-        for j in h.nets_of(best_v):
+        acc += vw[best_v]
+        for j in vnets[best_v]:
             pins_in0[j] += 1
-            for u in h.pins(j):
+            for u in pins[j]:
                 if not in0[u]:
                     frontier.add(u)
-    return parts
+    return np.array(parts, dtype=int)
 
 
 def initial_bipartition(

@@ -40,13 +40,14 @@ def net_connectivity(h: Hypergraph, parts: Sequence[int], net: int) -> int:
 
 def cut_weight(h: Hypergraph, parts: Sequence[int]) -> float:
     """Total weight of nets spanning more than one part (cut-net metric)."""
-    arr = validate_partition(h, parts)
+    side = validate_partition(h, parts).tolist()
     total = 0.0
-    for j in range(h.num_nets):
-        ps = h.pins(j)
-        first = arr[ps[0]]
-        if any(arr[v] != first for v in ps[1:]):
-            total += float(h.net_weights[j])
+    for ps, w in zip(h._pins, h._nw):
+        first = side[ps[0]]
+        for v in ps:
+            if side[v] != first:
+                total += w
+                break
     return total
 
 

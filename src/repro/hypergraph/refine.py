@@ -17,43 +17,42 @@ tracked incrementally with per-net pin counts per side.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from ..obs.core import telemetry
 from .hypergraph import Hypergraph
-from .metrics import cut_weight
 
 __all__ = ["fm_refine", "compute_gains"]
 
 
 def compute_gains(h: Hypergraph, parts: np.ndarray) -> np.ndarray:
     """Move gains for every vertex under the cut-net metric."""
+    parts = np.asarray(parts, dtype=int).tolist()
     counts = _side_counts(h, parts)
-    gains = np.zeros(h.num_vertices)
-    for v in range(h.num_vertices):
-        gains[v] = _gain_of(h, counts, parts, v)
-    return gains
+    return np.array([_gain_of(h, counts, parts, v) for v in range(h.num_vertices)])
 
 
-def _side_counts(h: Hypergraph, parts: np.ndarray) -> np.ndarray:
-    """``counts[j, s]`` = number of pins of net ``j`` in side ``s``."""
-    counts = np.zeros((h.num_nets, 2), dtype=int)
-    for j in range(h.num_nets):
-        for v in h.pins(j):
-            counts[j, parts[v]] += 1
+def _side_counts(h: Hypergraph, parts: list[int]) -> list[list[int]]:
+    """``counts[s][j]`` = number of pins of net ``j`` in side ``s``."""
+    counts = [[0] * h.num_nets, [0] * h.num_nets]
+    for j, ps in enumerate(h._pins):
+        for v in ps:
+            counts[parts[v]][j] += 1
     return counts
 
 
-def _gain_of(h: Hypergraph, counts: np.ndarray, parts: np.ndarray, v: int) -> float:
+def _gain_of(h: Hypergraph, counts: list[list[int]], parts: list[int], v: int) -> float:
     a = parts[v]
-    b = 1 - a
+    in_a, in_b = counts[a], counts[1 - a]
+    nw = h._nw
     g = 0.0
-    for j in h.nets_of(v):
-        if counts[j, b] == 0:
-            g -= float(h.net_weights[j])
-        if counts[j, a] == 1:
-            g += float(h.net_weights[j])
+    for j in h._vnets[v]:
+        if in_b[j] == 0:
+            g -= nw[j]
+        if in_a[j] == 1:
+            g += nw[j]
     return g
 
 
@@ -71,32 +70,40 @@ def fm_refine(
     violates a bound, rebalancing moves (negative gain allowed) are used
     until feasible, mirroring PaToH's feasibility-restoring passes.
     """
-    parts = np.asarray(parts, dtype=int).copy()
-    if h.num_vertices == 0:
-        return parts
+    n = h.num_vertices
+    if n == 0:
+        return np.asarray(parts, dtype=int).copy()
+    parts = np.asarray(parts, dtype=int).tolist()
+    vw, nw, pins, vnets = h._vw, h._nw, h._pins, h._vnets
 
     def _feasible_weights(w) -> bool:
         return w[0] <= max_part_weights[0] and w[1] <= max_part_weights[1]
 
-    init_w = np.zeros(2)
-    np.add.at(init_w, parts, h.vertex_weights)
-    best_parts = parts.copy()
-    best_cut = cut_weight(h, parts) if _feasible_weights(init_w) else np.inf
-
+    best_parts = parts[:]
+    best_cut: float | None = None  # the input's cut, set by the first pass
     for _ in range(max_passes):
         counts = _side_counts(h, parts)
-        side_w = np.zeros(2)
-        np.add.at(side_w, parts, h.vertex_weights)
-        gains = {v: _gain_of(h, counts, parts, v) for v in range(h.num_vertices)}
-        heap: list[tuple[float, int]] = [(-g, v) for v, g in gains.items()]
+        # Each pass sums its side weights afresh, in vertex order.
+        side_w = [0.0, 0.0]
+        for v in range(n):
+            side_w[parts[v]] += vw[v]
+        gains = [_gain_of(h, counts, parts, v) for v in range(n)]
+        heap: list[tuple[float, int]] = [(-g, v) for v, g in enumerate(gains)]
         heapq.heapify(heap)
-        locked = np.zeros(h.num_vertices, dtype=bool)
+        locked = [False] * n
 
         moves: list[int] = []
-        cur_cut = cut_weight(h, parts)
+        # The cut nets are those with pins on both sides.
+        in0, in1 = counts
+        cur_cut = 0.0
+        for j in range(h.num_nets):
+            if in0[j] and in1[j]:
+                cur_cut += nw[j]
         feasible = _feasible_weights(side_w)
-        pass_best_cut = cur_cut if feasible else np.inf
+        pass_best_cut = cur_cut if feasible else math.inf
         pass_best_prefix = 0
+        if best_cut is None:
+            best_cut = pass_best_cut
 
         while heap:
             neg_g, v = heapq.heappop(heap)
@@ -104,7 +111,7 @@ def fm_refine(
                 continue  # stale heap entry
             a = parts[v]
             b = 1 - a
-            if side_w[b] + h.vertex_weights[v] > max_part_weights[b]:
+            if side_w[b] + vw[v] > max_part_weights[b]:
                 # Inadmissible; if currently infeasible on side a, allow the
                 # move anyway when it improves balance.
                 if not (not feasible and side_w[a] > max_part_weights[a]):
@@ -113,17 +120,18 @@ def fm_refine(
             # Commit the move.
             locked[v] = True
             parts[v] = b
-            side_w[a] -= h.vertex_weights[v]
-            side_w[b] += h.vertex_weights[v]
+            side_w[a] -= vw[v]
+            side_w[b] += vw[v]
             cur_cut -= gains[v]
             moves.append(v)
             feasible = _feasible_weights(side_w)
             # Update net counts and neighbour gains.
+            leave, enter = counts[a], counts[b]
             dirty: set[int] = set()
-            for j in h.nets_of(v):
-                counts[j, a] -= 1
-                counts[j, b] += 1
-                for u in h.pins(j):
+            for j in vnets[v]:
+                leave[j] -= 1
+                enter[j] += 1
+                for u in pins[j]:
                     if not locked[u]:
                         dirty.add(u)
             for u in dirty:
@@ -143,15 +151,15 @@ def fm_refine(
         if telemetry.enabled:
             telemetry.count("hypergraph/fm/passes")
             telemetry.count("hypergraph/fm/moves", pass_best_prefix)
-            if np.isfinite(pass_best_cut) and np.isfinite(best_cut):
+            if math.isfinite(pass_best_cut) and math.isfinite(best_cut):
                 telemetry.count(
                     "hypergraph/fm/gain", max(best_cut - pass_best_cut, 0.0)
                 )
 
         if pass_best_cut < best_cut - 1e-12:
             best_cut = pass_best_cut
-            best_parts = parts.copy()
+            best_parts = parts[:]
         else:
             break  # no improvement this pass
 
-    return best_parts
+    return np.array(best_parts, dtype=int)

@@ -1,5 +1,6 @@
 """Hand-computed verification of the Eq. 25/26 execution-time estimate."""
 
+import numpy as np
 import pytest
 
 from repro.batch import Batch, FileInfo, Task
@@ -81,3 +82,31 @@ def test_bw_mix_uses_minimum(platform):
     )
     est_slow = estimated_exec_times(batch, list(batch.tasks), slow)
     assert est_slow[0] > est_fast[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matches_the_per_task_reference(seed):
+    """Each file's term is worked out once and added to each reader's total
+    in file order: the same bits as the per-(task, file) loop it replaced,
+    on a random subset of tasks and mixed node speeds and disks."""
+    from repro.cluster.platform import osc_osumed, osc_xio
+    from repro.workloads import make_batch
+
+    from ..hypergraph.partition_reference import estimated_exec_times as reference
+
+    batch = make_batch("image", 80, "high", 4, seed=seed)
+    rng = np.random.default_rng(seed)
+    tasks = [batch.tasks[i] for i in rng.permutation(len(batch.tasks))[:50]]
+    mixed = Platform(
+        compute_nodes=tuple(
+            ComputeNode(i, speed=0.7 + 0.3 * i, local_disk_bw=110.0 + 7.3 * i)
+            for i in range(3)
+        ),
+        storage_nodes=(StorageNode(0, disk_bw=93.1), StorageNode(1, disk_bw=210.0)),
+        storage_network_bw=1000.0,
+        compute_network_bw=61.7,
+    )
+    for platform in (osc_xio(4, 4), osc_osumed(5, 4), mixed):
+        got = estimated_exec_times(batch, tasks, platform)
+        want = reference(batch, tasks, platform)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

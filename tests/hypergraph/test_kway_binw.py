@@ -12,6 +12,7 @@ from repro.hypergraph import (
     kway_partition,
     part_weights,
 )
+from repro.obs.core import telemetry
 
 
 def clustered_graph(groups: int, size: int, seed: int = 0) -> Hypergraph:
@@ -140,3 +141,61 @@ class TestBinw:
         # 4 natural clusters -> close to 4 parts and low connectivity cost.
         assert 3 <= res.num_parts <= 8
         assert connectivity_1(h, res.parts) <= h.total_net_weight * 0.1
+
+
+@pytest.fixture
+def collecting():
+    telemetry.reset()
+    telemetry.enable()
+    yield telemetry
+    telemetry.disable()
+    telemetry.reset()
+
+
+class TestBinwTelemetry:
+    """BINW selection records a ``binw-partition`` span with one ``bisect``
+    span under it per bisection; the span takes no part in any decision."""
+
+    def test_span_holds_every_bisection(self, collecting):
+        h = clustered_graph(4, 6, seed=4)
+        res = binw_partition(h, h.total_net_weight / 3, np.random.default_rng(2))
+        spans = collecting.snapshot()["spans"]
+        assert set(spans) == {"binw-partition", "binw-partition/bisect"}
+        assert spans["binw-partition"]["count"] == 1
+        # A binary tree with num_parts leaves has num_parts - 1 inner nodes.
+        assert spans["binw-partition/bisect"]["count"] == res.num_parts - 1 > 0
+
+    def test_a_graph_that_fits_is_not_bisected(self, collecting):
+        h = clustered_graph(2, 3)
+        assert binw_partition(h, h.total_net_weight, np.random.default_rng(0)).num_parts == 1
+        assert set(collecting.snapshot()["spans"]) == {"binw-partition"}
+
+    def test_span_is_decision_neutral(self):
+        h = clustered_graph(4, 6, seed=4)
+        bound = h.total_net_weight / 3
+        quiet, traced = np.random.default_rng(5), np.random.default_rng(5)
+        assert not telemetry.enabled
+        telemetry.reset()
+        plain = binw_partition(h, bound, quiet)
+        assert telemetry.snapshot()["spans"] == {}
+        telemetry.enable()
+        try:
+            timed = binw_partition(h, bound, traced)
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert plain.parts.tolist() == timed.parts.tolist()
+        assert quiet.bit_generator.state == traced.bit_generator.state
+
+    def test_bipartition_run_splits_selection_from_mapping(self):
+        from repro.cluster.platform import osc_xio
+        from repro.core.driver import run_batch
+        from repro.workloads import make_batch
+
+        batch = make_batch("image", 40, "high", 2, seed=3)
+        platform = osc_xio(num_compute=2, num_storage=2, disk_space_mb=1200.0)
+        res = run_batch(batch, platform, "bipartition", telemetry=True)
+        spans = res.telemetry["spans"]
+        assert spans["driver/schedule/binw-partition"]["count"] == 1
+        assert spans["driver/schedule/binw-partition/bisect"]["count"] == 1
+        assert spans["driver/schedule/kway-partition"]["count"] == res.num_sub_batches

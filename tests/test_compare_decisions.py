@@ -85,7 +85,52 @@ def test_a_fig6b_batch_matches_itself(capsys):
     # Wall time and work counters of each tree, then the verdict.
     assert [line.split(":")[0] for line in lines] == ["base", "change", "fig6b n24c4"]
     assert all(name in lines[0] for name in ("evaluations", "slot_searches", "slot_skips"))
-    assert lines[-1].endswith("1 jobs, 24 task records: identical")
+    # Two jobs a tree, MinMin then BiPartition, each with its scheduling time.
+    minmin, bipartition = lines[0].removeprefix("base: ").split("; ")
+    assert minmin.startswith("minmin ") and bipartition.startswith("bipartition ")
+    assert all("s (scheduling " in job for job in (minmin, bipartition))
+    assert lines[-1].endswith("2 jobs, 48 task records: identical")
+
+
+def test_fig6b_repeat_alternates_and_pairs(tmp_path, monkeypatch, capsys):
+    order = []
+
+    def run_tree(tree, *job_args):
+        # The k-th run takes k seconds a job.
+        order.append(tree.name)
+        return [
+            {"batches": [], "work": {"scheme": scheme, "seconds": float(len(order)),
+                                     "scheduling_seconds": 0.5, "evaluations": 7}}
+            for scheme in ("minmin", "bipartition")
+        ]
+
+    monkeypatch.setattr(compare_decisions, "run_tree", run_tree)
+    code = compare_decisions.main(
+        ["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+         "--fig6b", "8", "2", "--repeat", "2"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert order == ["a", "b", "a", "b"]
+    # Medians: base runs took 1 and 3 s, the change's 2 and 4 s.
+    assert out.splitlines() == [
+        "base: minmin 2.000 s (scheduling 0.5000 s), evaluations 7; "
+        "bipartition 2.000 s (scheduling 0.5000 s), evaluations 7",
+        "change: minmin 3.000 s (scheduling 0.5000 s), evaluations 7; "
+        "bipartition 3.000 s (scheduling 0.5000 s), evaluations 7",
+        "minmin: change over base per pair 2.000 1.333 (median 1.667)",
+        "bipartition: change over base per pair 2.000 1.333 (median 1.667)",
+        "fig6b n8c2: 2 jobs, 0 task records: identical",
+    ]
+
+
+def test_repeat_needs_fig6b(capsys):
+    with pytest.raises(SystemExit):
+        compare_decisions.main(
+            ["--base", str(ROOT), "--change", str(ROOT), "--workload", "mct",
+             "--seed", "1", "--repeat", "2"]
+        )
+    assert "--repeat needs --fig6b" in capsys.readouterr().err
 
 
 def test_fig6b_takes_no_workload(capsys):
