@@ -93,7 +93,7 @@ class Timeline:
         return _walk(self._starts, self._ends, 0.0, t, 0)[0]
 
     def earliest_slot(self, duration: Seconds, not_before: Seconds = 0.0) -> Seconds:
-        """Earliest start >= not_before of a free gap of ``duration``."""
+        """Earliest start >= not_before and >= 0 of a free gap of ``duration``."""
         return _walk(self._starts, self._ends, duration, max(0.0, not_before), 0)[0]
 
     def free_time_end(

@@ -16,12 +16,12 @@ from repro.cluster.gantt import _EPS, Interval
 
 
 def timeline_earliest_slot(tl, duration, not_before):
-    """Earliest start >= ``not_before`` of a free gap of ``duration`` on
-    timeline ``tl``: the first start that no reservation overlaps by more
-    than ``_EPS`` (for ``duration <= _EPS``, the first instant not inside
-    one)."""
+    """Earliest start >= ``not_before`` and >= 0 of a free gap of
+    ``duration`` on timeline ``tl``: the first start that no reservation
+    overlaps by more than ``_EPS`` (for ``duration <= _EPS``, the first
+    instant not inside one)."""
     starts, ends = tl._starts, tl._ends
-    t = not_before
+    t = max(0.0, not_before)
     i = bisect_right(starts, t + _EPS)
     if i > 0 and ends[i - 1] > t + _EPS:
         t = ends[i - 1]

@@ -63,6 +63,16 @@ class TestTimeline:
         assert tl.earliest_slot(1.0, not_before=0.5) == 1.0
         assert tl.earliest_slot(1.0, not_before=2.0) == 2.0
 
+    def test_earliest_slot_starts_no_earlier_than_zero(self):
+        # A negative not_before searches from 0, for short queries too.
+        tl = Timeline("t")
+        tl.reserve(1.0, 1.0)
+        for duration in (0.0, _EPS, 0.5):
+            got = tl.earliest_slot(duration, not_before=-5e-324)
+            assert got.hex() == (0.0).hex()
+            want = overlay_reference.timeline_earliest_slot(tl, duration, -5e-324)
+            assert want.hex() == got.hex()
+
     def test_earliest_slot_inside_busy(self):
         tl = Timeline("t")
         tl.reserve(0.0, 10.0)
