@@ -27,8 +27,11 @@ A ``--fig6b`` run also prints, for each tree and job, the job's time and
 its ``scheduling_seconds`` and the runtime's work counters, which are not
 compared. Both times are at nominal machine speed: perfbench's reference
 loop (``perfbench/bench_calib.py``) runs just before and just after each
-job, and the times are scaled by its nominal over its measured time, so
-drift in the speed of a shared machine cancels. ``--repeat K`` runs the
+job, each time after a full garbage collection, and the times are scaled
+by its nominal over its measured time, so drift in the speed of a shared
+machine cancels. Without the collection, the loop after a job could set
+off a collection of the whole heap the job left, in one tree and not the
+other. ``--repeat K`` runs the
 two trees K times, alternating, compares the decisions of the first run
 of each, and prints each tree's median times and the change's time over
 the base's for each pair of runs.
@@ -56,7 +59,7 @@ SHOWN_PER_JOB = 5
 # are the tree's src and perfbench directories, then the workload and the
 # seed, or "fig6b", N and C.
 _CHILD = r"""
-import dataclasses, json, sys, time
+import dataclasses, gc, json, sys, time
 src, perfbench, *job_args = sys.argv[1:]
 sys.path[:0] = [src, perfbench]
 import repro
@@ -125,10 +128,17 @@ else:
         for job in bench_workloads.WORKLOADS[workload].build(int(seed))
     ]
 
+def reference():
+    # A full collection first: the loop's own allocations must not set off
+    # a collection of the job's heap, whose size and generation counts
+    # differ from tree to tree and would skew the scale by tens of percent.
+    gc.collect()
+    return bench_calib.reference()
+
 fig6b = job_args[0] == "fig6b"
 for run in jobs:
     batches.clear()
-    before = bench_calib.reference() if fig6b else 0.0
+    before = reference() if fig6b else 0.0
     began = time.perf_counter()
     result = run()
     seconds = time.perf_counter() - began
@@ -139,7 +149,7 @@ for run in jobs:
         out["fault_stats"] = fields(result.fault_stats)
     if fig6b:
         # Scale to nominal machine speed, as perfbench does.
-        scale = bench_calib.NOMINAL_S / ((before + bench_calib.reference()) / 2)
+        scale = bench_calib.NOMINAL_S / ((before + reference()) / 2)
         rt = result.runtime
         out["work"] = {
             "scheme": result.scheduler,

@@ -88,10 +88,6 @@ class Timeline:
             return False
         return True
 
-    def next_free(self, t: Seconds) -> Seconds:
-        """Earliest instant >= t that is not inside a reservation."""
-        return _walk(self._starts, self._ends, 0.0, t, 0)[0]
-
     def earliest_slot(self, duration: Seconds, not_before: Seconds = 0.0) -> Seconds:
         """Earliest start >= not_before and >= 0 of a free gap of ``duration``."""
         return _walk(self._starts, self._ends, duration, max(0.0, not_before), 0)[0]
@@ -193,6 +189,7 @@ def earliest_common_slot(
     resources: Sequence[Timeline],
     duration: Seconds,
     not_before: Seconds = 0.0,
+    confirmed: bool = False,
 ) -> Seconds:
     """Earliest start where *all* resources are free for ``duration``.
 
@@ -206,12 +203,17 @@ def earliest_common_slot(
     The calls are one joint walk: each resource's walk resumes at the index
     where its previous one stopped, since ``t`` never decreases. The moves,
     and so the returned float, are the fixpoint's.
+
+    ``confirmed`` says that ``not_before`` is the first resource's own
+    earliest slot for ``duration``. For ``duration > 2 * _EPS`` that
+    resource's walk from its own slot returns it unchanged, so the cycle
+    begins at the second resource with that answer counted.
     """
     t = max(0.0, not_before)
     count = len(resources)
     lists = [(tl._starts, tl._ends) for tl in resources]
     stops = [0] * count
-    k = unchanged = 0
+    k = unchanged = 1 if confirmed else 0
     while unchanged < count:
         starts, ends = lists[k]
         t_new, stops[k] = _walk(starts, ends, duration, t, stops[k])

@@ -27,7 +27,10 @@ inter-cluster link (when present):
   on its bound with an earlier one of the same *shape* (inputs that differ
   only in name) is not evaluated. Within one min-TCT round of an
   evaluation, identical slot queries share one search, and a source whose
-  transfer cannot end before the round's best so far is not searched.
+  transfer cannot end before the round's best so far is not searched. The
+  destination port's walk for a transfer resumes from the last one made
+  for the same duration and earliest start, in an earlier round or, from
+  committed reservations only, in an earlier evaluation on the node.
 
 Single-port model: a transfer occupies both endpoints' timelines; a compute
 node's timeline also carries task execution, so no file is staged on a node
@@ -102,15 +105,17 @@ class StagingPlan:
     pushes: list[tuple[str, int]] = field(default_factory=list)
 
 
-#: One place a file can come from, with what costing a transfer from it
-#: needs: (kind, source_node, timelines the transfer occupies, bandwidth,
-#: time the source's copy is ready).
+#: One place a file can come from, costed for one staging floor: (kind,
+#: source_node, timelines the transfer occupies, duration, earliest start).
 _Source = tuple[str, int | None, tuple[Timeline, ...], float, float]
 #: One costed transfer attempt: (tct, kind, source_node, start, duration,
 #: timelines it occupies).
 _Attempt = tuple[float, str, int | None, float, float, tuple[Timeline, ...]]
 #: One common-slot query: (timelines, duration, not_before).
 _SlotQuery = tuple[tuple[Timeline, ...], float, float]
+#: A transfer as the destination port's walk reads it: (duration,
+#: not_before). The port's earliest slot for it is the transfer's *head*.
+_HeadKey = tuple[float, float]
 #: A reservation placed on a timeline.
 _Reservation = tuple[Timeline, Interval]
 #: A staged input: (file_id, kind, source_node, start, duration).
@@ -138,6 +143,7 @@ _BOUND_REL_SLACK = 1e-9
 _WORK_COUNTERS = (
     "candidates", "duplicates", "shape_skips", "evaluations",
     "first_evaluations", "slot_searches", "slot_reuses", "slot_skips",
+    "head_walks", "head_resumes",
 )
 
 #: Every transfer and execution must last longer than this. Then
@@ -222,6 +228,12 @@ class Runtime:
         # (repro.analysis.audit) and the time series (repro.obs.timeseries);
         # None keeps the hot path allocation-free.
         self.events: EventLog | None = EventLog.of(state) if events else None
+        # Per compute node, the heads its port's walks found while the port
+        # held committed reservations only, by (duration, not_before).
+        # Committed reservations are never released, so each stays a valid
+        # start for the port's next walk for the same transfer; dropped at
+        # each :meth:`execute`.
+        self._heads: dict[int, dict[_HeadKey, Seconds]] = {}
         # Work of the least-ECT search over this runtime's life: (task,
         # node) pairs it was given; pairs skipped as copies of an earlier
         # pair of the same search (same ordered inputs and compute time on
@@ -231,7 +243,8 @@ class Runtime:
         # commits of a sub-batch made; the common-slot searches that costed
         # their transfers, the slot queries answered by an identical query
         # earlier in the same round, and the sources not searched because
-        # their transfer could not end before the best so far.
+        # their transfer could not end before the best so far; the port walks
+        # made for heads, and how many of them started from an earlier head.
         self.candidates = 0
         self.duplicates = 0
         self.shape_skips = 0
@@ -240,6 +253,8 @@ class Runtime:
         self.slot_searches = 0
         self.slot_reuses = 0
         self.slot_skips = 0
+        self.head_walks = 0
+        self.head_resumes = 0
 
     # -- resource helpers -------------------------------------------------------
     def timelines(self) -> list[Timeline]:
@@ -284,14 +299,19 @@ class Runtime:
         return sources
 
     def _sources(
-        self, file_id: str, dest: int, plan: StagingPlan | None
+        self, file_id: str, dest: int, plan: StagingPlan | None, floor: Seconds
     ) -> list[_Source]:
         """Every source of ``file_id`` onto ``dest``, in :meth:`_sources_for`
-        order, with the timelines, bandwidth and ready time of a transfer
-        from it. A transfer no longer than ``_MIN_DURATION`` is refused.
+        order, with the timelines a transfer from it occupies, its duration
+        and its earliest start: ``floor``, or the time the source's copy is
+        ready if that is later. Under a fault model, link slowdown windows
+        divide bandwidth; the factor is sampled at the earliest start
+        (deterministic even though the actual slot may land later). A
+        transfer no longer than ``_MIN_DURATION`` unslowed is refused.
         """
         dest_tl = self.node_tl[dest]
         size = self.state.size_of(file_id)
+        faults = self.faults
         sources: list[_Source] = []
         for kind, src in self._sources_for(file_id, dest, plan):
             res: tuple[Timeline, ...]
@@ -307,69 +327,76 @@ class Runtime:
                 res = (dest_tl, self.node_tl[src])
                 bw = self.platform.replication_bandwidth
                 ready = self._avail_time(src, file_id)
-            if size / bw <= _MIN_DURATION:
+            duration = size / bw
+            if duration <= _MIN_DURATION:
                 raise ValueError(
                     f"a {kind} transfer of {file_id!r} onto node {dest} lasts "
-                    f"{size / bw} s; transfers must last over {_MIN_DURATION} s"
+                    f"{duration} s; transfers must last over {_MIN_DURATION} s"
                 )
-            sources.append((kind, src, res, bw, ready))
+            not_before = ready if ready > floor else floor
+            if faults is not None:
+                duration = size * faults.slowdown_factor(kind, not_before) / bw
+            sources.append((kind, src, res, duration, not_before))
         return sources
 
     # -- source selection -------------------------------------------------------------
     def _best_source(
         self,
-        file_id: str,
         sources: Sequence[_Source],
-        floor: Seconds,
-        slots: dict[_SlotQuery, Seconds],
+        slots: dict[_SlotQuery | _HeadKey, Seconds],
+        heads: dict[_HeadKey, Seconds],
+        committed: Mapping[_HeadKey, Seconds],
         cutoff: Seconds = math.inf,
         exclude: AbstractSet[tuple[str, int | None]] = frozenset(),
     ) -> _Attempt | None:
-        """Min-TCT transfer of ``file_id`` from one of ``sources``, if it
-        completes before ``cutoff``.
+        """Min-TCT transfer from one of ``sources`` (one file's, onto one
+        node), if it completes before ``cutoff``.
 
         Returns the first source with the least transfer completion time
-        below ``cutoff``, starting no earlier than ``floor``. Under a fault
-        model, link slowdowns stretch the transfer and a replica whose node
-        dies before the copy ends is skipped; a retry excludes the sources
-        it already tried. ``None`` means no source completes before
+        below ``cutoff``. Under a fault model a replica whose node dies
+        before the copy ends is skipped; a retry excludes the sources it
+        already tried. ``None`` means no source completes before
         ``cutoff``; with no cutoff, that every source was excluded or
         crash-unreachable, which takes a fault model: the storage cluster
         never crashes.
 
         Every transfer occupies the destination's port, ``res[0]``, so it
         starts no earlier than the port's own earliest slot, its *head*,
-        and that is where its common-slot search starts. IEEE addition is
-        monotone, so a source whose head plus duration is not below the
-        cutoff, or the best completion so far, cannot win and is not
-        searched.
+        and that is where its common-slot search starts, with the port's
+        answer counted. IEEE addition is monotone, so a source whose head
+        plus duration is not below the cutoff, or the best completion so
+        far, cannot win and is not searched.
 
-        ``slots`` memoises ``earliest_common_slot`` by its arguments; a
-        head is memoised as the query on the port alone, ``(res[:1],
-        duration, not_before)``, whose answer it is for any transfer (one
-        longer than ``_MIN_DURATION``). The caller must reserve nothing
-        while one memo is in use, so an answer stays valid for as long as
-        the memo lives; a caller that reserves between calls passes a
-        fresh one to each.
+        ``slots`` memoises this round's heads by :data:`_HeadKey` and its
+        searches by their arguments. The caller must reserve nothing while
+        one memo is in use, so an answer stays valid for as long as the
+        memo lives; a caller that reserves between calls passes a fresh one
+        to each. A head the memo lacks is walked from the last head found
+        for its key, ``heads``' else ``committed``'s, else from
+        ``not_before``, and kept in ``heads``. That is exact as long as
+        the port has only gained reservations since those heads were
+        found: gaining reservations never moves a walk's answer earlier,
+        so the walk from an earlier answer lands where the walk from
+        ``not_before`` does (docs/performance.md, "Port walks resume where
+        the last one stopped").
         """
         faults = self.faults
-        size = self.state.size_of(file_id)
         best: _Attempt | None = None
-        for kind, src, res, bw, ready in sources:
+        for kind, src, res, duration, not_before in sources:
             if exclude and (kind, src) in exclude:
                 continue
-            not_before = ready if ready > floor else floor
-            if faults is None:
-                duration = size / bw
-            else:
-                # Link slowdown windows divide bandwidth; the factor is
-                # sampled at the transfer's earliest possible start
-                # (deterministic even though the actual slot may land later).
-                duration = size * faults.slowdown_factor(kind, not_before) / bw
-            port = (res[:1], duration, not_before)
-            head = slots.get(port)
+            key = (duration, not_before)
+            head = slots.get(key)
             if head is None:
-                head = slots[port] = res[0].earliest_slot(duration, not_before)
+                self.head_walks += 1
+                start = heads.get(key)
+                if start is None:
+                    start = committed.get(key)
+                if start is None:
+                    start = not_before
+                else:
+                    self.head_resumes += 1
+                head = slots[key] = heads[key] = res[0].earliest_slot(duration, start)
             if head + duration >= cutoff:
                 self.slot_skips += 1
                 continue
@@ -377,7 +404,7 @@ class Runtime:
             known = slots.get(query)
             if known is None:
                 self.slot_searches += 1
-                start = slots[query] = earliest_common_slot(res, duration, head)
+                start = slots[query] = earliest_common_slot(res, duration, head, True)
             else:
                 self.slot_reuses += 1
                 start = known
@@ -395,7 +422,7 @@ class Runtime:
         self,
         file_id: str,
         node: int,
-        sources: Sequence[_Source],
+        plan: StagingPlan | None,
         first: _Attempt,
         failed: list[_FailedAttempt],
         log: list[_Reservation],
@@ -405,9 +432,10 @@ class Runtime:
         A failed attempt occupies its slot (tagged ``xfail:``, reserved
         through ``log``) and is appended to ``failed``; the next attempt
         starts after an exponential backoff and prefers the next-cheapest
-        of ``sources`` not yet tried this session (falling back to retrying
-        exhausted sources, then to every source if the planned ones are
-        unusable).
+        of the file's sources under ``plan`` not yet tried this session
+        (falling back to retrying exhausted sources, then to every source
+        if the planned ones are unusable). Each attempt costs the sources
+        for its own floor and walks ports from ``not_before``.
         Draw outcomes are pure functions of ``(seed, file, dest, instance,
         attempt)``, so this speculative evaluation matches the eventual
         commit exactly. Returns the successful attempt.
@@ -430,13 +458,14 @@ class Runtime:
             tried.add((kind, src))
             floor = start + duration + faults.backoff(attempt)
             attempt += 1
-            nxt = self._best_source(file_id, sources, floor, {}, exclude=tried)
+            sources = self._sources(file_id, node, plan, floor)
+            nxt = self._best_source(sources, {}, {}, {}, exclude=tried)
             if nxt is None:
                 tried.clear()  # every source tried: cycle through again
-                nxt = self._best_source(file_id, sources, floor, {})
+                nxt = self._best_source(sources, {}, {}, {})
             if nxt is None:  # planned source unusable: dynamic fallback
-                dynamic = self._sources(file_id, node, None)
-                nxt = self._best_source(file_id, dynamic, floor, {})
+                dynamic = self._sources(file_id, node, None, floor)
+                nxt = self._best_source(dynamic, {}, {}, {})
             assert nxt is not None  # the storage cluster never crashes
             opt = nxt
         return opt
@@ -634,6 +663,11 @@ class Runtime:
         dropped when the round's pick is staged. The round keeps the first
         strictly least TCT, so every file after the first is costed with
         the round's best so far as its cutoff.
+
+        Each round's port walks resume from the previous round's heads: the
+        port has only gained reservations since. The first round's, made
+        while nothing tentative is reserved, are also kept for the node's
+        later evaluations (:attr:`_heads`), which resume from them.
         """
         clock = self.clock
         missing = [f for f in task.files if not self.state.has_file(node, f)]
@@ -645,12 +679,15 @@ class Runtime:
         failed_attempts: list[_FailedAttempt] = []
         log: list[_Reservation] = []
         try:
-            # The sources do not change while the task is evaluated: only
-            # the timelines do, and each round searches them afresh.
-            remaining = {f: self._sources(f, node, plan) for f in missing}
+            # The sources and their costs do not change while the task is
+            # evaluated: only the timelines do, and each round searches them
+            # afresh.
+            remaining = {f: self._sources(f, node, plan, clock) for f in missing}
+            heads: dict[_HeadKey, Seconds] = {}
+            committed = self._heads.setdefault(node, {})
             while remaining:
                 pick: tuple[_Attempt, str] | None = None
-                slots: dict[_SlotQuery, Seconds] = {}
+                slots: dict[_SlotQuery | _HeadKey, Seconds] = {}
                 for f, sources in remaining.items():
                     cutoff = math.inf if pick is None else pick[0][0]
                     if sources[0][0] == "replica":
@@ -658,15 +695,22 @@ class Runtime:
                         # this is a plan's one source. It is costed
                         # whatever the cutoff, so that the fallback runs
                         # exactly when the planned replica is unusable.
-                        opt = self._best_source(f, sources, clock, slots)
+                        opt = self._best_source(sources, slots, heads, committed)
                         if opt is None:  # planned source unusable: dynamic fallback
                             opt = self._best_source(
-                                f, self._sources(f, node, None), clock, slots, cutoff
+                                self._sources(f, node, None, clock),
+                                slots, heads, committed, cutoff,
                             )
                     else:
-                        opt = self._best_source(f, sources, clock, slots, cutoff)
+                        opt = self._best_source(
+                            sources, slots, heads, committed, cutoff
+                        )
                     if opt is not None and opt[0] < cutoff:
                         pick = (opt, f)
+                if not log:
+                    # Nothing tentative is reserved yet: these heads hold
+                    # for the port's committed reservations alone.
+                    committed.update(heads)
                 # The first file is costed without a cutoff, and the storage
                 # node, which never crashes, is among its sources or its
                 # fallback's.
@@ -674,7 +718,7 @@ class Runtime:
                 opt, f = pick
                 if self.faults is not None:
                     opt = self._retry_until_staged(
-                        f, node, remaining[f], opt, failed_attempts, log
+                        f, node, plan, opt, failed_attempts, log
                     )
                 tct, kind, src, start, duration, res = opt
                 tag = f"xfer:{f}->{node}"
@@ -912,8 +956,8 @@ class Runtime:
             )
         except CacheFullError:
             return  # skip the push rather than fail the run
-        sources = self._sources(file_id, dest, None)
-        best = self._best_source(file_id, sources, self.clock, {})
+        sources = self._sources(file_id, dest, None, self.clock)
+        best = self._best_source(sources, {}, {}, {})
         assert best is not None  # the storage cluster never crashes
         tct, kind, src, start, duration, res = best
         if self.faults is not None and tct > self.faults.crash_time(dest):
@@ -944,6 +988,7 @@ class Runtime:
 
         start_time = self.clock
         work_before = [getattr(self, name) for name in _WORK_COUNTERS]
+        self._heads = {}
         failed: list[str] = []
         if self.faults is not None:
             self._apply_timed_faults(victim_order)

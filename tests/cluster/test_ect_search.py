@@ -558,14 +558,17 @@ class TestNearShapesStayApart:
 
 def counted_searches(rt, task, node, plan=None):
     """``rt.evaluate(task, node, plan)``, checked against the overlay-based
-    reference, and the ``(timeline names, duration, not_before)`` of every
-    common-slot search it made."""
+    reference, and the ``(timeline names, duration, head)`` of every
+    common-slot search it made. Every search starts at its head, the port's
+    own slot, with the port's answer counted."""
     calls = []
     search = runtime.earliest_common_slot
 
-    def counted(res, duration, not_before):
-        calls.append((tuple(tl.name for tl in res), duration, not_before))
-        return search(res, duration, not_before)
+    def counted(res, duration, head, confirmed):
+        assert confirmed is True
+        assert overlay_reference.timeline_earliest_slot(res[0], duration, head) == head
+        calls.append((tuple(tl.name for tl in res), duration, head))
+        return search(res, duration, head, confirmed)
 
     want = overlay_reference.evaluate(rt, task, node, plan)
     with mock.patch.object(runtime, "earliest_common_slot", counted):
@@ -661,6 +664,175 @@ def test_planned_replica_is_costed_whatever_the_round(crash_s, want):
     assert tent.transfers == want
 
 
+@contextlib.contextmanager
+def port_walks(port, durations):
+    """Record ``(duration, start)`` of every walk of timeline ``port`` for a
+    transfer, one of ``durations``, in call order; execution slots, of
+    other durations, are left out."""
+    walks = []
+    walk = Timeline.earliest_slot
+
+    def recorded(tl, duration, not_before=0.0):
+        if tl is port and duration in durations:
+            walks.append((duration, not_before))
+        return walk(tl, duration, not_before)
+
+    with mock.patch.object(Timeline, "earliest_slot", recorded):
+        yield walks
+
+
+class TestResumedHeads:
+    """A port walk for a head starts from the last head found for the same
+    (duration, not_before): the previous round's, else one found from the
+    port's committed reservations alone, else not_before. Every case is
+    checked against the overlay-based reference."""
+
+    def test_a_later_evaluation_resumes_from_the_committed_heads(self):
+        # The port is busy until 2 s. "a" stages f0 and f1 (1 s each from
+        # one storage node): round 1 walks the port from 0 to the head 2,
+        # round 2 from 2 to 3, past f0's tentative transfer. Only round 1's
+        # head is kept for the node, so "b" walks from 2 and stages f2 there.
+        files = [FileInfo(f"f{i}", 100.0, 0) for i in range(3)]
+        a, b = Task("a", ("f0", "f1"), 1.0), Task("b", ("f2",), 1.0)
+        rt = small_runtime(files, [a, b])
+        port = rt.node_tl[0]
+        port.reserve(0.0, 2.0)
+        with port_walks(port, {1.0}) as walks:
+            counted_searches(rt, a, 0)
+            assert rt._heads == {0: {(1.0, 0.0): 2.0}}
+            tent, _calls = counted_searches(rt, b, 0)
+        assert walks == [(1.0, 0.0), (1.0, 2.0), (1.0, 2.0)]
+        assert [start for *_, start, _d in tent.transfers] == [2.0]
+        assert (rt.head_walks, rt.head_resumes) == (3, 2)
+
+    def test_a_commit_over_a_kept_head(self):
+        # The port is busy until 0.5 s. Evaluating "a" keeps the head 0.5
+        # for (1 s, 0); committing "a" then reserves its transfer and its
+        # execution from 0.5 s on. "b" walks from the kept head, which its
+        # port no longer has free, and lands where a fresh walk does.
+        files = [FileInfo(f"f{i}", 100.0, 0) for i in range(2)]
+        a, b = Task("a", ("f0",), 1.0), Task("b", ("f1",), 1.0)
+        rt = small_runtime(files, [a, b])
+        port = rt.node_tl[0]
+        port.reserve(0.0, 0.5)
+        rt._commit(rt.evaluate(a, 0), lambda node, cands: list(cands))
+        assert rt._heads == {0: {(1.0, 0.0): 0.5}}
+        fresh = port.earliest_slot(1.0, 0.0)
+        assert fresh == 3.0  # after the transfer [0.5, 1.5) and execution [1.5, 3)
+        with port_walks(port, {1.0}) as walks:
+            tent, _calls = counted_searches(rt, b, 0)
+        assert walks == [(1.0, 0.5)]
+        assert [start for *_, start, _d in tent.transfers] == [fresh]
+        assert rt._heads == {0: {(1.0, 0.0): fresh}}
+
+    def test_failed_attempts_reserved_between_rounds(self):
+        # f0 (0.5 s) wins round 1, and its first attempt fails: the attempt
+        # occupies [0.25, 0.75) and the retry, costed from its own floor
+        # after the 2 s backoff, stages f0 at 2.75 s. Round 2 resumes f1's
+        # walk from round 1's head, past the failed attempt, into the gap
+        # before the retry. The retry's walk starts from its floor, and
+        # only round 1's heads are kept for the node.
+        def draws(spec):
+            model = FaultModel(spec)
+            return [
+                model.transfer_fails(f, 0, 0, attempt)
+                for f, attempt in (("f0", 0), ("f0", 1), ("f1", 0))
+            ]
+
+        spec = next(
+            spec
+            for spec in (
+                FaultSpec(transfer_failure_rate=0.5, seed=seed) for seed in range(200)
+            )
+            if draws(spec) == [True, False, False]
+        )
+        files = [FileInfo("f0", 50.0, 0), FileInfo("f1", 100.0, 0)]
+        task = Task("t0", ("f0", "f1"), 1.0)
+        rt = small_runtime(files, [task], faults=FaultModel(spec))
+        port = rt.node_tl[0]
+        port.reserve(0.0, 0.25)
+        with port_walks(port, {0.5, 1.0}) as walks:
+            tent, _calls = counted_searches(rt, task, 0)
+        assert tent.failed_attempts == [("f0", 50.0, "remote", None, 0.25, 0.75, 0)]
+        assert tent.transfers == [
+            ("f0", "remote", None, 2.75, 0.5), ("f1", "remote", None, 0.75, 1.0),
+        ]
+        assert walks == [(0.5, 0.0), (1.0, 0.0), (0.5, 2.75), (1.0, 0.25)]
+        assert rt._heads == {0: {(0.5, 0.0): 0.25, (1.0, 0.0): 0.25}}
+        assert (rt.head_walks, rt.head_resumes) == (4, 1)
+
+    def test_planned_replica_fallback_resumes_from_the_committed_heads(self):
+        # The plan copies f0 from node 1 at 25 MB/s (2 s); node 1 dies at
+        # 2.5 s. In round 1 the copy would end at 2.25 s, but f1 (1 s)
+        # wins. In round 2 it would end at 3.25 s, so the dynamic fallback
+        # runs: its remote source (0.5 s) is new to this evaluation, and
+        # walks from the head an earlier evaluation ("c") kept for it.
+        platform = Platform(
+            compute_nodes=(ComputeNode(0), ComputeNode(1)),
+            storage_nodes=(StorageNode(0, disk_bw=100.0),),
+            storage_network_bw=1000.0,
+            compute_network_bw=25.0,
+        )
+        files = {
+            f: FileInfo(f, size, 0)
+            for f, size in (("f0", 50.0), ("f1", 100.0), ("f2", 50.0))
+        }
+        task, c = Task("t0", ("f1", "f0"), 1.0), Task("c", ("f2",), 1.0)
+        state = ClusterState.initial(platform, Batch([task, c], files))
+        faults = FaultModel(FaultSpec(node_crashes=(NodeCrash(1, 2.5),)))
+        rt = Runtime(platform, state, faults=faults)
+        rt.state.place(1, "f0")
+        plan = StagingPlan(sources={("f0", 0): PlannedSource("replica", 1)})
+        port = rt.node_tl[0]
+        port.reserve(0.0, 0.25)
+        with port_walks(port, {0.5, 1.0, 2.0}) as walks:
+            counted_searches(rt, c, 0, plan)
+            tent, _calls = counted_searches(rt, task, 0, plan)
+        assert walks == [
+            (0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.25), (0.5, 0.25),
+        ]
+        assert tent.transfers == [
+            ("f1", "remote", None, 0.25, 1.0), ("f0", "remote", None, 1.25, 0.5),
+        ]
+        assert (rt.head_walks, rt.head_resumes) == (5, 2)
+
+    def test_searches_start_at_the_head_not_at_an_earlier_slot(self):
+        # The joint-search counterexample of test_gantt.py's TestJointWalk,
+        # on a runtime (2 MB at 105 MB/s). In round 1, fa's common slot is
+        # 0.4255238095238095 and fb's replica wins; its transfer on the
+        # port moves fa's common slot one ulp earlier in round 2. A search
+        # resumed from round 1's slot would stage fa one ulp late.
+        platform = Platform(
+            compute_nodes=(ComputeNode(0), ComputeNode(1)),
+            storage_nodes=(StorageNode(0, disk_bw=105.0),),
+            storage_network_bw=1000.0,
+            compute_network_bw=105.0,
+        )
+        files = {f: FileInfo(f, 2.0, 0) for f in ("fa", "fb")}
+        task = Task("t0", ("fa", "fb"), 1.0)
+        rt = Runtime(platform, ClusterState.initial(platform, Batch([task], files)))
+        rt.state.place(1, "fb")
+        rt.clock = 0.19047619047619047
+        rt.node_tl[0].reserve(rt.clock, 0.40647619047619044 - rt.clock)
+        for start, end in [
+            (0.38742857142857146, 0.4064761904761905),
+            (0.4064761904761905, 0.4255238095238095),
+            (0.44457142857142856, 0.4636190476190476),
+        ]:
+            rt.storage_tl[0].reserve(start, end - start)
+        d = 2.0 / 105.0
+        tent, calls = counted_searches(rt, task, 0)
+        assert tent.transfers == [
+            ("fb", "replica", 1, 0.40647619047619044, d),
+            ("fa", "remote", None, 0.42552380952380947, d),
+        ]
+        assert calls == [
+            (("compute0", "storage0"), d, 0.40647619047619044),
+            (("compute0", "compute1"), d, 0.40647619047619044),
+            (("compute0", "storage0"), d, 0.42552380952380947),
+        ]
+
+
 def test_bound_allows_eps_overlap():
     # The port's only gap before t=0.03 is 0.9e-9 shorter than the 0.01 s
     # transfer; is_free's _EPS tolerance still fits the transfer there, so
@@ -743,6 +915,11 @@ class TestCounters:
         assert counters["runtime/slot_searches"] == 569.0
         assert counters["runtime/slot_reuses"] == 288.0
         assert counters["runtime/slot_skips"] == 1141.0
+        # One port walk per distinct (duration, not_before) per round heads
+        # those sources; all but the first of each key per sub-batch on a
+        # node start from the last head found for it.
+        assert counters["runtime/head_walks"] == 1073.0
+        assert counters["runtime/head_resumes"] == 974.0
 
     def test_slot_searches_count_every_common_slot_call(self):
         calls = []

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,12 +78,6 @@ class TestTimeline:
         tl = Timeline("t")
         tl.reserve(0.0, 10.0)
         assert tl.earliest_slot(1.0, not_before=5.0) == 10.0
-
-    def test_next_free(self):
-        tl = Timeline("t")
-        tl.reserve(1.0, 2.0)
-        assert tl.next_free(0.0) == 0.0
-        assert tl.next_free(1.5) == 3.0
 
     def test_zero_duration(self):
         tl = Timeline("t")
@@ -444,8 +439,126 @@ class TestJointWalk:
     def test_search_from_the_first_timelines_slot(self, query):
         # The runtime starts a transfer's search at its port's own slot;
         # transfers last longer than 2 * _EPS.
+        # Counting the first timeline's answer there, as the runtime does,
+        # changes nothing either.
         resources, duration, not_before = query
         head = resources[0].earliest_slot(duration, not_before)
-        assert earliest_common_slot(resources, duration, head).hex() == (
-            earliest_common_slot(resources, duration, not_before).hex()
+        want = earliest_common_slot(resources, duration, not_before).hex()
+        assert earliest_common_slot(resources, duration, head).hex() == want
+        assert earliest_common_slot(resources, duration, head, True).hex() == want
+
+    def test_search_from_the_confirmed_head(self):
+        # The runtime's call: the port's own slot, with the port's answer
+        # counted, so the cycle begins at the second timeline.
+        tl_port, tl_storage = Timeline("port"), Timeline("storage")
+        tl_port.reserve(0.0, 2.0)
+        tl_storage.reserve(2.5, 1.0)
+        head = tl_port.earliest_slot(1.0, 0.0)
+        assert head == 2.0
+        assert earliest_common_slot([tl_port, tl_storage], 1.0, head, True) == 3.5
+        # Counted as confirmed at a start that is not the port's slot, the
+        # port is never asked, and the search lands inside its reservation.
+        assert earliest_common_slot([tl_port, tl_storage], 1.0, 0.0, True) == 0.0
+
+    def test_a_search_is_not_resumed_from_an_earlier_slot(self):
+        # The common slot is not monotone in the reservations: one more
+        # reservation on the port moves it one ulp earlier, onto that
+        # reservation's end, which the storage reservation ending one ulp
+        # later (by less than _EPS) does not block. So every search starts
+        # at its head, never at the slot an earlier round found.
+        port, storage = Timeline("port"), Timeline("storage")
+        port.reserve(0.19047619047619047, 0.40647619047619044 - 0.19047619047619047)
+        for start, end in [
+            (0.38742857142857146, 0.4064761904761905),
+            (0.4064761904761905, 0.4255238095238095),
+            (0.44457142857142856, 0.4636190476190476),
+        ]:
+            storage.reserve(start, end - start)
+        duration, not_before = 0.01904761904761905, 0.19047619047619047
+        before = earliest_common_slot([port, storage], duration, not_before)
+        assert before.hex() == (0.4255238095238095).hex()
+        port.reserve(0.40647619047619044, duration)
+        after = earliest_common_slot([port, storage], duration, not_before)
+        assert after.hex() == (0.42552380952380947).hex()
+        assert math.nextafter(after, math.inf) == before
+        head = port.earliest_slot(duration, not_before)
+        assert earliest_common_slot([port, storage], duration, head, True) == after
+        assert earliest_common_slot([port, storage], duration, before) == before
+
+
+# -- a port walk resumed from an earlier head ------------------------------------
+#: Offsets from an anchor for a new reservation's endpoint: on it, and
+#: ±ε, ±1.5ε and 2ε away, the thresholds of the walk's comparisons.
+NEAR = [0.0, _EPS, -_EPS, 1.5 * _EPS, -1.5 * _EPS, 2 * _EPS]
+
+#: New reservations last longer than this. The resume rule needs every
+#: reservation longer than 2ε, as Lemma 1 does, and in floats by more than
+#: a rounding: one that lasts 2ε plus an ulp can end within ε of the
+#: reservation before it, and a fresh walk steps onto that end while the
+#: resumed one does not. 0.01ε is far above the ulps of these times (1e-14)
+#: and far below the runtime's shortest transfer (4 ms).
+SHORTEST = 2.01 * _EPS
+
+
+def brute_force_float_slot(tl, duration, not_before):
+    """The least candidate start, ``not_before`` (clamped at 0) or a later
+    reservation end, that no reservation blocks: none ends more than
+    ``_EPS`` after it and starts more than ``_EPS`` before it ends. Every
+    candidate is checked against every reservation."""
+    t = max(0.0, not_before)
+    spans = list(zip(tl._starts, tl._ends))
+    for c in sorted({t, *(e for _, e in spans if e > t)}):
+        if not any(e > c + _EPS and c + duration > s + _EPS for s, e in spans):
+            return c
+    raise AssertionError("the last end is always free")
+
+
+class TestResumedWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_walk_from_an_earlier_head_is_the_fresh_walk(self, data):
+        # The runtime walks a port for a transfer from the head it found
+        # for the same (duration, not_before) before the port gained more
+        # reservations. Gaining reservations never moves the earliest slot
+        # earlier, so from the old head the walk lands where a fresh one
+        # does, bit for bit, however close to the head, the head's slot
+        # end and the existing ends the new reservations start or end.
+        duration = data.draw(st.sampled_from([d for d in DURATIONS if d > 2 * _EPS]))
+        tl = data.draw(float_resource(duration, min_intervals=4, max_intervals=40))
+        edges = [x for iv in tl.intervals for x in (iv.start, iv.end)]
+        not_before = data.draw(
+            st.one_of(st.sampled_from(edges), st.floats(0.0, max(edges)))
         )
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+
+        def near(anchors):
+            x = rng.choice(anchors) + rng.choice(NEAR)
+            for _ in range(rng.randint(0, 3)):
+                x = math.nextafter(x, rng.choice([-math.inf, math.inf]))
+            return x
+
+        head = tl.earliest_slot(duration, not_before)
+        for _ in range(data.draw(st.integers(1, 3))):
+            ends = tl._ends
+            k = bisect_right(ends, head)
+            anchors = [
+                head, head + duration, head + duration - _EPS,
+                *ends[max(0, k - 2) : k + 3],
+            ]
+            for _ in range(rng.randint(1, 6)):
+                start = near(anchors)
+                if rng.random() < 0.5:
+                    end = near(anchors)
+                else:
+                    end = start + rng.choice(
+                        [3 * _EPS, duration - _EPS, duration, 0.5, 1.0]
+                    )
+                length = end - start
+                if start < 0.0 or length <= SHORTEST:
+                    continue
+                if tl.is_free(start, start + length):
+                    tl.reserve(start, length)
+            fresh = tl.earliest_slot(duration, not_before)
+            assert tl.earliest_slot(duration, head).hex() == fresh.hex()
+            assert brute_force_float_slot(tl, duration, not_before).hex() == fresh.hex()
+            head = fresh

@@ -314,7 +314,8 @@ class TestCommands:
         assert "runtime ECT search work" in out
         for counter in (
             "duplicates", "shape_skips", "evaluations", "first_evaluations",
-            "slot_searches", "slot_reuses", "slot_skips",
+            "slot_searches", "slot_reuses", "slot_skips", "head_walks",
+            "head_resumes",
         ):
             assert counter in out
 
