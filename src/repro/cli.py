@@ -768,14 +768,17 @@ def _cmd_profile(args) -> int:
                 f"{span.mean_s * 1000:7.2f}ms"
             )
         counters = tele.snapshot()["counters"]
-        for prefix, title in (
-            ("kernel/", "MCT mapping work (summed over mapping calls)"),
-            ("runtime/", "runtime ECT search work (summed over sub-batches)"),
+        for prefix, title, keys in (
+            ("kernel/", "MCT mapping work (summed over mapping calls)", None),
+            ("runtime/", "runtime ECT search work (summed over sub-batches)", None),
+            ("hypergraph/", "partitioner work (K-way bisections; FM in K-way and BINW)",
+             ("bisections", "fm/passes", "fm/moves")),
         ):
             work = {
                 name[len(prefix):]: value
                 for name, value in sorted(counters.items())
                 if name.startswith(prefix)
+                and (keys is None or name[len(prefix):] in keys)
             }
             if work:
                 print(f"\n{title}:")

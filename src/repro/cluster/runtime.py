@@ -149,9 +149,12 @@ _WORK_COUNTERS = (
 #: Every transfer and execution must last longer than this. Then
 #: ``Timeline.earliest_slot`` returns the first candidate start that no
 #: reservation overlaps by more than ``_EPS``, whichever of them are
-#: tentative, so evaluating on the real timelines is exact
-#: (docs/performance.md, "Tentative staging on the real timelines").
-_MIN_DURATION: Seconds = 2 * _EPS
+#: tentative, so evaluating on the real timelines is exact, and a port walk
+#: may resume from an earlier head (docs/performance.md, "Tentative staging
+#: on the real timelines" and "Port walks resume where the last one
+#: stopped"). Both need durations over ``2 * _EPS`` by more than a rounding;
+#: the floor keeps a margin of ``_EPS``.
+_MIN_DURATION: Seconds = 3 * _EPS
 
 
 @dataclass

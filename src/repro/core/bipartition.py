@@ -83,43 +83,29 @@ def estimated_exec_times(
 class BiPartitionScheduler(Scheduler):
     """Bi-level hypergraph partitioning scheduler.
 
+    The K-way mapping balances loads within ``kway_partition``'s 10% and
+    BINW selection bisects within ``binw_partition``'s 20%. Sub-batches run
+    in chain order (:meth:`_chain_order`): the paper does not specify one.
+
     Parameters
     ----------
-    epsilon:
-        Load-balance tolerance of the second-level K-way partitioning.
-    binw_epsilon:
-        Bisection balance tolerance used during BINW sub-batch selection.
     vertex_weight_mode:
         ``"estimated"`` uses the probabilistic Eq. 25/26 execution-time
         estimates as vertex weights (the paper's method); ``"compute"``
         uses the pure CPU time only (ablation of the I/O-aware weighting).
-    subbatch_order:
-        ``"chain"`` (default) orders sub-batches greedily so consecutive
-        ones share the most file volume — files cached by one sub-batch
-        are then most likely still cached (not yet evicted) when the next
-        one needs them. ``"index"`` keeps the partitioner's arbitrary
-        order (the paper does not specify one).
     """
 
     def __init__(
         self,
         seed: int = 0,
-        epsilon: float = 0.10,
-        binw_epsilon: float = 0.20,
         vertex_weight_mode: str = "estimated",
-        subbatch_order: str = "chain",
     ) -> None:
         super().__init__(seed)
         if vertex_weight_mode not in ("estimated", "compute"):
             raise ValueError(
                 "vertex_weight_mode must be 'estimated' or 'compute'"
             )
-        if subbatch_order not in ("chain", "index"):
-            raise ValueError("subbatch_order must be 'chain' or 'index'")
-        self.epsilon = epsilon
-        self.binw_epsilon = binw_epsilon
         self.vertex_weight_mode = vertex_weight_mode
-        self.subbatch_order = subbatch_order
         self._queue: list[list[str]] | None = None
         self._queue_dead = 0
 
@@ -172,19 +158,17 @@ class BiPartitionScheduler(Scheduler):
         if distinct_mb <= bound:
             return [list(pending)]
         h = self._build_hypergraph(batch, tasks, platform)
-        res = binw_partition(h, bound, self.rng, epsilon=self.binw_epsilon)
+        res = binw_partition(h, bound, self.rng)
         parts: dict[int, list[str]] = {}
         for v, p in enumerate(res.parts):
             parts.setdefault(int(p), []).append(tasks[v].task_id)
-        ordered = [parts[p] for p in sorted(parts)]
-        if self.subbatch_order == "chain":
-            ordered = self._chain_order(batch, ordered)
-        return ordered
+        return self._chain_order(batch, [parts[p] for p in sorted(parts)])
 
     @staticmethod
     def _chain_order(batch: Batch, subbatches: list[list[str]]) -> list[list[str]]:
         """Greedy chain: each next sub-batch shares the most file volume
-        with the previous one, so cached copies get reused before eviction."""
+        with the previous one, so files cached by one sub-batch are most
+        likely still cached (not yet evicted) when the next one needs them."""
         if len(subbatches) <= 2:
             return subbatches
         file_sets = [
@@ -234,7 +218,7 @@ class BiPartitionScheduler(Scheduler):
             mapping = {t.task_id: nodes[0] for t in tasks}
         else:
             h = self._build_hypergraph(batch, tasks, platform)
-            parts = kway_partition(h, len(nodes), self.rng, epsilon=self.epsilon)
+            parts = kway_partition(h, len(nodes), self.rng)
             mapping = {t.task_id: nodes[int(parts[v])] for v, t in enumerate(tasks)}
         deferred = self._repair_disk(batch, tasks, mapping, state)
         for t in deferred:

@@ -40,6 +40,10 @@ from .plan import SubBatchPlan
 
 __all__ = ["IPScheduler"]
 
+#: ``Thresh`` of Eq. 18: the allowed relative deviation of any node's
+#: compute load from the mean in sub-batch selection.
+_BALANCE_THRESHOLD = 0.5
+
 
 @dataclass
 class _IpInstance:
@@ -67,9 +71,6 @@ class IPScheduler(Scheduler):
         Relative optimality gap accepted by the allocation solve; the paper
         needs exact answers only for tiny instances, and a small gap keeps
         the (already large) scheduling overhead bounded.
-    balance_threshold:
-        ``Thresh`` of Eq. 18 — allowed relative deviation of any node's
-        compute load from the mean in sub-batch selection.
     """
 
     def __init__(
@@ -78,13 +79,11 @@ class IPScheduler(Scheduler):
         solver: str = "highs",
         time_limit: float | None = 60.0,
         mip_rel_gap: float = 0.02,
-        balance_threshold: float = 0.5,
     ) -> None:
         super().__init__(seed)
         self.solver_name = solver
         self.time_limit = time_limit
         self.mip_rel_gap = mip_rel_gap
-        self.balance_threshold = balance_threshold
         self.last_solution: Solution | None = None
 
     # -- helpers ---------------------------------------------------------------
@@ -179,7 +178,7 @@ class IPScheduler(Scheduler):
         )
         for i in range(c):
             m.add_constr(
-                comp[i] * c <= total * (1.0 + self.balance_threshold),
+                comp[i] * c <= total * (1.0 + _BALANCE_THRESHOLD),
                 name=f"balance[{i}]",
             )
         # Eq. 14: maximise the number of allocated tasks.

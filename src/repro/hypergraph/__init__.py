@@ -23,7 +23,7 @@ recursive bisection with net splitting.
 
 from .binw import BinwResult, binw_partition
 from .bisect import multilevel_bisect
-from .coarsen import CoarseningLevel, coarsen, heavy_connectivity_matching
+from .coarsen import coarsen, heavy_connectivity_matching
 from .hypergraph import Hypergraph, PartitionStats
 from .initial import (
     greedy_growing_bipartition,
@@ -51,7 +51,6 @@ __all__ = [
     "kway_partition",
     "multilevel_bisect",
     "coarsen",
-    "CoarseningLevel",
     "heavy_connectivity_matching",
     "initial_bipartition",
     "greedy_growing_bipartition",

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..analysis.dims import MB
 from ..obs.core import telemetry
-from .bisect import multilevel_bisect
+from .bisect import split
 from .hypergraph import Hypergraph
 
 __all__ = ["BinwResult", "binw_partition"]
@@ -69,9 +69,10 @@ def binw_partition(
 
     # Work stack of (sub-hypergraph, global vertex ids). The loop ends by
     # construction: each popped piece either becomes a final part or is
-    # split into two non-empty halves (the degenerate split is forced below),
-    # so the pieces form a binary tree whose leaves are the final parts. With
-    # n >= 1 vertices that is at most n parts from at most 2n - 1 pieces.
+    # split into two non-empty halves (``split`` forces a degenerate
+    # bisection apart), so the pieces form a binary tree whose leaves are the
+    # final parts. With n >= 1 vertices that is at most n parts from at most
+    # 2n - 1 pieces.
     stack: list[tuple[Hypergraph, np.ndarray]] = [(h, np.arange(n))]
     while stack:
         sub, ids = stack.pop()
@@ -85,24 +86,9 @@ def binw_partition(
             next_part += 1
             continue
 
-        with telemetry.span("bisect"):
-            bis = multilevel_bisect(
-                sub,
-                rng,
-                target0_fraction=0.5,
-                epsilon=epsilon,
-                coarsen_to=coarsen_to,
-                initial_tries=initial_tries,
-            )
-        side0 = np.flatnonzero(bis == 0)
-        side1 = np.flatnonzero(bis == 1)
-        if len(side0) == 0 or len(side1) == 0:
-            # Degenerate bisection; force a split so recursion terminates.
-            order = np.argsort(-sub.vertex_weights)
-            half = max(1, sub.num_vertices // 2)
-            side0, side1 = order[:half], order[half:]
-        sub0, ids0 = sub.sub_hypergraph(side0)
-        sub1, ids1 = sub.sub_hypergraph(side1)
+        (sub0, ids0), (sub1, ids1) = split(
+            sub, rng, 1, 2, epsilon, coarsen_to, initial_tries
+        )
         stack.append((sub0, ids[ids0]))
         stack.append((sub1, ids[ids1]))
 

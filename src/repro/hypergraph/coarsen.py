@@ -10,25 +10,19 @@ initial partitioning or stops shrinking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hypergraph import Hypergraph
 
-__all__ = ["CoarseningLevel", "heavy_connectivity_matching", "coarsen"]
+__all__ = ["heavy_connectivity_matching", "coarsen"]
 
 # Nets larger than this contribute negligible per-pin connectivity and cost
 # O(size^2) pair updates; skip them during matching (PaToH does the same).
 _MATCHING_NET_SIZE_LIMIT = 64
 
-
-@dataclass
-class CoarseningLevel:
-    """One level of the multilevel hierarchy: the fine graph and its mapping."""
-
-    fine: Hypergraph
-    cluster_of: np.ndarray  # fine vertex -> coarse vertex
+# A level is kept only if it has fewer than this share of the previous
+# level's vertices; otherwise matching has stalled and coarsening stops.
+_SHRINK_THRESHOLD = 0.95
 
 
 def heavy_connectivity_matching(
@@ -85,40 +79,25 @@ def coarsen(
     h: Hypergraph,
     rng: np.random.Generator,
     target_vertices: int = 64,
-    max_levels: int = 30,
-    shrink_threshold: float = 0.95,
-) -> tuple[Hypergraph, list[CoarseningLevel]]:
+) -> tuple[Hypergraph, list[np.ndarray]]:
     """Coarsen until ``target_vertices`` is reached or shrinking stalls.
 
-    Returns the coarsest hypergraph and the ordered list of levels (finest
-    first) needed to project a coarse partition back to the original graph.
+    Returns the coarsest hypergraph and each level's ``cluster_of`` (fine
+    vertex -> coarse vertex), finest level first: indexing a partition of
+    the coarsest graph by them in reverse projects it back onto ``h``.
     The max-cluster-weight bound is set so no coarse vertex outgrows what a
-    balanced bipartition could host.
+    balanced bipartition could host. The loop ends by construction: each
+    level it keeps has fewer vertices than the one before.
     """
-    levels: list[CoarseningLevel] = []
+    levels: list[np.ndarray] = []
     current = h
     # A cluster heavier than half the total weight can never be balanced.
     weight_cap = max(current.total_vertex_weight / 2.0, 1e-12)
-    for _ in range(max_levels):
-        if current.num_vertices <= target_vertices:
-            break
+    while current.num_vertices > target_vertices:
         cluster_of = heavy_connectivity_matching(current, rng, weight_cap)
         nc = int(cluster_of.max()) + 1 if len(cluster_of) else 0
-        if nc >= current.num_vertices * shrink_threshold:
+        if nc >= current.num_vertices * _SHRINK_THRESHOLD:
             break  # stalled: nearly nothing matched
-        coarse = current.contract(cluster_of)
-        levels.append(CoarseningLevel(fine=current, cluster_of=cluster_of))
-        current = coarse
+        levels.append(cluster_of)
+        current = current.contract(cluster_of)
     return current, levels
-
-
-def project_partition(levels: list[CoarseningLevel], coarse_parts: np.ndarray):
-    """Project a partition of the coarsest graph through all levels.
-
-    Yields ``(hypergraph, parts)`` pairs from coarsest-but-one to finest so
-    the caller can refine at each level (the classic V-cycle uncoarsening).
-    """
-    parts = coarse_parts
-    for level in reversed(levels):
-        parts = parts[level.cluster_of]
-        yield level.fine, parts

@@ -187,17 +187,11 @@ class Hypergraph:
             vweights[c] += self._vw[v]
             anchored[c] += self._aw[v]
 
-        merged: dict[tuple[int, ...], float] = {}
-        for ps, w in zip(self._pins, self._nw):
-            coarse = tuple(sorted({co[v] for v in ps}))
-            if len(coarse) == 1:
-                anchored[coarse[0]] += w
-            else:
-                merged[coarse] = merged.get(coarse, 0.0) + w
-
-        nets = list(merged.keys())
-        weights = [merged[p] for p in nets]
-        return Hypergraph(nc, nets, vweights, weights, anchored)
+        nets = (
+            (tuple(sorted({co[v] for v in ps})), w)
+            for ps, w in zip(self._pins, self._nw)
+        )
+        return _collapsed(nc, nets, vweights, anchored)
 
     # -- sub-hypergraph with net splitting -----------------------------------------
     def sub_hypergraph(
@@ -220,22 +214,15 @@ class Hypergraph:
         vweights = [self._vw[g] for g in ids]
         anchored = [self._aw[g] for g in ids]
 
-        merged: dict[tuple[int, ...], float] = {}
         seen_nets: set[int] = set()
         for g in ids:
             seen_nets.update(self._vnets[g])
-        for j in sorted(seen_nets):
-            # Pins are sorted and ``local_of`` keeps their order.
-            local = tuple(local_of[v] for v in self._pins[j] if v in local_of)
-            w = self._nw[j]
-            if len(local) == 1:
-                anchored[local[0]] += w
-            else:
-                merged[local] = merged.get(local, 0.0) + w
-
-        nets = list(merged.keys())
-        weights = [merged[p] for p in nets]
-        sub = Hypergraph(len(ids), nets, vweights, weights, anchored)
+        # Pins are sorted and ``local_of`` keeps their order.
+        nets = (
+            (tuple(local_of[v] for v in self._pins[j] if v in local_of), self._nw[j])
+            for j in sorted(seen_nets)
+        )
+        sub = _collapsed(len(ids), nets, vweights, anchored)
         return sub, np.array(ids, dtype=int)
 
     def __repr__(self):
@@ -243,6 +230,26 @@ class Hypergraph:
             f"Hypergraph({self._n} vertices, {self.num_nets} nets, "
             f"{self.num_pins} pins)"
         )
+
+
+def _collapsed(
+    num_vertices: int,
+    nets: Iterable[tuple[tuple[int, ...], float]],
+    vertex_weights: list[float],
+    anchored: list[float],
+) -> Hypergraph:
+    """The hypergraph of ``(pins, weight)`` nets whose pins were mapped onto
+    fewer vertices: a net left with one pin adds its weight to that pin's
+    ``anchored`` weight, and identical nets merge with summed weights."""
+    merged: dict[tuple[int, ...], float] = {}
+    for pins, w in nets:
+        if len(pins) == 1:
+            anchored[pins[0]] += w
+        else:
+            merged[pins] = merged.get(pins, 0.0) + w
+    return Hypergraph(
+        num_vertices, list(merged), vertex_weights, list(merged.values()), anchored
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs.core import telemetry
-from .bisect import multilevel_bisect
+from .bisect import split
 from .hypergraph import Hypergraph
 from .metrics import cut_weight
 
@@ -52,36 +52,19 @@ def kway_partition(
             parts[global_ids] = base
             return
         k0 = (k_sub + 1) // 2
-        frac0 = k0 / k_sub
-        with telemetry.span("bisect"):
-            bis = multilevel_bisect(
-                sub,
-                rng,
-                target0_fraction=frac0,
-                epsilon=eps_level,
-                coarsen_to=coarsen_to,
-                initial_tries=initial_tries,
-            )
-        side0 = np.flatnonzero(bis == 0)
-        side1 = np.flatnonzero(bis == 1)
-        # Degenerate bisection (all vertices on one side): split arbitrarily
-        # to guarantee progress and that every part id can be produced.
-        if len(side0) == 0 or len(side1) == 0:
-            order = np.argsort(-sub.vertex_weights)
-            half = max(1, len(order) * k0 // k_sub)
-            side0, side1 = order[:half], order[half:]
+        (sub0, ids0), (sub1, ids1) = split(
+            sub, rng, k0, k_sub, eps_level, coarsen_to, initial_tries
+        )
         if telemetry.enabled:
             # With net splitting, summing per-bisection cut weights over the
             # recursion gives the final connectivity-1 cost, so these
             # counters decompose the K-way cut by recursion level.
-            split = np.zeros(sub.num_vertices, dtype=int)
-            split[side1] = 1
-            cut = cut_weight(sub, split)
+            sides = np.zeros(sub.num_vertices, dtype=int)
+            sides[ids1] = 1
+            cut = cut_weight(sub, sides)
             telemetry.count("hypergraph/bisections")
             telemetry.count("hypergraph/cut_weight", cut)
             telemetry.count(f"hypergraph/level{level}/cut_weight", cut)
-        sub0, ids0 = sub.sub_hypergraph(side0)
-        sub1, ids1 = sub.sub_hypergraph(side1)
         _recurse(sub0, global_ids[ids0], k0, base, level + 1)
         _recurse(sub1, global_ids[ids1], k_sub - k0, base + k0, level + 1)
 

@@ -61,7 +61,6 @@ def fm_refine(
     parts: np.ndarray,
     max_part_weights: tuple[float, float],
     max_passes: int = 8,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Refine a bipartition in place-semantics (returns a new array).
 

@@ -1,18 +1,19 @@
 """A from-scratch 0-1/integer branch-and-bound MILP solver.
 
-This backend removes even the HiGHS dependency: LP relaxations are solved
-with ``scipy.optimize.linprog`` and integrality is enforced by best-bound
-branch and bound with most-fractional branching. It is intended for the
-small IP instances the paper can realistically solve (Section 7 shows the IP
-scheme is only practical at small scale anyway) and as an independent check
-on the HiGHS backend — both must agree on optimal objectives.
+This backend needs no MILP solver: every model is presolved
+(:mod:`repro.mip.presolve`), LP relaxations are solved with
+``scipy.optimize.linprog`` (its HiGHS LP method) and integrality is enforced
+by best-bound branch and bound with most-fractional branching. It is intended
+for the small IP instances the paper can realistically solve (Section 7 shows
+the IP scheme is only practical at small scale anyway) and as an independent
+check on the HiGHS backend — both must agree on optimal objectives.
 
 Algorithm
 ---------
 * Node relaxation: the model's LP relaxation with tightened variable bounds
   accumulated along the branching path.
 * Bounding: a node is pruned when its relaxation objective cannot beat the
-  incumbent (within ``abs_tol``).
+  incumbent (within ``_ABS_TOL``).
 * Branching: the integer variable whose relaxation value is closest to 0.5
   fractional part ("most fractional").
 * Search order: best-bound first via a heap, which keeps the proven gap
@@ -33,11 +34,14 @@ from ..analysis.dims import Seconds
 from ..obs.core import telemetry
 from .highs import record_solve
 from .model import Model, StandardForm
+from .presolve import presolve
 from .solution import Solution, Status
 
 __all__ = ["BranchBoundSolver", "solve_with_branch_bound"]
 
 _INT_TOL = 1e-6
+#: Absolute objective tolerance used for pruning and optimality claims.
+_ABS_TOL = 1e-6
 
 
 class _Node:
@@ -62,8 +66,6 @@ class BranchBoundSolver:
         (``Status.FEASIBLE``) or ``Status.ERROR`` when none exists.
     time_limit:
         Wall clock budget in seconds.
-    abs_tol:
-        Absolute objective tolerance used for pruning and optimality claims.
     """
 
     name = "branch-bound"
@@ -72,13 +74,9 @@ class BranchBoundSolver:
         self,
         node_limit: int = 200_000,
         time_limit: Seconds | None = None,
-        abs_tol: float = 1e-6,
-        presolve: bool = True,
     ):
         self.node_limit = node_limit
         self.time_limit = time_limit
-        self.abs_tol = abs_tol
-        self.presolve = presolve
 
     # -- LP relaxation ---------------------------------------------------------
     @staticmethod
@@ -149,17 +147,14 @@ class BranchBoundSolver:
 
     def _solve(self, model: Model) -> Solution:
         start = time.perf_counter()
-        if self.presolve:
-            from .presolve import presolve as run_presolve
-
-            pre = run_presolve(model)
-            if pre.infeasible:
-                return Solution(
-                    status=Status.INFEASIBLE,
-                    solve_time=time.perf_counter() - start,
-                    message="presolve proved infeasibility",
-                )
-            model = pre.model
+        pre = presolve(model)
+        if pre.infeasible:
+            return Solution(
+                status=Status.INFEASIBLE,
+                solve_time=time.perf_counter() - start,
+                message="presolve proved infeasibility",
+            )
+        model = pre.model
         sf = model.to_standard_form()
         if sf.num_vars == 0:
             return Solution(
@@ -204,7 +199,7 @@ class BranchBoundSolver:
 
         while heap:
             bound, _, node, x = heapq.heappop(heap)
-            if bound >= best_obj - self.abs_tol:
+            if bound >= best_obj - _ABS_TOL:
                 continue  # cannot improve the incumbent
             nodes += 1
             if nodes > self.node_limit:
@@ -221,7 +216,7 @@ class BranchBoundSolver:
             frac_mask = np.abs(frac) > _INT_TOL
             if not frac_mask.any():
                 # Integral relaxation solution: new incumbent.
-                if bound < best_obj - self.abs_tol:
+                if bound < best_obj - _ABS_TOL:
                     best_obj = bound
                     best_x = x
                 continue
@@ -243,7 +238,7 @@ class BranchBoundSolver:
                 res = self._solve_relaxation(sf, a_ub, b_ub, a_eq, b_eq, lb, ub)
                 if res.status != 0:
                     continue  # infeasible child (or numerical failure): prune
-                if res.fun >= best_obj - self.abs_tol:
+                if res.fun >= best_obj - _ABS_TOL:
                     continue
                 heapq.heappush(
                     heap,

@@ -847,7 +847,8 @@ def test_bound_allows_eps_overlap():
 
 
 class TestGanttTolerance:
-    """Transfers and executions must last longer than ``2 * _EPS``."""
+    """Transfers and executions must last longer than ``3 * _EPS``: over
+    ``2 * _EPS``, as the walk's lemmas need, with a margin of ``_EPS``."""
 
     def test_short_query_is_where_overlay_and_timeline_differ(self):
         # A zero-length query at the start of an adjacent tentative
@@ -867,6 +868,20 @@ class TestGanttTolerance:
 
     def test_short_execution_rejected(self):
         rt, task = one_task_runtime(size_mb=1e-9, compute_s=0.0)
+        rt.state.place(0, "f0")
+        with pytest.raises(ValueError, match="executions must last"):
+            rt.evaluate(task, 0)
+
+    def test_transfer_inside_the_margin_rejected(self):
+        # 2.5e-7 MB at 100 MB/s lasts 2.5 * _EPS: over 2 * _EPS, not over
+        # the floor.
+        rt, task = one_task_runtime(size_mb=2.5e-7, compute_s=1.0)
+        with pytest.raises(ValueError, match="transfers must last"):
+            rt.evaluate(task, 0)
+
+    def test_execution_inside_the_margin_rejected(self):
+        # A resident 1e-12 MB input and 2.5e-9 s of CPU: about 2.5 * _EPS.
+        rt, task = one_task_runtime(size_mb=1e-12, compute_s=2.5e-9)
         rt.state.place(0, "f0")
         with pytest.raises(ValueError, match="executions must last"):
             rt.evaluate(task, 0)

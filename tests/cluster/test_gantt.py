@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Interval, Timeline, earliest_common_slot
 from repro.cluster.gantt import _EPS
+from repro.cluster.runtime import _MIN_DURATION
 
 from . import overlay_reference
 
@@ -491,13 +492,14 @@ class TestJointWalk:
 #: ±ε, ±1.5ε and 2ε away, the thresholds of the walk's comparisons.
 NEAR = [0.0, _EPS, -_EPS, 1.5 * _EPS, -1.5 * _EPS, 2 * _EPS]
 
-#: New reservations last longer than this. The resume rule needs every
-#: reservation longer than 2ε, as Lemma 1 does, and in floats by more than
-#: a rounding: one that lasts 2ε plus an ulp can end within ε of the
-#: reservation before it, and a fresh walk steps onto that end while the
-#: resumed one does not. 0.01ε is far above the ulps of these times (1e-14)
-#: and far below the runtime's shortest transfer (4 ms).
-SHORTEST = 2.01 * _EPS
+#: New reservations last longer than this, the runtime's floor on every
+#: transfer and execution. The resume rule needs every reservation longer
+#: than 2ε, as Lemma 1 does, and in floats by more than a rounding: one that
+#: lasts 2ε plus a rounding can end within ε of the reservation before it,
+#: and a fresh walk steps onto that end while the resumed one does not
+#: (``test_a_reservation_within_a_rounding_of_2eps``). The floor, 3ε, keeps
+#: a margin of ε.
+SHORTEST = _MIN_DURATION
 
 
 def brute_force_float_slot(tl, duration, not_before):
@@ -562,3 +564,35 @@ class TestResumedWalk:
             assert tl.earliest_slot(duration, head).hex() == fresh.hex()
             assert brute_force_float_slot(tl, duration, not_before).hex() == fresh.hex()
             head = fresh
+
+    @staticmethod
+    def three_reservations(third):
+        """A timeline whose third reservation, lasting ``third``, overlaps
+        the second by ``_EPS``, and the head a ``3 * _EPS`` query from 4.0
+        found before the third was reserved: the second's end."""
+        tl = Timeline("t")
+        tl.reserve(4.0, 6.000000001000001 - 4.0)
+        tl.reserve(6.000000001000001, 6.0000000045 - 6.000000001000001)
+        head = tl.earliest_slot(3 * _EPS, 4.0)
+        tl.reserve(6.0000000035, third)
+        return tl, head
+
+    def test_a_reservation_within_a_rounding_of_2eps(self):
+        # The third lasts 2ε plus a rounding and ends within a rounding of
+        # ε after the head. The fresh walk meets it ahead of the second's
+        # end and steps onto its end; from the head, the walk and is_free
+        # find that it ends by head + ε and leave the head where it is.
+        tl, head = self.three_reservations(6.0000000055000005 - 6.0000000035)
+        assert head == 6.0000000045
+        assert tl.earliest_slot(3 * _EPS, 4.0) == 6.0000000055000005
+        assert tl.earliest_slot(3 * _EPS, head) == head
+        assert tl.is_free(head, head + 3 * _EPS)
+
+    def test_a_reservation_at_the_floor(self):
+        # Lasting the runtime's floor, the third ends a full ε after that:
+        # both walks step onto its end, as a scan of every candidate does.
+        tl, head = self.three_reservations(_MIN_DURATION)
+        fresh = tl.earliest_slot(3 * _EPS, 4.0)
+        assert fresh == 6.0000000035 + _MIN_DURATION
+        assert tl.earliest_slot(3 * _EPS, head).hex() == fresh.hex()
+        assert brute_force_float_slot(tl, 3 * _EPS, 4.0).hex() == fresh.hex()

@@ -33,7 +33,7 @@ def full_path(scheduler, batch, task_ids, platform, state, rng):
     tasks = [batch.task(t) for t in task_ids]
     nodes = state.alive_nodes()
     h = scheduler._build_hypergraph(batch, tasks, platform)
-    parts = kway_partition(h, len(nodes), rng, epsilon=scheduler.epsilon)
+    parts = kway_partition(h, len(nodes), rng)
     mapping = {t.task_id: nodes[int(parts[v])] for v, t in enumerate(tasks)}
     deferred = scheduler._repair_disk(batch, tasks, mapping, state)
     for t in deferred:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.batch import Batch, FileInfo, Task
-from repro.cluster import osc_xio
-from repro.core import BiPartitionScheduler, run_batch
+from repro.core import BiPartitionScheduler
 
 
 @pytest.fixture
@@ -40,17 +39,3 @@ class TestChainOrder:
         two = [["a0"], ["b0"]]
         assert BiPartitionScheduler._chain_order(batch, one) == one
         assert BiPartitionScheduler._chain_order(batch, two) == two
-
-    def test_invalid_order_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BiPartitionScheduler(subbatch_order="random")
-
-    def test_both_modes_run_end_to_end(self, batch):
-        platform = osc_xio(num_compute=2, num_storage=1, disk_space_mb=25.0)
-        for order in ("chain", "index"):
-            res = run_batch(
-                batch,
-                platform,
-                BiPartitionScheduler(seed=0, subbatch_order=order),
-            )
-            assert res.num_tasks == 4

@@ -35,6 +35,17 @@ def clustered_graph(groups: int, size: int, seed: int = 0) -> Hypergraph:
     return Hypergraph(n, nets, net_weights=weights)
 
 
+def grid_graph(side: int) -> Hypergraph:
+    """A ``side`` x ``side`` grid with one unit net per run of three
+    vertices along a row or a column."""
+    nets = []
+    for r in range(side):
+        for c in range(side - 2):
+            nets.append([r * side + c + d for d in range(3)])
+            nets.append([(c + d) * side + r for d in range(3)])
+    return Hypergraph(side * side, nets)
+
+
 class TestKWay:
     def test_produces_k_parts(self):
         h = clustered_graph(4, 6)
@@ -150,6 +161,22 @@ def collecting():
     yield telemetry
     telemetry.disable()
     telemetry.reset()
+
+
+class TestKWayCounters:
+    def test_pinned_values_on_fixed_case(self, collecting):
+        # Exact values: the partitioner is deterministic. Four parts take
+        # three bisections: the 256-vertex grid, which coarsens through
+        # three levels, and each half. Each bisection refines twice, at its
+        # coarsest level and at its own graph, and FM repeats a pass only
+        # while the last one improved the cut: 6 refinements, 10 passes.
+        parts = kway_partition(grid_graph(16), 4, np.random.default_rng(0))
+        counters = collecting.snapshot()["counters"]
+        assert counters["hypergraph/bisections"] == 3.0
+        assert counters["hypergraph/fm/passes"] == 10.0
+        assert counters["hypergraph/fm/moves"] == 13.0
+        assert counters["hypergraph/cut_weight"] == 70.0
+        assert np.bincount(parts).tolist() == [66, 68, 59, 63]
 
 
 class TestBinwTelemetry:

@@ -15,7 +15,6 @@ from repro.hypergraph import (
     multilevel_bisect,
     random_bipartition,
 )
-from repro.hypergraph.coarsen import project_partition
 
 
 def two_cliques(k: int = 8, bridge_weight: float = 1.0) -> Hypergraph:
@@ -77,18 +76,6 @@ class TestCoarsen:
         coarsest, _ = coarsen(h, np.random.default_rng(0), target_vertices=4)
         assert coarsest.total_vertex_weight == pytest.approx(h.total_vertex_weight)
 
-    def test_projection_roundtrip(self):
-        h = two_cliques(8)
-        rng = np.random.default_rng(0)
-        coarsest, levels = coarsen(h, rng, target_vertices=4)
-        coarse_parts = np.arange(coarsest.num_vertices) % 2
-        fine_parts = None
-        for fine, parts in project_partition(levels, coarse_parts):
-            assert len(parts) == fine.num_vertices
-            fine_parts = parts
-        assert fine_parts is not None
-        assert len(fine_parts) == h.num_vertices
-
 
 class TestInitial:
     def test_random_hits_target(self):
@@ -129,7 +116,7 @@ class TestFM:
         # Interleaved (bad) partition.
         bad = np.array([i % 2 for i in range(h.num_vertices)])
         cap = h.total_vertex_weight * 0.6
-        refined = fm_refine(h, bad, (cap, cap), rng=np.random.default_rng(0))
+        refined = fm_refine(h, bad, (cap, cap))
         assert cut_weight(h, refined) < cut_weight(h, bad)
 
     def test_never_worsens(self):
@@ -138,14 +125,14 @@ class TestFM:
         for _ in range(5):
             parts = rng.integers(0, 2, size=h.num_vertices)
             cap = h.total_vertex_weight  # no balance pressure
-            refined = fm_refine(h, parts, (cap, cap), rng=rng)
+            refined = fm_refine(h, parts, (cap, cap))
             assert cut_weight(h, refined) <= cut_weight(h, parts) + 1e-9
 
     def test_respects_balance_bound(self):
         h = two_cliques(6)
         bad = np.array([i % 2 for i in range(h.num_vertices)])
         cap = h.total_vertex_weight * 0.55
-        refined = fm_refine(h, bad, (cap, cap), rng=np.random.default_rng(0))
+        refined = fm_refine(h, bad, (cap, cap))
         w = np.zeros(2)
         np.add.at(w, refined, h.vertex_weights)
         assert w[0] <= cap + 1e-9
@@ -155,7 +142,7 @@ class TestFM:
         h = Hypergraph(4, [[0, 1], [2, 3]], vertex_weights=[1, 1, 1, 1])
         # Everything on side 0; bound forces a 2/2 split.
         parts = np.zeros(4, dtype=int)
-        refined = fm_refine(h, parts, (2.0, 2.0), rng=np.random.default_rng(0))
+        refined = fm_refine(h, parts, (2.0, 2.0))
         w = np.zeros(2)
         np.add.at(w, refined, h.vertex_weights)
         assert w.max() <= 2.0 + 1e-9
@@ -181,6 +168,23 @@ class TestMultilevelBisect:
         )
         w0 = h.vertex_weights[parts == 0].sum()
         assert 1 <= w0 <= 5  # roughly 30% of 10
+
+    def test_refines_at_the_coarsest_and_finest_level_only(self, monkeypatch):
+        # The coarsest level's refinement is projected through the levels
+        # in between without refining them, and refined once more on h.
+        h = two_cliques(16)
+        _, levels = coarsen(h, np.random.default_rng(0), target_vertices=4)
+        assert len(levels) >= 2
+        refined = []
+
+        def spy(g, *args, **kwargs):
+            refined.append(g.num_vertices)
+            return fm_refine(g, *args, **kwargs)
+
+        monkeypatch.setattr("repro.hypergraph.bisect.fm_refine", spy)
+        multilevel_bisect(h, np.random.default_rng(0), coarsen_to=4)
+        assert len(refined) == 2
+        assert refined[1] == h.num_vertices
 
     def test_trivial_sizes(self):
         assert multilevel_bisect(

@@ -65,7 +65,7 @@ def test_fm_never_increases_cut_from_feasible(h, seed):
     rng = np.random.default_rng(seed)
     parts = rng.integers(0, 2, size=h.num_vertices)
     cap = h.total_vertex_weight  # always feasible
-    refined = fm_refine(h, parts, (cap, cap), rng=rng)
+    refined = fm_refine(h, parts, (cap, cap))
     assert cut_weight(h, refined) <= cut_weight(h, parts) + 1e-9
 
 

@@ -149,10 +149,3 @@ class TestSemanticsPreserved:
         sol = solve(m, "branch-bound")
         assert sol.status is Status.INFEASIBLE
         assert "presolve" in sol.message
-
-    def test_branch_bound_presolve_optional(self):
-        m = Model(sense=Sense.MAXIMIZE)
-        x = m.binary_var("x")
-        m.set_objective(x)
-        sol = solve(m, "branch-bound", presolve=False)
-        assert sol.objective == pytest.approx(1.0)

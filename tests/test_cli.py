@@ -306,18 +306,26 @@ class TestCommands:
         assert message in err
 
     def test_profile_shows_work_counters(self, capsys):
-        rc = main(["profile", "fig6b", "--tasks", "12", "--scheme", "minmin"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "MCT mapping work" in out
-        assert "pair_evaluations" in out
-        assert "runtime ECT search work" in out
-        for counter in (
-            "duplicates", "shape_skips", "evaluations", "first_evaluations",
-            "slot_searches", "slot_reuses", "slot_skips", "head_walks",
-            "head_resumes",
+        # MinMin maps with the MCT kernel, BiPartition with the hypergraph
+        # partitioner; both stage through the runtime.
+        for scheme, block, counters in (
+            ("minmin", "MCT mapping work", ("pair_evaluations",)),
+            ("bipartition", "partitioner work", ("bisections", "fm/passes", "fm/moves")),
         ):
-            assert counter in out
+            rc = main(["profile", "fig6b", "--tasks", "12", "--scheme", scheme])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert block in out
+            assert "runtime ECT search work" in out
+            for counter in (
+                *counters,
+                "duplicates", "shape_skips", "evaluations", "first_evaluations",
+                "slot_searches", "slot_reuses", "slot_skips", "head_walks",
+                "head_resumes",
+            ):
+                assert counter in out
+        assert "MCT mapping work" not in out
+        assert "cut_weight" not in out
 
     def test_figure_fig5a_with_csv(self, tmp_path, capsys):
         csv_file = tmp_path / "fig.csv"
